@@ -1,28 +1,21 @@
 #!/usr/bin/env python
-"""Benchmark the static audit families and re-assert their contracts.
+"""Benchmark the DT determinism audit and re-assert its contracts.
 
-Measures the exact runs ``scripts/check.sh`` gates on — the ``DTxxx``
-determinism audit, the ``DXxxx`` distribution-readiness audit and the
-combined single-parse run over ``src/repro`` — and records wall time
-plus throughput (files and functions per second), so a regression that
-makes the gate expensive shows up as a diff in the committed JSON.
+Measures the exact run ``scripts/check.sh`` gates on — the ``DTxxx``
+determinism audit over ``src/repro`` — and records wall time plus
+throughput (files per second), so a regression that makes the gate
+expensive shows up as a diff in the committed JSON.
 
-Every run re-asserts the audits' contracts before writing JSON:
+Every run re-asserts the audit's contracts before writing JSON:
 
-* the library's own source is **clean** under both families: zero
-  unsuppressed findings;
+* the library's own source is **clean**: zero unsuppressed findings;
 * every pragma suppression carries a written justification;
-* the analyzers are **deterministic**: repeated audits of the same tree
+* the analyzer is **deterministic**: repeated audits of the same tree
   produce byte-identical report JSON (an audit whose output depended on
   iteration order could not police DT004 with a straight face);
-* the audits actually covered the tree (file/function/reachability
+* the audit actually covered the tree (file/function/reachability
   counts above sanity floors — an audit that silently scanned nothing
-  would otherwise look infinitely fast);
-* the frozen wire contracts verify with **zero drift**;
-* the shared-index design pays: the combined DT + DX + contracts run
-  stays within ``_COMBINED_OVERHEAD_BOUND`` of the standalone DT audit
-  measured in the same process (both parse the tree once, so adding the
-  DX passes must cost analysis time only, never a second parse).
+  would otherwise look infinitely fast).
 
 Writes ``BENCH_audit.json``.  ``--smoke`` drops the repeat count for
 the ``scripts/check.sh`` gate.
@@ -44,12 +37,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.analysis.portability import audit_portability, verify_contracts
-from repro.analysis.sanitizer import audit_paths, build_module_index
+from repro.analysis.sanitizer import audit_paths
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
-_TOP_KEYS = {"schema_version", "benchmark", "smoke", "cpus", "audit", "dx", "combined"}
+_TOP_KEYS = {"schema_version", "benchmark", "smoke", "cpus", "audit"}
 _AUDIT_KEYS = {
     "seconds",
     "repeats",
@@ -62,15 +54,6 @@ _AUDIT_KEYS = {
     "files_per_second",
     "deterministic",
 }
-_COMBINED_KEYS = {
-    "seconds",
-    "index_seconds",
-    "dt_seconds",
-    "dx_seconds",
-    "contracts_seconds",
-    "n_contract_drifts",
-    "overhead_vs_dt",
-}
 
 #: Sanity floors: the audited tree is a real library, not a fixture.
 _MIN_FILES = 50
@@ -81,13 +64,8 @@ _MIN_FUNCTIONS = 300
 #: a usability regression worth failing loudly over.
 _SECONDS_BOUND = 30.0
 
-#: The combined single-parse DT + DX + contracts run may cost at most
-#: this multiple of the standalone DT audit measured in the same
-#: process (ISSUE 9 acceptance bound).
-_COMBINED_OVERHEAD_BOUND = 1.2
 
-
-def _family_summary(report, seconds: float, repeats: int, serialized: list) -> dict:
+def _summary(report, seconds: float, repeats: int, serialized: list) -> dict:
     return {
         "seconds": round(seconds, 4),
         "repeats": repeats,
@@ -106,114 +84,53 @@ def _family_summary(report, seconds: float, repeats: int, serialized: list) -> d
     }
 
 
-def _bench_family(root: Path, repeats: int, runner, label: str) -> dict:
-    runner(root)  # warm-up: imports, bytecode
+def _bench_audit(root: Path, repeats: int) -> dict:
+    audit_paths([root])  # warm-up: imports, bytecode
 
     best = None
     serialized = []
     report = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        report = runner(root)
+        report = audit_paths([root])
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
         serialized.append(report.to_json())
     print(
-        f"  {label}: {report.n_files} files, {report.n_functions} functions, "
+        f"  dt: {report.n_files} files, {report.n_functions} functions, "
         f"{report.n_reachable} reachable — best of {repeats}: {best:.3f}s"
     )
-    return _family_summary(report, best, repeats, serialized)
-
-
-def _bench_combined(root: Path, repeats: int) -> dict:
-    """One shared parse feeding DT, DX and the contract check, timed per phase.
-
-    The overhead ratio compares the combined total against the index+DT
-    portion of the *same* iteration (what a DT-only gate would have
-    cost with that exact parse), so it measures the price of the DX
-    passes themselves, not run-to-run parse variance.
-    """
-    best = None
-    phases = {}
-    overhead = None
-    drifts = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        index = build_module_index([root])
-        t1 = time.perf_counter()
-        audit_paths(index=index)
-        t2 = time.perf_counter()
-        audit_portability(index=index, check_contracts=False)
-        t3 = time.perf_counter()
-        drifts = verify_contracts(index)
-        t4 = time.perf_counter()
-        total = t4 - t0
-        if best is None or total < best:
-            best = total
-            overhead = total / (t2 - t0)
-            phases = {
-                "index_seconds": round(t1 - t0, 4),
-                "dt_seconds": round(t2 - t1, 4),
-                "dx_seconds": round(t3 - t2, 4),
-                "contracts_seconds": round(t4 - t3, 4),
-            }
-    print(
-        f"  combined (single parse): best of {repeats}: {best:.3f}s "
-        f"({overhead:.2f}x the same run's index+DT portion)"
-    )
-    return {
-        "seconds": round(best, 4),
-        **phases,
-        "n_contract_drifts": len(drifts),
-        "overhead_vs_dt": round(overhead, 3),
-    }
+    return _summary(report, best, repeats, serialized)
 
 
 def _validate(payload: dict) -> None:
-    for section, keys in (
-        (payload, _TOP_KEYS),
-        (payload["audit"], _AUDIT_KEYS),
-        (payload["dx"], _AUDIT_KEYS),
-        (payload["combined"], _COMBINED_KEYS),
-    ):
+    for section, keys in ((payload, _TOP_KEYS), (payload["audit"], _AUDIT_KEYS)):
         missing = keys - section.keys()
         if missing:
             raise AssertionError(f"payload missing keys: {sorted(missing)}")
-    for family, hint in (("audit", "repro audit --family dt"),
-                         ("dx", "repro audit --family dx")):
-        audit = payload[family]
-        if audit["n_findings"] != 0:
-            raise AssertionError(
-                f"src/repro is not clean: {audit['n_findings']} unsuppressed "
-                f"findings (run `{hint} src/repro` for the list)"
-            )
-        if audit["unjustified_suppressions"]:
-            raise AssertionError(
-                f"pragmas without justification: {audit['unjustified_suppressions']}"
-            )
-        if not audit["deterministic"]:
-            raise AssertionError("repeated audits produced different report JSON")
-        if audit["n_files"] < _MIN_FILES or audit["n_functions"] < _MIN_FUNCTIONS:
-            raise AssertionError(
-                f"audit coverage collapsed: {audit['n_files']} files / "
-                f"{audit['n_functions']} functions scanned"
-            )
-        if audit["n_reachable"] < len(audit["entry_points"]):
-            raise AssertionError("entry points no longer resolve to scanned functions")
-        if audit["seconds"] > _SECONDS_BOUND:
-            raise AssertionError(
-                f"audit took {audit['seconds']:.1f}s, over the "
-                f"{_SECONDS_BOUND:.0f}s bound"
-            )
-    combined = payload["combined"]
-    if combined["n_contract_drifts"] != 0:
+    audit = payload["audit"]
+    if audit["n_findings"] != 0:
         raise AssertionError(
-            "frozen wire contracts drifted (run `repro audit --contracts`)"
+            f"src/repro is not clean: {audit['n_findings']} unsuppressed "
+            "findings (run `repro audit src/repro` for the list)"
         )
-    if combined["overhead_vs_dt"] > _COMBINED_OVERHEAD_BOUND:
+    if audit["unjustified_suppressions"]:
         raise AssertionError(
-            f"combined DT+DX audit costs {combined['overhead_vs_dt']:.2f}x the "
-            f"standalone DT audit, over the {_COMBINED_OVERHEAD_BOUND}x bound"
+            f"pragmas without justification: {audit['unjustified_suppressions']}"
+        )
+    if not audit["deterministic"]:
+        raise AssertionError("repeated audits produced different report JSON")
+    if audit["n_files"] < _MIN_FILES or audit["n_functions"] < _MIN_FUNCTIONS:
+        raise AssertionError(
+            f"audit coverage collapsed: {audit['n_files']} files / "
+            f"{audit['n_functions']} functions scanned"
+        )
+    if audit["n_reachable"] < len(audit["entry_points"]):
+        raise AssertionError("entry points no longer resolve to scanned functions")
+    if audit["seconds"] > _SECONDS_BOUND:
+        raise AssertionError(
+            f"audit took {audit['seconds']:.1f}s, over the "
+            f"{_SECONDS_BOUND:.0f}s bound"
         )
 
 
@@ -230,18 +147,12 @@ def main(argv: list[str] | None = None) -> int:
     root = Path(__file__).resolve().parent.parent / "src" / "repro"
     repeats = 2 if args.smoke else 5
     print(f"audit ({'smoke' if args.smoke else 'reference'}): {root}")
-    audit = _bench_family(root, repeats, lambda r: audit_paths([r]), "dt")
-    dx = _bench_family(root, repeats, lambda r: audit_portability([r]), "dx")
-    combined = _bench_combined(root, repeats)
-
     payload = {
         "schema_version": SCHEMA_VERSION,
         "benchmark": "audit",
         "smoke": args.smoke,
         "cpus": os.cpu_count() or 1,
-        "audit": audit,
-        "dx": dx,
-        "combined": combined,
+        "audit": _bench_audit(root, repeats),
     }
     _validate(payload)
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")

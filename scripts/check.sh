@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Repository quality gate: style lint, type check, tier-1 test suite,
-# chaos drills, smoke benches, the determinism audit and the cache
-# stress test.
+# chaos drills, smoke benches and the determinism audit.
 #
 # Tools that are not installed are skipped with a warning instead of
 # failing, so the script works in minimal offline environments; the
@@ -33,7 +32,6 @@ if command -v ruff >/dev/null 2>&1; then
     run_gate "ruff (analysis, strict)" ruff check --select PL,RUF src/repro/analysis
     run_gate "ruff (obs, strict)" ruff check --select PL,RUF src/repro/obs
     run_gate "ruff (kernels, strict)" ruff check --select PL,RUF src/repro/kernels
-    run_gate "ruff (serve, strict)" ruff check --select PL,RUF src/repro/serve
     # Promoted from warn-only: the whole library now holds the
     # pylint-parity + ruff-specific bar, not just the newer subsystems.
     run_gate "ruff (library, strict)" ruff check --select PL,RUF src/repro
@@ -47,7 +45,6 @@ if command -v mypy >/dev/null 2>&1; then
     run_gate "mypy (analysis, strict)" mypy --strict src/repro/analysis
     run_gate "mypy (obs, strict)" mypy --strict src/repro/obs
     run_gate "mypy (kernels, strict)" mypy --strict src/repro/kernels
-    run_gate "mypy (serve, strict)" mypy --strict src/repro/serve
 else
     echo "warning: mypy not installed; skipping type check" >&2
 fi
@@ -62,10 +59,6 @@ else
     echo "warning: pytest-cov not installed; running tier-1 without coverage gate" >&2
     run_gate "pytest (tier-1)" env PYTHONPATH=src python -m pytest -x -q
 fi
-
-# Slow process-pool tests are deselected from default runs by marker
-# hygiene elsewhere; this job makes sure they still run somewhere.
-run_gate "pytest (slow pool)" env PYTHONPATH=src python -m pytest -x -q -m slow
 
 # Chaos gate: the tier-1 suite must survive a deterministic fault plan.
 # The plan injects transient failures (a one-shot crash and a one-shot
@@ -172,79 +165,10 @@ print("kernel compiler bench schema OK")
 PY
 rm -f "${compile_json}"
 
-# Telemetry docs drift: the generated reference in docs/observability.md
-# must match the catalogue (same contract as the lint-rule table).
-run_gate "docs drift (telemetry reference)" env PYTHONPATH=src \
-    python -m pytest -x -q tests/obs/test_docs_drift.py
-
 # Determinism audit: the library's own source must be clean under the
 # DTxxx sanitizer — zero unsuppressed findings, every pragma justified.
 run_gate "audit (determinism sanitizer)" env PYTHONPATH=src \
-    python -m repro.cli audit --family dt src/repro
-
-# Distribution-readiness audit: the DXxxx portability family must also
-# be clean — pure boundary payloads, complete cache keys, no host
-# identity reaching artefacts.
-run_gate "audit (distribution readiness)" env PYTHONPATH=src \
-    python -m repro.cli audit --family dx src/repro
-
-# Wire-contract gate: every frozen wire-schema fingerprint must match
-# the shape derived from source; schema changes land with an explicit
-# FROZEN_CONTRACTS update or they fail here.
-run_gate "audit (wire contracts)" env PYTHONPATH=src \
-    python -m repro.cli audit --contracts src/repro
-
-# Serve gate: the characterisation-as-a-service suite (byte-equality vs
-# the batch CLI, admission properties, chaos parity, cancellation).
-run_gate "pytest (serve suite)" env PYTHONPATH=src \
-    python -m pytest -x -q tests/serve
-
-# Serve smoke: boot a real server on a socket, submit a characterise
-# job through the thin client, and require the archive byte-equal to a
-# batch `repro-flow characterize` of the same workspace identity.
-serve_dir="$(mktemp -d -t serve_smoke.XXXXXX)"
-run_gate "serve (boot-submit-byte-check)" env PYTHONPATH=src \
-    SERVE_SMOKE_DIR="${serve_dir}" python - <<'PY'
-import os, threading
-from pathlib import Path
-
-from repro.cli_flow import main as flow_main
-from repro.serve import JobServer, ServeClient
-
-root = Path(os.environ["SERVE_SMOKE_DIR"])
-cli_ws, srv_ws = root / "cli_ws", root / "srv_ws"
-assert flow_main(["init", str(cli_ws), "--serial", "7", "--scale", "0.012"]) == 0
-assert flow_main(["characterize", str(cli_ws)]) == 0
-
-server = JobServer(root / "serve.sock", cache_dir=root / "cache")
-ready = threading.Event()
-thread = threading.Thread(target=server.run_blocking, args=(ready,), daemon=True)
-thread.start()
-assert ready.wait(10.0), "server did not boot"
-client = ServeClient(root / "serve.sock")
-job = client.submit(
-    "smoke", "characterize", srv_ws,
-    params={"init": {"serial": 7, "scale": 0.012}},
-)
-done = client.wait(job["job_id"], timeout_s=600.0)
-assert done["state"] == "done", done
-mismatches = []
-for path in sorted((cli_ws / "characterization").glob("wl*.npz")):
-    twin = srv_ws / "characterization" / path.name
-    if twin.read_bytes() != path.read_bytes():
-        mismatches.append(path.name)
-assert not mismatches, f"served archives differ from batch: {mismatches}"
-client.shutdown()
-thread.join(60.0)
-print("serve smoke OK: served archives byte-equal the batch CLI's")
-PY
-rm -rf "${serve_dir}"
-
-# Cache-race gate: the runtime sanitizer's unit layer plus the
-# multi-process stress test (N processes racing one on-disk cache with
-# REPRO_SANITIZE=1: zero lost updates, bit-identical placements).
-run_gate "pytest (cache sanitizer + stress)" env PYTHONPATH=src \
-    python -m pytest -x -q tests/parallel/test_sanitize.py
+    python -m repro.cli audit src/repro
 
 # Audit smoke bench: re-asserts the clean/justified/deterministic
 # contracts and records audit wall time.
@@ -253,72 +177,8 @@ run_gate "bench (audit smoke)" python benchmarks/bench_audit.py \
     --smoke --output "${audit_json}"
 rm -f "${audit_json}"
 
-# Sanitizer docs drift: the DT/DX rule tables, effect catalogue and
-# wire-contract registry in docs/static_analysis.md must match the
-# registries.
-run_gate "docs drift (DT-rule reference)" env PYTHONPATH=src \
-    python -m pytest -x -q tests/analysis/sanitizer/test_docs_drift.py
-run_gate "docs drift (DX-rule + contracts reference)" env PYTHONPATH=src \
-    python -m pytest -x -q tests/analysis/portability/test_docs_drift.py
-
 if [ "${failures}" -ne 0 ]; then
     echo "${failures} gate(s) failed"
     exit 1
 fi
 echo "all gates passed"
-
-# Distributed-fabric smoke bench: every executor topology (serial, pool,
-# file-queue) must produce bit-identical grids, and the worker-kill
-# chaos drill must recover via a lease requeue.
-dist_json="$(mktemp -t bench_distributed.XXXXXX.json)"
-run_gate "bench (distributed fabric smoke)" python benchmarks/bench_distributed.py \
-    --smoke --output "${dist_json}"
-run_gate "bench (distributed fabric schema)" python - "${dist_json}" <<'PY'
-import json, sys
-payload = json.load(open(sys.argv[1]))
-assert payload["schema_version"] == 1
-assert payload["smoke"] is True
-assert set(payload["executors"]) == {"serial", "pool", "file-queue"}
-assert all(e["bit_identical_vs_serial"] for e in payload["executors"].values())
-assert payload["chaos"]["bit_identical_vs_serial"] is True
-assert payload["chaos"]["leases_requeued"] >= 1
-assert payload["chaos"]["status"] == "complete"
-print("distributed fabric bench schema OK")
-PY
-rm -f "${dist_json}"
-
-# File-queue byte-diff gate: a 2-worker file-queue characterisation of a
-# real workspace must archive byte-identical wl*.npz to the default
-# in-process pool run.
-fq_dir="$(mktemp -d -t fq_bytediff.XXXXXX)"
-run_gate "file-queue (2-worker byte-diff vs pool)" env PYTHONPATH=src \
-    FQ_BYTEDIFF_DIR="${fq_dir}" python - <<'PY'
-import os
-from pathlib import Path
-
-from repro.cli_flow import main as flow_main
-
-root = Path(os.environ["FQ_BYTEDIFF_DIR"])
-pool_ws, fq_ws = root / "pool_ws", root / "fq_ws"
-for ws in (pool_ws, fq_ws):
-    assert flow_main(["init", str(ws), "--serial", "7", "--scale", "0.012"]) == 0
-assert flow_main(["characterize", str(pool_ws), "--jobs", "2"]) == 0
-assert flow_main(
-    ["characterize", str(fq_ws), "--executor", "file-queue", "--jobs", "2"]
-) == 0
-pool_npz = sorted((pool_ws / "characterization").glob("wl*.npz"))
-assert pool_npz, "pool run archived nothing"
-mismatches = [
-    p.name for p in pool_npz
-    if (fq_ws / "characterization" / p.name).read_bytes() != p.read_bytes()
-]
-assert not mismatches, f"file-queue archives differ from pool: {mismatches}"
-print(f"file-queue byte-diff OK: {len(pool_npz)} archives identical to pool")
-PY
-rm -rf "${fq_dir}"
-
-# Distributed docs drift: the generated executor/spool/descriptor tables
-# in docs/distributed.md must match their renderers, and the operator
-# guide must keep naming the surfaces it documents.
-run_gate "docs drift (distributed fabric)" env PYTHONPATH=src \
-    python -m pytest -x -q tests/parallel/test_distributed_docs.py

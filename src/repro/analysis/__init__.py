@@ -32,10 +32,7 @@ exposed on the command line as ``repro analyze``.
 
 Orthogonal to both: :mod:`repro.analysis.sanitizer` audits the repo's
 *own Python source* (not netlists) for determinism and concurrency
-hazards — the ``DTnnn`` rules behind ``repro audit`` — and
-:mod:`repro.analysis.portability` extends the same machinery with the
-``DXnnn`` location-transparency rules and frozen wire-schema contracts
-(``repro audit --family dx`` / ``--contracts``).
+hazards — the ``DTnnn`` rules behind ``repro audit``.
 """
 
 from .context import AnalysisContext
@@ -57,22 +54,12 @@ from .equivalence import (
 )
 from .linter import LintConfig, LintWarning, check_netlist, lint_netlist
 from .passes import REGISTRY, Finding, LintRule, rule_table, rule_table_markdown
-from .portability import (
-    DX_REGISTRY,
-    DXRule,
-    audit_portability,
-    dx_rule_table_markdown,
-    verify_contracts,
-    wire_contracts_markdown,
-)
 from .sanitizer import (
     AuditFinding,
     AuditReport,
     DT_REGISTRY,
     DTRule,
-    ModuleIndex,
     audit_paths,
-    build_module_index,
     dt_rule_table_markdown,
     effect_catalogue_markdown,
 )
@@ -116,15 +103,7 @@ __all__ = [
     "AuditReport",
     "DTRule",
     "DT_REGISTRY",
-    "DXRule",
-    "DX_REGISTRY",
-    "ModuleIndex",
     "audit_paths",
-    "audit_portability",
-    "build_module_index",
     "dt_rule_table_markdown",
-    "dx_rule_table_markdown",
     "effect_catalogue_markdown",
-    "verify_contracts",
-    "wire_contracts_markdown",
 ]

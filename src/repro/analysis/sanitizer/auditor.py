@@ -153,19 +153,7 @@ _MUTABLE_FACTORIES = frozenset({"dict", "list", "set", "defaultdict", "OrderedDi
 _PRAGMA_RE = re.compile(
     r"#\s*repro:\s*allow\[(?P<rules>[^\]]*)\]\s*(?:--\s*(?P<reason>.*\S))?\s*$"
 )
-_RULE_ID_RE = re.compile(r"^(DT|DX)\d{3}$")
-
-
-def _known_rule_ids() -> frozenset[str]:
-    """Every rule ID a pragma may legally name: DT plus DX.
-
-    Imported lazily: the portability registry lives in a sibling package
-    that itself builds on this module's index machinery, so a module-level
-    import would be circular.
-    """
-    from ..portability.rules import DX_REGISTRY
-
-    return frozenset(DT_REGISTRY) | frozenset(DX_REGISTRY)
+_RULE_ID_RE = re.compile(r"^DT\d{3}$")
 
 
 @dataclass(frozen=True)
@@ -195,36 +183,10 @@ class _Unit:
     calls_bare: set[str] = field(default_factory=set)
     calls_internal: set[str] = field(default_factory=set)
     occurrences: list[_Occurrence] = field(default_factory=list)
-    #: Every import-rooted dotted call with its line, for passes (the DX
-    #: host-dependence rules) that judge calls the DT effects ignore.
-    dotted_call_sites: list[tuple[str, int]] = field(default_factory=list)
-    #: Absolute-path string literals (value, lineno) seen in this unit.
-    abs_path_literals: list[tuple[str, int]] = field(default_factory=list)
-    #: The function's AST, for field-use passes; ``None`` for ``<module>``.
-    node: ast.FunctionDef | ast.AsyncFunctionDef | None = None
 
     @property
     def key(self) -> str:
         return f"{self.module}:{self.qualname}"
-
-
-@dataclass(frozen=True)
-class _FieldInfo:
-    """One annotated class-body field (a dataclass field, typically)."""
-
-    name: str
-    annotation: ast.expr | None
-    lineno: int
-
-
-@dataclass
-class _ClassInfo:
-    """One class definition: its annotated fields and resolved-ish bases."""
-
-    name: str
-    lineno: int
-    fields: tuple[_FieldInfo, ...]
-    bases: tuple[str, ...]
 
 
 @dataclass
@@ -236,8 +198,6 @@ class _Module:
     imports: dict[str, str] = field(default_factory=dict)
     imported_modules: set[str] = field(default_factory=set)
     comment_lines: set[int] = field(default_factory=set)
-    classes: dict[str, _ClassInfo] = field(default_factory=dict)
-    tree: ast.Module | None = None
 
 
 def discover_files(paths: Iterable[str | Path]) -> list[Path]:
@@ -290,8 +250,7 @@ def _scan_pragmas(module: _Module, source: str) -> None:
         problems: list[str] = []
         if not ids:
             problems.append("names no rule IDs")
-        known = _known_rule_ids()
-        unknown = sorted(i for i in ids if not _RULE_ID_RE.match(i) or i not in known)
+        unknown = sorted(i for i in ids if not _RULE_ID_RE.match(i) or i not in DT_REGISTRY)
         if unknown:
             problems.append(f"unknown rule ID(s) {', '.join(unknown)}")
         if not reason:
@@ -381,17 +340,6 @@ class _Scanner(ast.NodeVisitor):
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
         self._class_methods[node.name] = methods
-        qualname = ".".join(self._class_stack)
-        fields = tuple(
-            _FieldInfo(item.target.id, item.annotation, item.lineno)
-            for item in node.body
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-        )
-        bases = tuple(
-            dotted for dotted in (self._dotted(base) for base in node.bases)
-            if dotted is not None
-        )
-        self.module.classes[qualname] = _ClassInfo(qualname, node.lineno, fields, bases)
         for item in node.body:
             self.visit(item)
         self._class_stack.pop()
@@ -407,7 +355,7 @@ class _Scanner(ast.NodeVisitor):
         else:
             qualname = f"{prefix}.{node.name}" if prefix else node.name
             self._local_functions[MODULE_UNIT].add(node.name)
-        unit = _Unit(self.module.name, qualname, node.lineno, node=node)
+        unit = _Unit(self.module.name, qualname, node.lineno)
         self.module.units[qualname] = unit
         self._unit_stack.append(unit)
         for item in node.body:
@@ -499,17 +447,6 @@ class _Scanner(ast.NodeVisitor):
 
     def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
         self._visit_comprehension(node, node.generators)
-
-    # -- raw facts for other rule families -----------------------------
-    def visit_Constant(self, node: ast.Constant) -> None:
-        value = node.value
-        if (
-            isinstance(value, str)
-            and len(value) > 1
-            and value.startswith(("/", "~/"))
-            and "\n" not in value
-        ):
-            self.unit.abs_path_literals.append((value, node.lineno))
 
     # -- environment reads (DT003) -------------------------------------
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -606,7 +543,6 @@ class _Scanner(ast.NodeVisitor):
             if resolved is not None:
                 dotted = resolved
                 self.unit.calls_dotted.add(resolved)
-                self.unit.dotted_call_sites.append((resolved, node.lineno))
             elif name in self._local_functions[MODULE_UNIT]:
                 self.unit.calls_internal.add(self._qualify_local(name))
             elif name not in _MUTABLE_FACTORIES:
@@ -623,7 +559,6 @@ class _Scanner(ast.NodeVisitor):
                 dotted = None
             elif dotted is not None:
                 self.unit.calls_dotted.add(dotted)
-                self.unit.dotted_call_sites.append((dotted, node.lineno))
             else:
                 self.unit.calls_bare.add(func.attr)
         if dotted is not None:
@@ -693,7 +628,6 @@ def _scan_module(path: Path) -> _Module | None:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError:
         return None
-    module.tree = tree
     _scan_pragmas(module, source)
     _Scanner(module).visit(tree)
     return module
@@ -701,19 +635,15 @@ def _scan_module(path: Path) -> _Module | None:
 
 @dataclass(frozen=True)
 class ModuleIndex:
-    """One parsed view of a source tree, shared between rule families.
+    """One parsed view of a source tree: scanned modules plus call graph.
 
     Building the index is the expensive part of an audit (file IO,
-    ``ast.parse``, the scanner walk, call-graph linking).  ``repro audit``
-    builds it once and hands the same instance to the DT determinism pass
-    (:func:`audit_paths`) and the DX portability pass
-    (:func:`repro.analysis.portability.audit_portability`), keeping the
-    combined run single-parse.
+    ``ast.parse``, the scanner walk, call-graph linking);
+    :func:`audit_paths` then judges every occurrence against it.
     """
 
     files: tuple[Path, ...]
     modules: dict[str, _Module]
-    function_index: dict[str, list[str]]
     edges: dict[str, set[str]]
 
     def reachable_units(self, entry_points: Sequence[str]) -> set[str]:
@@ -726,21 +656,15 @@ class ModuleIndex:
 
 
 def build_module_index(paths: Iterable[str | Path]) -> ModuleIndex:
-    """Parse every Python file under ``paths`` into a shared index."""
+    """Parse every Python file under ``paths`` into an index."""
     files = discover_files(paths)
     modules: dict[str, _Module] = {}
     for path in files:
         scanned = _scan_module(path)
         if scanned is not None:
             modules[scanned.name] = scanned
-    index = _function_index(modules)
-    edges = _build_edges(modules, index)
-    return ModuleIndex(
-        files=tuple(files),
-        modules=modules,
-        function_index=index,
-        edges=edges,
-    )
+    edges = _build_edges(modules, _function_index(modules))
+    return ModuleIndex(files=tuple(files), modules=modules, edges=edges)
 
 
 def _function_index(modules: dict[str, _Module]) -> dict[str, list[str]]:
@@ -872,11 +796,10 @@ def _pragma_for_line(module: _Module, lineno: int) -> _Pragma | None:
 
 
 def audit_paths(
-    paths: Iterable[str | Path] = (),
+    paths: Iterable[str | Path],
     entry_points: Sequence[str] | None = None,
     allowances: Sequence[Allowance] | None = None,
     disabled: frozenset[str] = frozenset(),
-    index: ModuleIndex | None = None,
 ) -> AuditReport:
     """Audit every Python file under ``paths`` and return the report.
 
@@ -890,15 +813,10 @@ def audit_paths(
         :data:`~repro.analysis.sanitizer.effects.ALLOWANCES`.
     disabled:
         Rule IDs to skip entirely (CLI ``--disable``).
-    index:
-        A prebuilt :class:`ModuleIndex` over the same ``paths`` (from
-        :func:`build_module_index`); passing one makes a combined
-        DT + DX audit single-parse.  ``None`` builds a fresh index.
     """
     roots = ENTRY_POINTS if entry_points is None else tuple(entry_points)
     policy = ALLOWANCES if allowances is None else tuple(allowances)
-    if index is None:
-        index = build_module_index(paths)
+    index = build_module_index(paths)
     files = index.files
     modules = index.modules
     reachable = index.reachable_units(roots)

@@ -9,13 +9,12 @@ auditor does not guess intent, and a new legitimate use must either be
 added to :data:`ALLOWANCES` (library-wide policy) or carry an inline
 ``# repro: allow[DTnnn] -- reason`` pragma (one-off, justified in place).
 
-Why these effects: every open ROADMAP item (characterisation-as-a-
-service, the compiled hot path, the distributed shard fabric) rests on
-the invariant that shard work is bit-identical at any worker count and
-any topology.  Each catalogued effect is a way that invariant silently
-breaks — ambient RNG, wall-clock reads, hash-order iteration, unlocked
-shared-disk writes — and each maps to exactly one ``DTnnn`` rule
-(:mod:`repro.analysis.sanitizer.rules`).
+Why these effects: the process pool, the placed-design cache and the
+compiled hot path all rest on the invariant that shard work is
+bit-identical at any worker count.  Each catalogued effect is a way
+that invariant silently breaks — ambient RNG, wall-clock reads,
+hash-order iteration, unlocked shared-disk writes — and each maps to
+exactly one ``DTnnn`` rule (:mod:`repro.analysis.sanitizer.rules`).
 """
 
 from __future__ import annotations
@@ -180,9 +179,6 @@ ENTRY_POINTS: tuple[str, ...] = (
     "repro.parallel.engine:_run_shard_in_worker",
     "repro.parallel.engine:run_shard",
     "repro.parallel.engine:run_sweep",
-    "repro.parallel.executors:FileQueueExecutor.run_pass",
-    "repro.parallel.executors:PoolExecutor.run_pass",
-    "repro.parallel.worker:drain_spool",
 )
 
 #: Modules whose on-disk artefacts are shared between concurrent
@@ -190,7 +186,6 @@ ENTRY_POINTS: tuple[str, ...] = (
 SHARED_DISK_MODULES: tuple[str, ...] = (
     "repro.parallel.cache",
     "repro.parallel.sanitize",
-    "repro.parallel.spool",
 )
 
 #: Functions that constitute "holding the advisory lock" for DT007: an
@@ -282,39 +277,6 @@ ALLOWANCES: tuple[Allowance, ...] = (
         "CLI front door: flags fall back to documented environment "
         "variables before the pipeline is entered.",
     ),
-    Allowance(
-        EFFECT_ENV_READ,
-        "repro.serve.settings",
-        "ServeSettings.from_env",
-        "REPRO_SERVE_* knobs (workers, queue limits, tenant quotas) are "
-        "parsed here once into a typed settings object; scheduling "
-        "policy never touches job numerics.",
-    ),
-    Allowance(
-        EFFECT_ENV_READ,
-        "repro.serve.cli",
-        None,
-        "CLI front door: flags fall back to documented environment "
-        "variables before the server is booted.",
-    ),
-    Allowance(
-        EFFECT_ENV_READ,
-        "repro.parallel.executors",
-        "resolve_executor",
-        "REPRO_EXECUTOR is the shard-topology entry point; callers "
-        "receive the resolved executor object, never the raw "
-        "environment, and the choice never changes archived bytes.",
-    ),
-    Allowance(
-        EFFECT_ENV_READ,
-        "repro.parallel.executors",
-        "FileQueueExecutor._spawn_worker",
-        "worker children inherit the parent environment plus the "
-        "coordinator's package root on PYTHONPATH so an uninstalled "
-        "source checkout spawns an importable fleet; the environment "
-        "shapes process bring-up only, never shard numerics or "
-        "artefact bytes.",
-    ),
     # --- wall_clock: sanctioned latency bookkeeping ---------------------
     Allowance(
         EFFECT_WALL_CLOCK,
@@ -329,21 +291,6 @@ ALLOWANCES: tuple[Allowance, ...] = (
         None,
         "perf_counter reads feed attempt latencies and throughput "
         "metrics only; shard numerics never consume them.",
-    ),
-    Allowance(
-        EFFECT_WALL_CLOCK,
-        "repro.parallel.executors",
-        None,
-        "perf_counter drives pool-harvest timeouts and spool lease-"
-        "staleness detection; which attempt wins is made irrelevant by "
-        "bit-identical re-execution, so no numeric path consumes it.",
-    ),
-    Allowance(
-        EFFECT_WALL_CLOCK,
-        "repro.parallel.worker",
-        None,
-        "perf_counter feeds the latency_s field of outcome sidecars "
-        "only; result records never contain clock reads.",
     ),
     Allowance(
         EFFECT_WALL_CLOCK,
@@ -381,34 +328,6 @@ ALLOWANCES: tuple[Allowance, ...] = (
         "_RULE_BY_EFFECT",
         "Effect-to-rule index derived from DT_REGISTRY at import time; "
         "frozen thereafter.",
-    ),
-    Allowance(
-        EFFECT_MODULE_STATE,
-        "repro.analysis.portability.rules",
-        "DX_REGISTRY",
-        "DX-rule registry populated at import time and treated as "
-        "frozen thereafter; workers re-import identically.",
-    ),
-    Allowance(
-        EFFECT_MODULE_STATE,
-        "repro.analysis.portability.rules",
-        "_RULE_BY_EFFECT",
-        "Effect-to-rule index derived from DX_REGISTRY at import time; "
-        "frozen thereafter.",
-    ),
-    Allowance(
-        EFFECT_MODULE_STATE,
-        "repro.analysis.portability.contracts",
-        "FROZEN_CONTRACTS",
-        "The frozen wire-schema fingerprint registry: a reviewed "
-        "constant table, written only by commits, never at runtime.",
-    ),
-    Allowance(
-        EFFECT_MODULE_STATE,
-        "repro.analysis.portability.contracts",
-        "_SHAPE_DERIVERS",
-        "Contract-name-to-deriver dispatch built at import time from "
-        "module functions; never mutated.",
     ),
     Allowance(
         EFFECT_MODULE_STATE,

@@ -15,13 +15,7 @@ aggregates the observed output errors into the records the error model
 from .stream import InputStreamBRAM, OutputStreamBRAM, M9K_BITS
 from .fsm import CharacterizationFSM, FSMState
 from .circuit import CharacterizationCircuit, TestRun
-from .harness import (
-    CharacterizationConfig,
-    PlannedSweep,
-    characterize_multiplier,
-    error_trace,
-    plan_characterization,
-)
+from .harness import CharacterizationConfig, characterize_multiplier, error_trace
 from .results import CharacterizationRecord, CharacterizationResult
 
 __all__ = [
@@ -33,10 +27,8 @@ __all__ = [
     "CharacterizationCircuit",
     "TestRun",
     "CharacterizationConfig",
-    "PlannedSweep",
     "characterize_multiplier",
     "error_trace",
-    "plan_characterization",
     "CharacterizationRecord",
     "CharacterizationResult",
 ]

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,16 +46,7 @@ from ..synthesis.flow import SynthesisFlow
 from .circuit import CharacterizationCircuit, TestRun
 from .results import CharacterizationResult
 
-if TYPE_CHECKING:
-    from ..parallel.executors import ShardExecutor
-
-__all__ = [
-    "CharacterizationConfig",
-    "PlannedSweep",
-    "characterize_multiplier",
-    "error_trace",
-    "plan_characterization",
-]
+__all__ = ["CharacterizationConfig", "characterize_multiplier", "error_trace"]
 
 
 @dataclass(frozen=True)
@@ -111,42 +101,76 @@ def _resolve_multiplicands(config: CharacterizationConfig, w_coeff: int) -> np.n
     return m
 
 
-@dataclass(frozen=True)
-class PlannedSweep:
-    """Deterministic sweep decomposition, before any execution.
-
-    The pure planning half of :func:`characterize_multiplier`: the
-    deduped config, the :class:`~repro.parallel.engine.SweepPlan`, the
-    placement anchors, the resolved multiplicand axis and the fully
-    stimulus-laden shards.  Because planning is execution-free, two calls
-    with the same ``(device, geometry, config, seed)`` yield byte-equal
-    shard descriptors — the property the distributed fabric's descriptor
-    regression pins across executors.
-    """
-
-    config: CharacterizationConfig
-    plan: SweepPlan
-    locations: tuple[tuple[int, int], ...]
-    multiplicands: np.ndarray
-    shards: tuple[Shard, ...]
-
-
-def plan_characterization(
+def characterize_multiplier(
     device: FPGADevice,
     w_data: int,
     w_coeff: int,
     config: CharacterizationConfig | None = None,
     seed: int = 0,
-) -> PlannedSweep:
-    """Plan one characterisation sweep without executing anything.
+    jobs: int | None = None,
+    cache: PlacedDesignCache | None = None,
+    resilience: ResilienceSettings | None = None,
+    faults: FaultPlan | None = None,
+) -> CharacterizationResult:
+    """Run a full characterisation sweep of one multiplier geometry.
 
-    Performs the PLL frequency dedupe, anchor selection and the serial
-    up-front stimulus draw, exactly as :func:`characterize_multiplier`
-    does before dispatching — that function plans through here, so a
-    plan in hand is *the* plan a sweep would run.
+    Returns the per-(location, multiplicand, frequency) error-statistic
+    grids.  Deterministic in ``(device.serial, seed, config)`` — the
+    ``jobs`` worker count (default serial; ``None`` consults
+    ``REPRO_JOBS``) changes wall-clock only, never the numbers; so do
+    shard retries, which re-run the identical pure computation.
+
+    Parameters
+    ----------
+    jobs:
+        Process-pool workers for the ``(location, chunk)`` shards.
+    cache:
+        Placed-design cache for the per-location circuit placements;
+        ``None`` uses the process-wide default.
+    resilience:
+        Retry/timeout/degradation policy for shard failures; ``None``
+        uses the process-wide :func:`repro.config.get_resilience_settings`.
+        With ``allow_degraded`` set, quarantined shards leave NaN cells in
+        the grids and the sweep's ``result.outcome`` records them;
+        otherwise an incomplete sweep raises
+        :class:`~repro.errors.SweepFailedError`.
+    faults:
+        Chaos plan to inject into the sweep (tests/drills); ``None``
+        consults ``REPRO_FAULTS``.
     """
+    t0 = time.perf_counter()
+    with obs.span(
+        "characterize.sweep", w_data=w_data, w_coeff=w_coeff, seed=seed
+    ) as span:
+        result = _characterize_multiplier_impl(
+            device, w_data, w_coeff, config=config, seed=seed, jobs=jobs,
+            cache=cache, resilience=resilience, faults=faults,
+        )
+        span.set(
+            locations=len(result.locations),
+            frequencies=int(result.freqs_mhz.shape[0]),
+            status=result.outcome.status if result.outcome is not None else "",
+        )
+    obs.counter_add("characterize.sweeps")
+    obs.observe("characterize.sweep_seconds", time.perf_counter() - t0)
+    return result
+
+
+def _characterize_multiplier_impl(
+    device: FPGADevice,
+    w_data: int,
+    w_coeff: int,
+    config: CharacterizationConfig | None = None,
+    seed: int = 0,
+    jobs: int | None = None,
+    cache: PlacedDesignCache | None = None,
+    resilience: ResilienceSettings | None = None,
+    faults: FaultPlan | None = None,
+) -> CharacterizationResult:
     if config is None:
         config = CharacterizationConfig()
+    n_jobs = resolve_jobs(jobs)
+    settings = resilience if resilience is not None else get_resilience_settings()
     tree = SeedTree(seed).child("characterization", f"{w_data}x{w_coeff}")
     multiplicands = _resolve_multiplicands(config, w_coeff)
 
@@ -170,6 +194,13 @@ def plan_characterization(
         )
     )
 
+    n_f = len(config.freqs_mhz)
+    n_m = multiplicands.shape[0]
+    n_l = len(locations)
+    variance = np.zeros((n_l, n_m, n_f))
+    mean = np.zeros((n_l, n_m, n_f))
+    rate = np.zeros((n_l, n_m, n_f))
+
     seg_len = config.n_samples + 1  # one extra word to form n_samples transitions
     achieved = [pll.synthesize(f).achieved_mhz for f in config.freqs_mhz]
     # The harness fuses several multiplicand segments into one stream (a
@@ -189,7 +220,6 @@ def plan_characterization(
     # Draw every shard's stimulus up front, in the serial order of the
     # per-location stream, so sharding cannot perturb the numbers.  Each
     # multiplicand gets its own contiguous segment of uniform random data.
-    n_m = multiplicands.shape[0]
     shards: list[Shard] = []
     for li, loc in enumerate(locations):
         stim_rng = tree.rng("stimulus", str(loc))
@@ -208,109 +238,9 @@ def plan_characterization(
                 )
             )
 
-    return PlannedSweep(
-        config=config,
-        plan=plan,
-        locations=locations,
-        multiplicands=multiplicands,
-        shards=tuple(shards),
-    )
-
-
-def characterize_multiplier(
-    device: FPGADevice,
-    w_data: int,
-    w_coeff: int,
-    config: CharacterizationConfig | None = None,
-    seed: int = 0,
-    jobs: int | None = None,
-    cache: PlacedDesignCache | None = None,
-    resilience: ResilienceSettings | None = None,
-    faults: FaultPlan | None = None,
-    executor: "str | ShardExecutor | None" = None,
-) -> CharacterizationResult:
-    """Run a full characterisation sweep of one multiplier geometry.
-
-    Returns the per-(location, multiplicand, frequency) error-statistic
-    grids.  Deterministic in ``(device.serial, seed, config)`` — the
-    ``jobs`` worker count (default serial; ``None`` consults
-    ``REPRO_JOBS``), the ``executor`` topology, and shard retries all
-    change wall-clock only, never the numbers: every path re-runs the
-    identical pure computation.
-
-    Parameters
-    ----------
-    jobs:
-        Process-pool workers for the ``(location, chunk)`` shards.
-    cache:
-        Placed-design cache for the per-location circuit placements;
-        ``None`` uses the process-wide default.
-    resilience:
-        Retry/timeout/degradation policy for shard failures; ``None``
-        uses the process-wide :func:`repro.config.get_resilience_settings`.
-        With ``allow_degraded`` set, quarantined shards leave NaN cells in
-        the grids and the sweep's ``result.outcome`` records them;
-        otherwise an incomplete sweep raises
-        :class:`~repro.errors.SweepFailedError`.
-    faults:
-        Chaos plan to inject into the sweep (tests/drills); ``None``
-        consults ``REPRO_FAULTS``.
-    executor:
-        First-attempt execution strategy for the shards (``pool`` /
-        ``serial`` / ``file-queue`` or a constructed
-        :class:`~repro.parallel.executors.ShardExecutor`); ``None``
-        consults ``REPRO_EXECUTOR`` (default: the in-process pool).
-    """
-    t0 = time.perf_counter()
-    with obs.span(
-        "characterize.sweep", w_data=w_data, w_coeff=w_coeff, seed=seed
-    ) as span:
-        result = _characterize_multiplier_impl(
-            device, w_data, w_coeff, config=config, seed=seed, jobs=jobs,
-            cache=cache, resilience=resilience, faults=faults,
-            executor=executor,
-        )
-        span.set(
-            locations=len(result.locations),
-            frequencies=int(result.freqs_mhz.shape[0]),
-            status=result.outcome.status if result.outcome is not None else "",
-        )
-    obs.counter_add("characterize.sweeps")
-    obs.observe("characterize.sweep_seconds", time.perf_counter() - t0)
-    return result
-
-
-def _characterize_multiplier_impl(
-    device: FPGADevice,
-    w_data: int,
-    w_coeff: int,
-    config: CharacterizationConfig | None = None,
-    seed: int = 0,
-    jobs: int | None = None,
-    cache: PlacedDesignCache | None = None,
-    resilience: ResilienceSettings | None = None,
-    faults: FaultPlan | None = None,
-    executor: "str | ShardExecutor | None" = None,
-) -> CharacterizationResult:
-    n_jobs = resolve_jobs(jobs)
-    settings = resilience if resilience is not None else get_resilience_settings()
-    planned = plan_characterization(device, w_data, w_coeff, config=config, seed=seed)
-    config = planned.config
-    plan = planned.plan
-    locations = planned.locations
-    multiplicands = planned.multiplicands
-    shards = list(planned.shards)
-
-    n_f = len(config.freqs_mhz)
-    n_m = multiplicands.shape[0]
-    n_l = len(locations)
-    variance = np.zeros((n_l, n_m, n_f))
-    mean = np.zeros((n_l, n_m, n_f))
-    rate = np.zeros((n_l, n_m, n_f))
-
     outcome = run_sweep(
         device, plan, shards, jobs=n_jobs, cache=cache,
-        resilience=settings, faults=faults, executor=executor,
+        resilience=settings, faults=faults,
     )
     outcome.raise_for_status(allow_degraded=settings.allow_degraded)
     for shard, result in zip(shards, outcome.results):
@@ -326,7 +256,7 @@ def _characterize_multiplier_impl(
             mean[result.li, result.start : stop, :] = result.mean
             rate[result.li, result.start : stop, :] = result.error_rate
 
-    freqs = np.asarray(plan.achieved_mhz, dtype=float)
+    freqs = np.asarray(achieved, dtype=float)
     return CharacterizationResult(
         w_data=w_data,
         w_coeff=w_coeff,

@@ -39,7 +39,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Any
 
 import numpy as np
 
@@ -517,31 +516,23 @@ def _cache_main(argv: list[str]) -> int:
 
 
 def _audit_main(argv: list[str]) -> int:
-    """``audit`` subcommand: determinism + portability audit of repro source."""
-    from .analysis.portability import dx_rule_table_markdown
-    from .analysis.sanitizer import dt_rule_table_markdown
+    """``audit`` subcommand: determinism/concurrency audit of repro source."""
+    from .analysis.sanitizer import audit_paths, dt_rule_table_markdown
     from .cli_flow import export_telemetry, resolve_telemetry_paths
     from .obs import runtime as obs
 
     parser = argparse.ArgumentParser(
         prog="repro-experiment audit",
-        description="Audit Python source for determinism/concurrency "
-        "hazards (DT rules) and distribution readiness (DX rules): "
-        "ambient RNG, clock/env reads, unlocked shared-cache writes, "
-        "impure boundary payloads, incomplete cache keys, host-identity "
-        "leaks, frozen wire-contract drift (see docs/static_analysis.md).",
+        description="Audit Python source for determinism and concurrency "
+        "hazards (DT rules): ambient RNG, clock/env reads, hash-order "
+        "iteration, unlocked shared-cache writes. Reachability is rooted "
+        "at the shard entry points (see docs/static_analysis.md).",
     )
     parser.add_argument(
         "paths",
         nargs="*",
         default=["src/repro"],
         help="files or directories to audit (default: src/repro)",
-    )
-    parser.add_argument(
-        "--family",
-        choices=["dt", "dx", "all"],
-        default="all",
-        help="which rule family to run (default: all, single parse)",
     )
     parser.add_argument(
         "--format",
@@ -553,19 +544,13 @@ def _audit_main(argv: list[str]) -> int:
         "--disable",
         action="append",
         default=[],
-        metavar="RULE",
-        help="skip a rule entirely, e.g. DT004 or DX007 (repeatable)",
+        metavar="DTnnn",
+        help="skip a rule entirely (repeatable)",
     )
     parser.add_argument(
         "--rules",
         action="store_true",
-        help="print the DT + DX rule reference tables and exit",
-    )
-    parser.add_argument(
-        "--contracts",
-        action="store_true",
-        help="verify the frozen wire-schema contracts only and exit "
-        "(0 = no drift)",
+        help="print the DT rule reference table and exit",
     )
     parser.add_argument(
         "--trace",
@@ -577,8 +562,6 @@ def _audit_main(argv: list[str]) -> int:
 
     if args.rules:
         print(dt_rule_table_markdown())
-        print()
-        print(dx_rule_table_markdown())
         return 0
 
     trace_path, metrics_path = resolve_telemetry_paths(args.trace, None)
@@ -587,50 +570,19 @@ def _audit_main(argv: list[str]) -> int:
             trace=bool(trace_path), metrics=bool(metrics_path)
         )
     try:
-        return _run_audit(args, obs=obs)
+        with obs.span("audit.run"):
+            report = audit_paths(
+                args.paths or ["src/repro"], disabled=frozenset(args.disable)
+            )
     finally:
         if trace_path or metrics_path:
             export_telemetry(trace_path, metrics_path)
             obs.disable_observability()
-
-
-def _run_audit(args: argparse.Namespace, obs: Any) -> int:
-    """Body of the ``audit`` subcommand, run under any requested telemetry."""
-    from .analysis.portability import audit_portability, verify_contracts
-    from .analysis.sanitizer import audit_paths, build_module_index
-
-    paths = args.paths or ["src/repro"]
-    disabled = frozenset(args.disable)
-    with obs.span("audit.run", family=args.family, contracts=args.contracts):
-        index = build_module_index(paths)
-        if args.contracts:
-            drifts = verify_contracts(index)
-            obs.counter_add("audit.dx.contracts_checked")
-            if not drifts:
-                print("wire contracts: all frozen fingerprints match")
-                return 0
-            for drift in drifts:
-                print(f"DRIFT {drift.name} ({drift.source}): {drift.detail}")
-            return 1
-
-        reports = []
-        if args.family in ("dt", "all"):
-            reports.append(audit_paths(paths, disabled=disabled, index=index))
-        if args.family in ("dx", "all"):
-            dx_report = audit_portability(disabled=disabled, index=index)
-            obs.counter_add("audit.dx.findings", len(dx_report.findings))
-            obs.counter_add(
-                "audit.dx.suppressions", len(dx_report.suppressions)
-            )
-            obs.counter_add("audit.dx.contracts_checked")
-            reports.append(dx_report)
-
-    for report in reports:
-        if args.format == "json":
-            print(report.to_json())
-        else:
-            print(report.to_text())
-    return 0 if all(report.clean for report in reports) else 1
+    if args.format == "json":
+        print(report.to_json())
+    else:
+        print(report.to_text())
+    return 0 if report.clean else 1
 
 
 def _obs_main(argv: list[str]) -> int:
@@ -725,14 +677,6 @@ def main(argv: list[str] | None = None) -> int:
         return _faults_main(argv[1:])
     if argv and argv[0] == "obs":
         return _obs_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from .serve.cli import serve_main
-
-        return serve_main(argv[1:])
-    if argv and argv[0] == "worker":
-        from .parallel.worker import worker_main
-
-        return worker_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-experiment",
         description="Regenerate a figure/table of the IPDPSW'14 over-clocked "

@@ -14,11 +14,9 @@ session (or on another machine):
     repro-flow status    WS
 
 ``--jobs`` (or ``REPRO_JOBS``) fans the characterisation sweeps out over
-a process pool; results are identical at any worker count.  ``--executor``
-(or ``REPRO_EXECUTOR``) picks the shard topology — ``pool``, ``serial``
-or the spool-backed ``file-queue`` (see ``docs/distributed.md``) — and
-never changes the archived bytes either.  Placed designs are cached
-under ``WS/cache/placed`` and reused across stages and sessions.
+a process pool; results are identical at any worker count.  Placed
+designs are cached under ``WS/cache/placed`` and reused across stages
+and sessions.
 
 Telemetry: the top-level ``--trace PATH`` / ``--metrics PATH`` flags (or
 ``REPRO_TRACE`` / ``REPRO_METRICS``) enable :mod:`repro.obs` for the
@@ -48,7 +46,6 @@ from .errors import ConfigError, SweepFailedError
 from .eval.report import render_table
 from .fabric.device import make_device
 from .obs import runtime as obs
-from .parallel.executors import EXECUTOR_NAMES
 from .stages import (
     characterize_workspace,
     evaluate_workspace,
@@ -122,7 +119,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         resilience=_resilience_from_args(args),
         progress=_print_characterize_progress,
-        executor=args.executor,
     )
     return 0
 
@@ -271,13 +267,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="accept sweeps with quarantined shards (NaN cells) instead "
              "of failing (default: $REPRO_ALLOW_DEGRADED)",
-    )
-    p.add_argument(
-        "--executor",
-        choices=sorted(EXECUTOR_NAMES),
-        default=None,
-        help="shard execution topology "
-             "(default: $REPRO_EXECUTOR or pool; see docs/distributed.md)",
     )
     p.set_defaults(fn=_cmd_characterize)
 

@@ -115,24 +115,6 @@ class ObservabilityError(ReproError):
     lets ``docs/observability.md`` be generated and drift-tested."""
 
 
-class ServeError(ReproError):
-    """The job server was misused: unknown op or job kind, malformed
-    request payload, unknown job id, or a client/server protocol error."""
-
-
-class JobRejectedError(ServeError):
-    """A job submission was refused by admission control.
-
-    Carries the machine-readable rejection ``reason`` (``"queue-full"``
-    or ``"tenant-quota"``) and the HTTP status the server maps it to
-    (``429`` — backpressure, the client should retry later)."""
-
-    def __init__(self, message: str, reason: str, http_status: int = 429) -> None:
-        super().__init__(message)
-        self.reason = reason
-        self.http_status = http_status
-
-
 class ModelError(ReproError):
     """An analytical model (error/area/prior/runtime) was queried outside
     its supported domain or fitted from insufficient data."""

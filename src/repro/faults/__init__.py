@@ -15,17 +15,10 @@ contract.
 """
 
 from .injector import FaultInjector
-from .plan import (
-    FAULT_KINDS,
-    REPRO_FAULTS_ENV,
-    WORKER_FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-)
+from .plan import FAULT_KINDS, REPRO_FAULTS_ENV, FaultPlan, FaultSpec
 
 __all__ = [
     "FAULT_KINDS",
-    "WORKER_FAULT_KINDS",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",

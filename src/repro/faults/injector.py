@@ -74,25 +74,6 @@ class FaultInjector:
             s for s in self.plan.specs if self._fires(s, li, start, attempt)
         )
 
-    def worker_action(self, shard: "Shard", attempt: int) -> str | None:
-        """First firing worker-context kind, if any (file-queue only).
-
-        ``worker-exit``/``lease-stall`` describe process-level mischief
-        only a file-queue worker can perform, so the worker drain loop
-        asks here before executing a lease; the in-process engine paths
-        never consult this, leaving those kinds inert there.  ``attempt``
-        is the lease generation — requeued shards stop misbehaving under
-        ``times``-bounded specs exactly like retried ones.
-        """
-        from .plan import WORKER_FAULT_KINDS
-
-        for spec in self.plan.specs:
-            if spec.kind in WORKER_FAULT_KINDS and self._fires(
-                spec, shard.li, shard.start, attempt
-            ):
-                return spec.kind
-        return None
-
     # ------------------------------------------------------------------
     def _poison_cache_entry(
         self,

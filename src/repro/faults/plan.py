@@ -27,26 +27,13 @@ from dataclasses import dataclass
 
 from ..errors import FaultPlanError
 
-__all__ = [
-    "FAULT_KINDS",
-    "WORKER_FAULT_KINDS",
-    "FaultPlan",
-    "FaultSpec",
-    "REPRO_FAULTS_ENV",
-]
+__all__ = ["FAULT_KINDS", "FaultPlan", "FaultSpec", "REPRO_FAULTS_ENV"]
 
 #: Environment variable arming a process-wide fault plan.
 REPRO_FAULTS_ENV = "REPRO_FAULTS"
 
 #: The fault taxonomy (docs/resilience.md maps each to a hardware analogue).
-FAULT_KINDS = (
-    "crash", "hang", "corrupt", "poison-cache", "worker-exit", "lease-stall",
-)
-
-#: Kinds that only a file-queue worker process can act on (the in-process
-#: paths have no lease to abandon or process of their own to kill); they
-#: are inert — matched but never fired — everywhere else.
-WORKER_FAULT_KINDS = ("worker-exit", "lease-stall")
+FAULT_KINDS = ("crash", "hang", "corrupt", "poison-cache")
 
 
 @dataclass(frozen=True)
@@ -61,15 +48,7 @@ class FaultSpec:
         computing (long enough to trip a pool timeout); ``corrupt``
         replaces the shard's statistic blocks with NaN after computing;
         ``poison-cache`` overwrites the shard's on-disk placed-design
-        cache entry with garbage before placement.  Two kinds target the
-        distributed fabric and fire only inside file-queue workers:
-        ``worker-exit`` kills the worker process mid-shard (``os._exit``,
-        the SIGKILL/host-loss drill) and ``lease-stall`` makes the worker
-        abandon its claimed lease without executing it (the stuck-worker
-        drill); both leave a stale lease for the coordinator to requeue.
-        The lease generation plays the attempt role for ``times``/
-        ``rate``, so a requeued shard stops misbehaving exactly like a
-        retried one.
+        cache entry with garbage before placement.
     li / start:
         Target shard coordinates (location index, multiplicand-chunk
         start); ``None`` matches any value — a spec with both ``None``

@@ -95,8 +95,8 @@ SPAN_CATALOG: tuple[SpanSpec, ...] = (
     SpanSpec(
         "audit.run",
         "repro.cli",
-        "One `repro audit` invocation: shared module-index build plus the "
-        "selected DT/DX passes or the wire-contract check.",
+        "One `repro audit` invocation: source parse, call-graph reachability and the "
+        "DT rule pass.",
     ),
     SpanSpec(
         "cache.synthesize",
@@ -150,20 +150,8 @@ SPAN_CATALOG: tuple[SpanSpec, ...] = (
         "One full Algorithm 1 run (all K dimensions) for one beta.",
     ),
     SpanSpec(
-        "serve.job",
-        "repro.serve.runner",
-        "One served job start to terminal state: workspace wiring, stage execution, "
-        "result installation.",
-    ),
-    SpanSpec(
-        "sweep.executor",
-        "repro.parallel.executors",
-        "One distributed first-attempt pass: spool creation, worker fleet lifetime, "
-        "outcome folding and lease requeues.",
-    ),
-    SpanSpec(
         "sweep.pool",
-        "repro.parallel.executors",
+        "repro.parallel.engine",
         "The process-pool pass of a sweep: dispatch and harvest of every shard's first attempt.",
     ),
     SpanSpec(
@@ -185,33 +173,6 @@ SPAN_CATALOG: tuple[SpanSpec, ...] = (
 
 #: Catalogue of every metric the library records, sorted by name.
 METRIC_CATALOG: tuple[MetricSpec, ...] = (
-    MetricSpec(
-        "audit.dx.contracts_checked",
-        COUNTER,
-        "runs",
-        "repro.cli",
-        True,
-        "Wire-contract verification passes run by `repro audit` "
-        "(--contracts or any DX-family run).",
-    ),
-    MetricSpec(
-        "audit.dx.findings",
-        COUNTER,
-        "findings",
-        "repro.cli",
-        True,
-        "DX portability findings reported by `repro audit`; a pure "
-        "function of the audited source tree.",
-    ),
-    MetricSpec(
-        "audit.dx.suppressions",
-        COUNTER,
-        "pragmas",
-        "repro.cli",
-        True,
-        "Justified `# repro: allow[DXnnn]` suppressions honoured by "
-        "`repro audit`; a pure function of the audited source tree.",
-    ),
     MetricSpec(
         "cache.placed.corruptions",
         COUNTER,
@@ -278,31 +239,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
         "Characterisation sweeps completed (one per word-length geometry).",
     ),
     MetricSpec(
-        "executor.leases.requeued",
-        COUNTER,
-        "leases",
-        "repro.parallel.executors",
-        False,
-        "Stale spool leases reclaimed by the coordinator (worker death or stall) "
-        "and requeued at the next generation.",
-    ),
-    MetricSpec(
-        "executor.shards.dispatched",
-        COUNTER,
-        "shards",
-        "repro.parallel.executors",
-        False,
-        "Shard descriptors enqueued into a file-queue spool by the coordinator.",
-    ),
-    MetricSpec(
-        "executor.workers.spawned",
-        COUNTER,
-        "processes",
-        "repro.parallel.executors",
-        False,
-        "Stateless `repro worker` processes launched by the file-queue coordinator.",
-    ),
-    MetricSpec(
         "gibbs.draws",
         COUNTER,
         "draws",
@@ -350,72 +286,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
         "repro.core.optimizer",
         True,
         "Output dimensions explored by Algorithm 1 (K per run).",
-    ),
-    MetricSpec(
-        "serve.job.cancelled",
-        COUNTER,
-        "jobs",
-        "repro.serve.runner",
-        False,
-        "Served jobs that reached the CANCELLED state (tenant cancel, queued or mid-run).",
-    ),
-    MetricSpec(
-        "serve.job.degraded",
-        COUNTER,
-        "jobs",
-        "repro.serve.runner",
-        False,
-        "Served jobs that finished with quarantined shards (results flagged DEGRADED).",
-    ),
-    MetricSpec(
-        "serve.job.done",
-        COUNTER,
-        "jobs",
-        "repro.serve.runner",
-        False,
-        "Served jobs that finished cleanly (every sweep complete).",
-    ),
-    MetricSpec(
-        "serve.job.failed",
-        COUNTER,
-        "jobs",
-        "repro.serve.runner",
-        False,
-        "Served jobs that failed; the job record carries the batch CLI's exit code "
-        "(3 sweep-failed, 2 config).",
-    ),
-    MetricSpec(
-        "serve.job.rejected",
-        COUNTER,
-        "jobs",
-        "repro.serve.server",
-        False,
-        "Submissions bounced by admission control (queue-full or tenant-quota, "
-        "HTTP-429 semantics).",
-    ),
-    MetricSpec(
-        "serve.job.seconds",
-        HISTOGRAM,
-        "s",
-        "repro.serve.runner",
-        False,
-        "Wall-clock of one served job from dispatch to terminal state.",
-    ),
-    MetricSpec(
-        "serve.job.submitted",
-        COUNTER,
-        "jobs",
-        "repro.serve.server",
-        False,
-        "Jobs admitted into the queue (rejected submissions are counted separately).",
-    ),
-    MetricSpec(
-        "serve.queue.depth",
-        GAUGE,
-        "jobs",
-        "repro.serve.server",
-        False,
-        "Current admission-queue depth (queued, not yet dispatched jobs).",
     ),
     MetricSpec(
         "sweep.attempts.total",

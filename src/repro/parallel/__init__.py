@@ -1,23 +1,17 @@
-"""Performance layer: pluggable sweep executors and the placed-design cache.
+"""Performance layer: process-pool sweeps and the placed-design cache.
 
-Coordinated pieces (see ``docs/performance.md`` and ``docs/distributed.md``):
+Coordinated pieces (see ``docs/performance.md``):
 
 * :func:`resolve_jobs` / ``REPRO_JOBS`` — one worker-count knob shared by
   the library, the CLIs and the benchmarks (default 1: serial);
 * :class:`PlacedDesignCache` — memory + disk memoisation of
   :class:`~repro.synthesis.flow.PlacedDesign` keyed by device identity,
   geometry, anchor and seed; the disk tier is a checksummed
-  content-addressed store any number of processes (or hosts sharing the
-  directory) can use concurrently;
+  content-addressed store that concurrent processes can share;
 * :mod:`repro.parallel.engine` — deterministic ``(location, chunk)``
-  sharding of characterisation sweeps, bit-identical to the serial path
-  at any worker count and executor topology;
-* :mod:`repro.parallel.executors` — the pluggable :class:`ShardExecutor`
-  interface behind :func:`run_sweep` (``pool`` / ``serial`` /
-  ``file-queue``, selectable via ``REPRO_EXECUTOR`` or ``--executor``);
-* :mod:`repro.parallel.spool` + :mod:`repro.parallel.worker` — the
-  file-queue wire: atomic-rename shard leases in a spool directory and
-  the stateless ``repro worker`` CLI that drains them;
+  sharding of characterisation sweeps; ``jobs`` alone picks the first
+  attempt's path (a ``ProcessPoolExecutor`` when ``jobs > 1``, inline
+  otherwise), bit-identical to the serial path at any worker count;
 * :mod:`repro.parallel.retry` — the resilience layer's bookkeeping:
   per-shard attempt histories, quarantine dispositions and the typed
   :class:`SweepOutcome` returned by :func:`run_sweep` (see
@@ -44,19 +38,6 @@ from .engine import (
     run_shard,
     run_sweep,
 )
-from .executors import (
-    EXECUTOR_CATALOG,
-    EXECUTOR_NAMES,
-    REPRO_EXECUTOR_ENV,
-    ExecutorInfo,
-    FileQueueExecutor,
-    PoolExecutor,
-    SerialExecutor,
-    ShardExecutor,
-    SweepContext,
-    executors_table_markdown,
-    resolve_executor,
-)
 from .jobs import REPRO_JOBS_ENV, resolve_jobs
 from .retry import ShardAttempt, ShardReport, SweepOutcome, backoff_delay
 from .sanitize import (
@@ -66,25 +47,13 @@ from .sanitize import (
     read_journal,
     sanitize_enabled,
 )
-from .spool import WorkerOutcome
-from .worker import drain_spool, worker_main
 
 __all__ = [
-    "EXECUTOR_CATALOG",
-    "EXECUTOR_NAMES",
     "REPRO_CACHE_DIR_ENV",
-    "REPRO_EXECUTOR_ENV",
     "REPRO_JOBS_ENV",
     "REPRO_SANITIZE_ENV",
     "CacheSanitizer",
-    "ExecutorInfo",
-    "FileQueueExecutor",
-    "PoolExecutor",
     "SanitizerViolation",
-    "SerialExecutor",
-    "ShardExecutor",
-    "SweepContext",
-    "WorkerOutcome",
     "read_journal",
     "sanitize_enabled",
     "CacheStats",
@@ -97,15 +66,11 @@ __all__ = [
     "SweepOutcome",
     "SweepPlan",
     "backoff_delay",
-    "drain_spool",
     "execute_shards",
-    "executors_table_markdown",
     "get_default_cache",
     "multiplier_netlist",
-    "resolve_executor",
     "resolve_jobs",
     "run_shard",
     "run_sweep",
     "set_default_cache",
-    "worker_main",
 ]

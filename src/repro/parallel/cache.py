@@ -196,9 +196,8 @@ class PlacedDesignCache:
 
     def __init__(self, directory: str | Path | None = None) -> None:
         self.directory = Path(directory) if directory is not None else None
-        # One handle may be shared by concurrent in-process jobs (the
-        # serve front-end's worker threads); the mutex guards the memory
-        # tier and the counters.  Cross-process safety is the per-entry
+        # One handle may be shared by concurrent threads; the mutex
+        # guards the memory tier and the counters.  Cross-process safety is the per-entry
         # fcntl lock's job, not this one's.
         self._mutex = threading.Lock()
         self._memory: dict[PlacedKey, PlacedDesign] = {}
@@ -396,8 +395,8 @@ class PlacedDesignCache:
         its key's digest (the content address), and that the payload
         checksum holds — the same taxonomy :meth:`_load_disk` enforces —
         but never unlinks, rebuilds or counts corruptions: this is the
-        fleet health check behind ``repro cache verify``, safe to run
-        against a store that live workers are sharing.
+        health check behind ``repro cache verify``, safe to run against
+        a store that live processes are sharing.
 
         Returns one ``{"entry", "problem"}`` dict per damaged entry
         (empty list: store is clean).

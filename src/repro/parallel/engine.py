@@ -6,24 +6,20 @@ shards: each shard owns its stimulus stream (drawn up front by the parent
 from the per-location :class:`~repro.rng.SeedTree` stream, preserving the
 serial draw order) and derives its capture-jitter generators from explicit
 seed paths.  Shard results are therefore bit-identical whether a shard
-runs inline (``jobs=1``), in any worker of a ``ProcessPoolExecutor``, or
-in a separately-spawned file-queue worker on another host — the executor
-topology only changes wall-clock, never numbers.  The first-attempt pass
-is pluggable through :mod:`repro.parallel.executors`; this module owns
-the retry loop and the pool worker plumbing.
+runs inline (``jobs=1``) or in any worker of a ``ProcessPoolExecutor`` —
+the worker count only changes wall-clock, never numbers.
 
 Workers re-place the (cheap) characterisation circuit through the
-placed-design cache; handing workers a disk-backed cache lets all of
-them share one synthesis result per location.
+placed-design cache; handing the pool a disk-backed cache lets all
+workers share one synthesis result per location.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,9 +44,6 @@ from .retry import (
     SweepOutcome,
     backoff_delay,
 )
-
-if TYPE_CHECKING:  # circularity guard: executors imports this module eagerly
-    from .executors import ShardExecutor
 
 __all__ = [
     "Shard",
@@ -285,7 +278,7 @@ def _validate_result(plan: SweepPlan, shard: Shard, result: object) -> str | Non
 
 
 class _SweepState:
-    """Mutable bookkeeping shared by the executor pass and the inline loop."""
+    """Mutable bookkeeping shared by the pool pass and the inline loop."""
 
     def __init__(self, n: int) -> None:
         self.results: list[ShardResult | None] = [None] * n
@@ -293,14 +286,8 @@ class _SweepState:
         self.fallback_inline = False
         self.pool_broken = False
 
-    def record_at(self, i: int, outcome: str, latency_s: float,
-                  detail: str = "") -> None:
-        """Record one attempt with an externally-measured latency.
-
-        Executors whose attempts ran elsewhere (file-queue workers report
-        their own latency in the outcome sidecar) land here directly; the
-        in-process paths go through :meth:`record`.
-        """
+    def record(self, i: int, outcome: str, t0: float, detail: str = "") -> None:
+        latency_s = time.perf_counter() - t0
         obs.observe("sweep.shard_seconds", latency_s)
         self.attempts[i].append(
             ShardAttempt(
@@ -311,22 +298,14 @@ class _SweepState:
             )
         )
 
-    def record(self, i: int, outcome: str, t0: float, detail: str = "") -> None:
-        self.record_at(i, outcome, time.perf_counter() - t0, detail)
-
-    def accept_at(self, plan: SweepPlan, shards: list[Shard], i: int,
-                  result: object, latency_s: float) -> None:
-        """Validate and (if sound) keep a result, recording its attempt."""
+    def accept(self, plan: SweepPlan, shards: list[Shard], i: int,
+               result: object, t0: float) -> None:
         problem = _validate_result(plan, shards[i], result)
         if problem is None:
             self.results[i] = result  # type: ignore[assignment]
-            self.record_at(i, ATTEMPT_OK, latency_s)
+            self.record(i, ATTEMPT_OK, t0)
         else:
-            self.record_at(i, ATTEMPT_INVALID, latency_s, problem)
-
-    def accept(self, plan: SweepPlan, shards: list[Shard], i: int,
-               result: object, t0: float) -> None:
-        self.accept_at(plan, shards, i, result, time.perf_counter() - t0)
+            self.record(i, ATTEMPT_INVALID, t0, problem)
 
 
 def _harvest_future(state: _SweepState, plan: SweepPlan, shards: list[Shard],
@@ -352,6 +331,59 @@ def _harvest_future(state: _SweepState, plan: SweepPlan, shards: list[Shard],
     return None
 
 
+def _pool_pass(
+    device: FPGADevice,
+    plan: SweepPlan,
+    shards: list[Shard],
+    jobs: int,
+    cache: PlacedDesignCache,
+    settings: ResilienceSettings,
+    faults: FaultPlan | None,
+    state: _SweepState,
+) -> None:
+    """First attempt of every shard over a process pool.
+
+    Workers hold the sweep-invariant state from the pool initializer.  A
+    hung shard (timeout) or a broken pool abandons the pass: finished
+    futures are harvested, every other shard is left unrecorded and gets
+    its first attempt in the inline loop — the sweep degrades to serial
+    execution rather than aborting.
+    """
+    n = len(shards)
+    with obs.span("sweep.pool", jobs=min(jobs, n), shards=n) as pool_span:
+        directory = str(cache.directory) if cache.directory is not None else None
+        pool = ProcessPoolExecutor(
+            max_workers=min(jobs, n),
+            initializer=_init_worker,
+            initargs=(device, plan, directory, faults),
+        )
+        abandon = None
+        try:
+            futures = [
+                pool.submit(_run_shard_in_worker, shard, 0) for shard in shards
+            ]
+            for i, future in enumerate(futures):
+                abandon = _harvest_future(
+                    state, plan, shards, i, future, settings.shard_timeout_s
+                )
+                if abandon is not None:
+                    break
+            if abandon is not None:
+                state.fallback_inline = True
+                state.pool_broken = abandon == "broken"
+                # Harvest whatever already finished without waiting on the
+                # sick pool; everything else retries inline.
+                for j, future in enumerate(futures):
+                    if not state.attempts[j] and future.done():
+                        _harvest_future(state, plan, shards, j, future, 0)
+        finally:
+            # wait=True would block forever on a hung worker; leaked
+            # workers either finish their (finite) injected hang or die
+            # with the parent.
+            pool.shutdown(wait=not state.fallback_inline, cancel_futures=True)
+        pool_span.set(abandoned=abandon or "")
+
+
 def run_sweep(
     device: FPGADevice,
     plan: SweepPlan,
@@ -360,7 +392,6 @@ def run_sweep(
     cache: PlacedDesignCache | None = None,
     resilience: ResilienceSettings | None = None,
     faults: FaultPlan | None = None,
-    executor: "str | ShardExecutor | None" = None,
 ) -> SweepOutcome:
     """Run all shards with retries, timeouts and quarantine bookkeeping.
 
@@ -371,12 +402,12 @@ def run_sweep(
     returned :class:`~repro.parallel.retry.SweepOutcome`.
 
     Execution strategy: the first attempt of every shard is dispatched
-    through the selected :class:`~repro.parallel.executors.ShardExecutor`
-    (default: the in-process pool when ``jobs > 1``); retries run inline
-    in the parent, where failure modes are directly observable.  If the
-    executor degrades (broken pool, hung worker, vanished file-queue
-    fleet), every unfinished shard continues inline — the sweep degrades
-    to serial execution rather than aborting.  Results are bit-identical
+    over the process pool (when ``jobs > 1``); retries run inline in the
+    parent, where failure modes are directly observable.  If the pool
+    breaks (worker hard-crash) or a shard times out (a hung worker cannot
+    be preempted individually), the pool is abandoned and every
+    unfinished shard continues inline — the sweep degrades to serial
+    execution rather than aborting.  Successful results are bit-identical
     on every path, so none of this machinery can perturb the numbers.
 
     Parameters
@@ -387,25 +418,17 @@ def run_sweep(
     faults:
         Chaos plan to inject; ``None`` consults ``REPRO_FAULTS`` (an
         unset variable injects nothing).
-    executor:
-        First-attempt execution strategy — a catalogue name (``pool``,
-        ``serial``, ``file-queue``), a constructed executor instance, or
-        ``None`` to consult ``REPRO_EXECUTOR`` (default ``pool``).
     """
-    from .executors import resolve_executor  # local: executors imports engine
-
-    executor_obj = resolve_executor(executor)
     with obs.span(
         "sweep.run",
         shards=len(shards),
         jobs=jobs,
         w_data=plan.w_data,
         w_coeff=plan.w_coeff,
-        executor=executor_obj.name,
     ) as sweep_span:
         outcome = _run_sweep_body(
             device, plan, shards, jobs=jobs, cache=cache,
-            resilience=resilience, faults=faults, executor=executor_obj,
+            resilience=resilience, faults=faults,
         )
         sweep_span.set(
             status=outcome.status,
@@ -454,10 +477,7 @@ def _run_sweep_body(
     cache: PlacedDesignCache | None = None,
     resilience: ResilienceSettings | None = None,
     faults: FaultPlan | None = None,
-    executor: "str | ShardExecutor | None" = None,
 ) -> SweepOutcome:
-    from .executors import SweepContext, resolve_executor
-
     if cache is None:
         cache = get_default_cache()
     settings = resilience if resilience is not None else get_resilience_settings()
@@ -469,18 +489,13 @@ def _run_sweep_body(
     n = len(shards)
     state = _SweepState(n)
 
-    # ---- executor pass: first attempt of every shard ----------------
-    # Any shard the executor leaves unrecorded (serial executor, pool at
-    # jobs=1, abandoned pool, vanished worker fleet) simply gets its
-    # first attempt in the inline loop below.
-    if n > 0:
-        resolve_executor(executor).run_pass(SweepContext(
-            device=device, plan=plan, shards=shards, jobs=jobs, cache=cache,
-            settings=settings, faults=faults, injector=injector, state=state,
-        ))
+    # ---- pool pass: first attempt of every shard --------------------
+    # At jobs=1 or with a single shard the inline loop below takes every
+    # first attempt; so it does for shards an abandoned pool left behind.
+    if jobs > 1 and n > 1:
+        _pool_pass(device, plan, shards, jobs, cache, settings, faults, state)
 
-    # ---- inline pass: first attempts not taken by the executor, then
-    # ---- all retries ------------------------------------------------
+    # ---- inline pass: first attempts at jobs=1, then all retries ----
     inline_scratch = EvalScratch()
     for i, shard in enumerate(shards):
         while state.results[i] is None and len(state.attempts[i]) <= settings.max_retries:
@@ -540,19 +555,18 @@ def execute_shards(
     cache: PlacedDesignCache | None = None,
     resilience: ResilienceSettings | None = None,
     faults: FaultPlan | None = None,
-    executor: "str | ShardExecutor | None" = None,
 ) -> list[ShardResult]:
-    """Run all shards, inline (``jobs=1``) or through a shard executor.
+    """Run all shards, inline (``jobs=1``) or over a process pool.
 
     The result list is ordered like ``shards`` regardless of completion
-    order, and every entry is bit-identical across worker counts and
-    executor topologies.  This is the strict wrapper over
-    :func:`run_sweep`: any shard still quarantined after retries raises
+    order, and every entry is bit-identical across worker counts.  This
+    is the strict wrapper over :func:`run_sweep`: any shard still
+    quarantined after retries raises
     :class:`~repro.errors.SweepFailedError`.  Callers that can use
     partial results should call :func:`run_sweep` directly.
     """
     outcome = run_sweep(
         device, plan, shards, jobs=jobs, cache=cache,
-        resilience=resilience, faults=faults, executor=executor,
+        resilience=resilience, faults=faults,
     )
     return outcome.completed_results()

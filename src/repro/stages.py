@@ -1,18 +1,17 @@
-"""Shared stage implementations behind ``repro-flow`` and ``repro.serve``.
+"""Stage implementations behind ``repro-flow``.
 
-The batch CLI (:mod:`repro.cli_flow`) and the job server
-(:mod:`repro.serve`) must produce *byte-identical* artefacts for the same
-workspace and stage — that guarantee is only cheap to keep if both front
-ends execute the very same code.  This module is that code: one function
-per flow stage, operating on a :class:`~repro.workspace.Workspace`, with
-front-end concerns (printing, job states, telemetry export) injected
-through a ``progress`` callback instead of being baked in.
+One function per flow stage, operating on a
+:class:`~repro.workspace.Workspace`: each derives its inputs from the
+workspace identity (device serial, settings, seed) and archives its
+outputs there, so the stages can run in separate sessions and the
+archived bytes never depend on the worker count or cache temperature.
+Every workspace write is atomic, so an interrupted stage leaves only
+valid artefacts on disk.
 
-Progress events are plain dicts (``{"stage", "event", ...}``) so they can
-be printed by the CLI, streamed over a socket by the server, or dropped.
-A ``progress`` callback may raise to abort a stage between unit of works
-(the server's cancellation path); whatever was already saved stays valid
-on disk — every workspace write is atomic.
+The CLI's printing stays out of this module: the characterisation
+stage, the only long-running one, reports its milestones through an
+optional ``progress`` callback that receives plain-dict events
+(``{"stage", "event", ...}``).
 """
 
 from __future__ import annotations
@@ -28,10 +27,8 @@ from .config import ResilienceSettings, TableISettings
 from .core.design import LinearProjectionDesign
 from .core.optimizer import OptimizationResult
 from .datasets import low_rank_gaussian
-from .faults import FaultPlan
 from .framework import default_frequency_grid
 from .models.area_model import AreaModel, collect_area_samples, fit_area_model
-from .parallel.cache import PlacedDesignCache
 from .parallel.jobs import resolve_jobs
 from .workspace import Workspace
 
@@ -57,9 +54,9 @@ def _emit(progress: ProgressFn | None, event: dict) -> None:
 def characterization_config(settings: TableISettings) -> CharacterizationConfig:
     """The sweep configuration the flow derives from workspace settings.
 
-    Single source of truth for both front ends: the frequency grid
-    brackets the target clock, the sample count is Table I's (scaled),
-    and two placement anchors are characterised per word-length.
+    The frequency grid brackets the target clock, the sample count is
+    Table I's (scaled), and two placement anchors are characterised per
+    word-length.
     """
     return CharacterizationConfig(
         freqs_mhz=default_frequency_grid(settings.clock_frequency_mhz),
@@ -72,25 +69,19 @@ def characterize_workspace(
     ws: Workspace,
     jobs: int | None = None,
     resilience: ResilienceSettings | None = None,
-    cache: PlacedDesignCache | None = None,
-    faults: FaultPlan | None = None,
     progress: ProgressFn | None = None,
-    executor: str | None = None,
 ) -> list[Path]:
     """Characterise every configured word-length and archive the sweeps.
 
     Deterministic in the workspace identity (device serial, settings,
-    seed): the ``jobs`` worker count, the ``cache`` temperature, the
-    ``executor`` topology (``pool``, ``serial`` or ``file-queue``) and
-    the calling front end never change the archived bytes.
-    ``cache=None`` uses the workspace's own disk-backed cache; a server
-    passes its warm shared cache instead.  Returns the archive paths in
-    sweep order.
+    seed): the ``jobs`` worker count and the temperature of the
+    workspace's disk-backed placed-design cache never change the
+    archived bytes.  Returns the archive paths in sweep order.
     """
     device = ws.device()
     settings = ws.settings()
     n_jobs = resolve_jobs(jobs)
-    placed = cache if cache is not None else ws.placed_cache()
+    placed = ws.placed_cache()
     cfg = characterization_config(settings)
     paths: list[Path] = []
     for wl in settings.coeff_wordlengths:
@@ -109,8 +100,6 @@ def characterize_workspace(
             jobs=n_jobs,
             cache=placed,
             resilience=resilience,
-            faults=faults,
-            executor=executor,
         )
         path = ws.save_characterization(wl, result)
         paths.append(path)
@@ -131,14 +120,9 @@ def characterize_workspace(
     return paths
 
 
-def fit_area_workspace(
-    ws: Workspace,
-    n_runs: int = 6,
-    progress: ProgressFn | None = None,
-) -> tuple[AreaModel, Path]:
+def fit_area_workspace(ws: Workspace, n_runs: int = 6) -> tuple[AreaModel, Path]:
     """Fit and archive the LE-cost model from synthesis samples."""
     settings = ws.settings()
-    _emit(progress, {"stage": "fit_area", "event": "fit.start", "n_runs": n_runs})
     samples = collect_area_samples(
         ws.device(),
         settings.coeff_wordlengths,
@@ -149,12 +133,6 @@ def fit_area_workspace(
     degree = max(1, min(2, len(set(settings.coeff_wordlengths)) - 1))
     model = fit_area_model(samples, degree=degree)
     path = ws.save_area_model(model)
-    _emit(progress, {
-        "stage": "fit_area",
-        "event": "fit.done",
-        "path": str(path),
-        "residual_sigma": model.residual_sigma,
-    })
     return model, path
 
 
@@ -176,24 +154,12 @@ def optimize_workspace(
     name: str,
     beta: float,
     jobs: int | None = None,
-    cache: PlacedDesignCache | None = None,
-    progress: ProgressFn | None = None,
 ) -> tuple[OptimizationResult, Path]:
     """Run Algorithm 1 on the workspace's training data; archive the designs."""
-    _emit(progress, {"stage": "optimize", "event": "optimize.start", "beta": beta})
     fw = ws.framework(jobs=resolve_jobs(jobs))
-    if cache is not None:
-        fw.cache = cache
     x_train, _ = training_data(ws)
     result = fw.optimize(x_train, beta=beta)
     path = ws.save_design_set(name, result.designs)
-    _emit(progress, {
-        "stage": "optimize",
-        "event": "optimize.done",
-        "name": name,
-        "n_designs": len(result.designs),
-        "path": str(path),
-    })
     return result, path
 
 
@@ -202,26 +168,17 @@ def evaluate_workspace(
     name: str,
     domain: Domain,
     jobs: int | None = None,
-    cache: PlacedDesignCache | None = None,
-    progress: ProgressFn | None = None,
 ) -> list[dict]:
     """Evaluate a stored design set in one domain.
 
-    Returns one row dict per design, sorted by area — the CLI renders
-    them as a table, the server ships them back as the job result.
+    Returns one row dict per design, sorted by area, for the CLI to
+    render as a table.
     """
     fw = ws.framework(jobs=resolve_jobs(jobs))
-    if cache is not None:
-        fw.cache = cache
     _, x_test = training_data(ws)
     designs: Sequence[LinearProjectionDesign] = ws.load_design_set(name)
     rows: list[dict] = []
     for d in sorted(designs, key=lambda d: d.area_le or 0):
-        _emit(progress, {
-            "stage": "evaluate",
-            "event": "design.start",
-            "wordlengths": list(d.wordlengths),
-        })
         ev = fw.evaluate(d, x_test, domain)
         rows.append({
             "wordlengths": list(d.wordlengths),
@@ -229,5 +186,4 @@ def evaluate_workspace(
             "mse": float(ev.mse),
             "domain": domain.value,
         })
-    _emit(progress, {"stage": "evaluate", "event": "evaluate.done", "n_designs": len(rows)})
     return rows

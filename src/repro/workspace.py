@@ -53,9 +53,8 @@ class Workspace:
 
     Safe to share: every artefact write is atomic (write-to-temp +
     ``os.replace`` in the same directory), so concurrent readers — other
-    processes, or the job server's other tenants — never observe a torn
-    file, and a job cancelled mid-stage leaves only complete artefacts
-    behind.
+    processes or threads — never observe a torn file, and a stage
+    interrupted mid-run leaves only complete artefacts behind.
 
     Parameters
     ----------
@@ -64,8 +63,8 @@ class Workspace:
     cache:
         Placed-design cache this workspace should place through;
         ``None`` (the default) lazily creates a disk-backed cache under
-        ``<root>/cache/placed``.  A server multiplexing many jobs passes
-        its one warm shared cache here instead — the cache is keyed on
+        ``<root>/cache/placed``.  A caller driving many workspaces may
+        pass one warm shared cache here instead — the cache is keyed on
         device identity, never on the workspace, so sharing is
         bit-transparent.
     """
@@ -104,8 +103,8 @@ class Workspace:
         """Unique-per-writer temp-name tag: pid plus thread id.
 
         The pid separates racing processes (mirroring the placed cache's
-        install discipline); the thread id separates the job server's
-        worker threads, which share one pid.
+        install discipline); the thread id separates writer threads,
+        which share one pid.
         """
         return f"{os.getpid()}.{threading.get_ident()}"
 
@@ -135,7 +134,7 @@ class Workspace:
 
         With ``exist_ok=True`` an already-initialised workspace is
         accepted *iff* its recorded identity (device, settings, seed)
-        matches — the idempotent form concurrent tenants can all call;
+        matches — the idempotent form concurrent callers can all use;
         a mismatch still raises :class:`~repro.errors.ConfigError`.
         """
         meta = {
@@ -193,7 +192,7 @@ class Workspace:
         path = self.char_dir / f"wl{wl:02d}.npz"
         # The temp name keeps the .npz suffix (so numpy does not append
         # one) but is dot-prefixed and writer-tagged like every workspace
-        # write: racing jobs archiving the same sweep install atomically
+        # write: racing writers archiving the same sweep install atomically
         # and bit-identically, whoever wins.
         tmp = path.parent / f".{path.name}.tmp.{self._writer_tag()}.npz"
         try:
@@ -302,7 +301,7 @@ class Workspace:
         Memoised: every stage of one Workspace instance shares one cache
         handle (and its warm memory tier) instead of re-opening the
         directory per call.  If a cache was injected at construction
-        (the server's shared warm cache), that instance is returned;
+        (a shared warm cache), that instance is returned;
         otherwise a disk-backed cache under ``<root>/cache/placed`` is
         created on first use and persists across sessions.
         """

@@ -1,11 +1,10 @@
-"""Every hand-maintained ``module:attr`` catalogue entry must resolve.
+"""Every hand-maintained function spec of the effect catalogue must resolve.
 
-``ENTRY_POINTS``, the portability catalogue's artefact entry points,
-boundary types and cache-key contracts are all maintained by hand; a
-rename anywhere in the library would otherwise silently shrink the
-audited surface to nothing.  Each entry must import and resolve to a
-real attribute — and the auditor's *static* index must agree that it
-scanned the same thing.
+``ENTRY_POINTS`` and the function-level ``ALLOWANCES`` are maintained by
+hand; a rename anywhere in the library would otherwise silently shrink
+the audited surface to nothing, or leave a stale permission behind.
+Each spec must import and resolve to a real callable — and the auditor's
+*static* index must agree that it scanned the same thing.
 """
 
 from __future__ import annotations
@@ -15,22 +14,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.portability.catalog import (
-    ARTEFACT_ENTRY_POINTS,
-    BOUNDARY_TYPES,
-    CACHE_KEY_CONTRACTS,
-)
 from repro.analysis.sanitizer import ENTRY_POINTS, build_module_index
+from repro.analysis.sanitizer.effects import ALLOWANCES, EFFECT_MODULE_STATE
 
 SRC = Path(__file__).resolve().parents[3] / "src" / "repro"
 
-_ALL_FUNCTION_SPECS = sorted(
+#: Module-state allowances name a table, not a function; allowances
+#: without a qualname cover a whole module.
+_FUNCTION_SPECS = sorted(
     set(ENTRY_POINTS)
-    | set(ARTEFACT_ENTRY_POINTS)
-    | {c.getter for c in CACHE_KEY_CONTRACTS}
-)
-_ALL_CLASS_SPECS = sorted(
-    set(BOUNDARY_TYPES) | {c.key_type for c in CACHE_KEY_CONTRACTS}
+    | {
+        f"{allow.module}:{allow.qualname}"
+        for allow in ALLOWANCES
+        if allow.qualname is not None and allow.effect != EFFECT_MODULE_STATE
+    }
 )
 
 
@@ -43,27 +40,16 @@ def _resolve(spec: str):
     return obj
 
 
-@pytest.mark.parametrize("spec", _ALL_FUNCTION_SPECS)
+@pytest.mark.parametrize("spec", _FUNCTION_SPECS)
 def test_function_spec_imports_and_resolves(spec):
     obj = _resolve(spec)
     assert callable(obj), f"{spec} resolved to non-callable {obj!r}"
 
 
-@pytest.mark.parametrize("spec", _ALL_CLASS_SPECS)
-def test_class_spec_imports_and_resolves(spec):
-    obj = _resolve(spec)
-    assert isinstance(obj, type), f"{spec} resolved to non-class {obj!r}"
-
-
 def test_static_index_sees_every_catalogued_unit():
     index = build_module_index([SRC])
-    for spec in _ALL_FUNCTION_SPECS:
+    for spec in _FUNCTION_SPECS:
         module_name, _, qualname = spec.partition(":")
         module = index.modules.get(module_name)
         assert module is not None, f"{module_name} not scanned"
         assert qualname in module.units, f"{spec} not in the static index"
-    for spec in _ALL_CLASS_SPECS:
-        module_name, _, cls = spec.partition(":")
-        module = index.modules.get(module_name)
-        assert module is not None, f"{module_name} not scanned"
-        assert cls in module.classes, f"{spec} not in the class index"

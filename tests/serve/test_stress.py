@@ -1,68 +1,47 @@
-"""Concurrency stress: N tenants x M jobs on one warm shared cache.
+"""Concurrency stress: several characterise jobs on one warm shared cache.
 
 Runs with ``REPRO_SANITIZE=1`` so the cache's runtime race detector
-journals every lock/install; the acceptance bar is zero violations, all
-jobs reaching ``done``, and every tenant's artefacts byte-identical —
-concurrency must be invisible in the results.
+journals every lock and install.  The bar: zero violations, every sweep
+complete, and every workspace's archive byte-identical — concurrency
+must be invisible in the results.
 """
 
 from __future__ import annotations
 
-import pytest
+from concurrent.futures import ThreadPoolExecutor
 
-from repro.serve import DONE, ServeSettings
+from repro.parallel.cache import PlacedDesignCache
+from repro.parallel.sanitize import read_journal
+from repro.stages import characterize_workspace
 
 from .conftest import make_workspace
 
-pytestmark = pytest.mark.slow
-
-N_TENANTS = 4
-JOBS_PER_TENANT = 3
+N_JOBS = 6
+N_THREADS = 3
 
 
-def test_stress_shared_cache_sanitized(tmp_path, monkeypatch, serve_factory):
+def test_stress_shared_cache_sanitized(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    settings = ServeSettings(
-        max_workers=4, queue_limit=64, tenant_queue_limit=8,
-        tenant_running_limit=2,
-    )
-    server, client = serve_factory(
-        settings=settings, cache_dir=tmp_path / "shared_cache"
-    )
-    assert server.cache.sanitizer is not None, "REPRO_SANITIZE did not arm"
+    cache = PlacedDesignCache(tmp_path / "shared_cache")
+    assert cache.sanitizer is not None, "REPRO_SANITIZE did not arm"
 
     # Every job characterises the same device identity from its own
     # workspace: maximal contention on the same cache keys.
-    jobs = []
-    for t in range(N_TENANTS):
-        for j in range(JOBS_PER_TENANT):
-            ws = make_workspace(tmp_path / f"ws_t{t}_j{j}")
-            job = client.submit(f"tenant-{t}", "characterize", ws.root)
-            jobs.append((job["job_id"], ws))
+    workspaces = [
+        make_workspace(tmp_path / f"ws{i}", cache=cache) for i in range(N_JOBS)
+    ]
+    with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
+        list(pool.map(characterize_workspace, workspaces))
 
-    results = {}
-    for job_id, ws in jobs:
-        done = client.wait(job_id, timeout_s=300.0)
-        assert done["state"] == DONE, done
-        results[job_id] = (done["result"], ws)
+    reference = (workspaces[0].char_dir / "wl03.npz").read_bytes()
+    for ws in workspaces:
+        assert ws.sweep_health()[3]["status"] == "complete"
+        assert (ws.char_dir / "wl03.npz").read_bytes() == reference
 
-    # Deterministic per-job results: every sweep complete, every archive
-    # byte-identical to the first tenant's.
-    reference = None
-    for _, (result, ws) in sorted(results.items()):
-        assert all(
-            h["status"] == "complete" for h in result["sweep_health"].values()
-        )
-        blob = (ws.root / "characterization" / "wl03.npz").read_bytes()
-        if reference is None:
-            reference = blob
-        assert blob == reference
-
-    stats = client.stats()
-    assert stats["states"][DONE] == N_TENANTS * JOBS_PER_TENANT
-    cache = stats["cache"]
-    assert cache["sanitizer_violations"] == 0
-    assert cache["stores"] >= 1
+    stats = cache.stats()
+    assert stats.sanitizer_violations == 0
+    assert read_journal(cache.directory) == []
+    assert stats.stores >= 1
     # The warm shared cache did its job: far fewer placements than
-    # requests (12 identical sweeps re-place nothing after the first).
-    assert cache["memory_hits"] + cache["disk_hits"] > cache["misses"]
+    # requests (identical sweeps re-place nothing after the first).
+    assert stats.memory_hits + stats.disk_hits > stats.misses

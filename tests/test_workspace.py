@@ -127,8 +127,8 @@ class TestFlowCli:
 
 
 class TestSharedWorkspace:
-    """Regressions for the serve-era sharing contract: idempotent
-    initialisation, one memoised cache handle, and atomic writes."""
+    """Regressions for the sharing contract: idempotent initialisation,
+    one memoised cache handle, and atomic writes."""
 
     def test_initialize_exist_ok_is_idempotent(self, ws, device):
         before = ws.meta_path.read_bytes()
