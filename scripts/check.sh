@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repository quality gate: style lint, type check, tier-1 test suite,
-# chaos drills, smoke benches and the determinism audit.
+# Repository quality gate: style lint, type check, tier-1 test suite, the
+# pipeline benchmark's self-test, chaos drills, smoke benches and the
+# determinism audit.
 #
 # Tools that are not installed are skipped with a warning instead of
 # failing, so the script works in minimal offline environments; the
@@ -59,6 +60,12 @@ else
     echo "warning: pytest-cov not installed; running tier-1 without coverage gate" >&2
     run_gate "pytest (tier-1)" env PYTHONPATH=src python -m pytest -x -q
 fi
+
+# The pipeline benchmark's self-test lies outside pyproject's testpaths:
+# it runs every workload at --smoke size and checks the runner, the
+# tracer and `compare` end to end.
+run_gate "pytest (pipeline benchmark self-test)" env PYTHONPATH=src \
+    python -m pytest benchmarks/pipeline -q
 
 # Chaos gate: the tier-1 suite must survive a deterministic fault plan.
 # The plan injects transient failures (a one-shot crash and a one-shot

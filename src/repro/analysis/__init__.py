@@ -32,7 +32,9 @@ exposed on the command line as ``repro analyze``.
 
 Orthogonal to both: :mod:`repro.analysis.sanitizer` audits the repo's
 *own Python source* (not netlists) for determinism and concurrency
-hazards — the ``DTnnn`` rules behind ``repro audit``.
+hazards — the ``DTnnn`` rules behind ``repro audit``.  Import it by its
+own name; this package does not load it, so ``import repro`` stays free
+of the AST auditor.
 """
 
 from .context import AnalysisContext
@@ -54,15 +56,6 @@ from .equivalence import (
 )
 from .linter import LintConfig, LintWarning, check_netlist, lint_netlist
 from .passes import REGISTRY, Finding, LintRule, rule_table, rule_table_markdown
-from .sanitizer import (
-    AuditFinding,
-    AuditReport,
-    DT_REGISTRY,
-    DTRule,
-    audit_paths,
-    dt_rule_table_markdown,
-    effect_catalogue_markdown,
-)
 from .sensitization import (
     CoefficientTimingProfile,
     agreement_report,
@@ -99,11 +92,4 @@ __all__ = [
     "sensitized_sta",
     "coefficient_timing_profile",
     "agreement_report",
-    "AuditFinding",
-    "AuditReport",
-    "DTRule",
-    "DT_REGISTRY",
-    "audit_paths",
-    "dt_rule_table_markdown",
-    "effect_catalogue_markdown",
 ]

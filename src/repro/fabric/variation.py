@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ..errors import ConfigError
 
@@ -119,6 +118,28 @@ def _systematic_surface(
     return surface
 
 
+def _gaussian_filter(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian smoothing of a 2-D array with edge-replicated borders.
+
+    Bit-identical to ``scipy.ndimage.gaussian_filter(x, sigma,
+    mode="nearest")``: the same kernel truncated at ``int(4 sigma + 0.5)``
+    taps, the same symmetric-tap summation order, axis 0 then axis 1, and a
+    C-ordered result (the caller's ``std`` sums in memory order).
+    """
+    r = int(4.0 * sigma + 0.5)
+    taps = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * taps**2)
+    w = w / w.sum()
+    for _ in range(2):  # axis 0, then axis 1 through the transpose
+        n = len(x)
+        p = np.pad(x, ((r, r), (0, 0)), mode="edge")
+        acc = p[r : r + n] * w[r]
+        for j in range(r, 0, -1):
+            acc += (p[r - j : r - j + n] + p[r + j : r + j + n]) * w[r - j]
+        x = acc.T
+    return np.ascontiguousarray(x)
+
+
 def generate_variation_field(
     rows: int,
     cols: int,
@@ -145,9 +166,7 @@ def generate_variation_field(
     )
 
     white_for_corr = rng.normal(size=(rows, cols))
-    correlated = ndimage.gaussian_filter(
-        white_for_corr, sigma=config.correlation_length, mode="nearest"
-    )
+    correlated = _gaussian_filter(white_for_corr, config.correlation_length)
     cstd = correlated.std()
     if cstd > 0:
         correlated *= config.correlated_sigma / cstd

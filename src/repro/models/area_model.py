@@ -14,10 +14,10 @@ sigma for the confidence interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ModelError
 from ..fabric.device import FPGADevice
@@ -25,6 +25,22 @@ from ..netlist.mac import mac_block
 from ..synthesis.flow import SynthesisFlow
 
 __all__ = ["AreaSample", "AreaModel", "collect_area_samples", "fit_area_model"]
+
+
+def _t_coverage(t: float, dof: int) -> float:
+    """P(|T| <= t) for Student's t with integer ``dof``.
+
+    Closed form of Abramowitz & Stegun 26.7.3 (odd dof) and 26.7.4 (even).
+    """
+    odd = dof % 2
+    theta = math.atan(t / math.sqrt(dof))
+    c2 = math.cos(theta) ** 2
+    term, total = (math.cos(theta) if odd else 1.0), 0.0
+    for k in range(1, dof // 2 + 1):
+        total += term
+        term *= (2 * k - 1 + odd) / (2 * k + odd) * c2
+    inner = math.sin(theta) * total
+    return 2.0 / math.pi * (theta + inner) if odd else inner
 
 
 @dataclass(frozen=True)
@@ -66,7 +82,13 @@ class AreaModel:
     def _t95(self) -> float:
         """Two-sided 95% Student-t quantile at the fit's residual dof."""
         dof = max(1, self.n_samples - len(self.coeffs))
-        return float(stats.t.ppf(0.975, dof))
+        # Bracket the quantile, then bisect until the midpoint is no new float.
+        lo, hi = 0.0, 1.0
+        while _t_coverage(hi, dof) < 0.95:
+            lo, hi = hi, 2.0 * hi
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if _t_coverage(mid, dof) < 0.95 else (lo, mid)
+        return hi
 
     def predict(self, wordlength: int | np.ndarray, strict: bool = False) -> np.ndarray:
         """Predicted LE count for word-length(s)."""

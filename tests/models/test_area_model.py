@@ -1,10 +1,13 @@
 """Tests for repro.models.area_model."""
 
+import statistics
+
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
 from repro.models.area_model import (
+    AreaModel,
     AreaSample,
     collect_area_samples,
     fit_area_model,
@@ -86,3 +89,39 @@ class TestFit:
     def test_design_area_invalid_k(self, model):
         with pytest.raises(ModelError):
             model.design_area(5, 0)
+
+
+def _model_at_dof(dof):
+    """A quadratic model whose residual dof is ``dof``."""
+    return AreaModel(
+        coeffs=np.array([0.5, 10.0, 30.0]), residual_sigma=0.05, wl_range=(3, 9),
+        n_samples=dof + 3,
+    )
+
+
+class TestT95:
+    # scipy.stats.t.ppf(0.975, dof), recorded.
+    @pytest.mark.parametrize(
+        "dof, expected",
+        [
+            (1, 12.706204736174694),
+            (2, 4.302652729749462),
+            (3, 3.1824463052837078),
+            (5, 2.5705818356363146),
+            (10, 2.228138851986274),
+            (39, 2.022690920036761),
+            (100, 1.9839715185235518),
+            (1000, 1.9623390808264083),
+        ],
+    )
+    def test_matches_scipy_quantile(self, dof, expected):
+        assert _model_at_dof(dof)._t95 == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_falls_with_dof_toward_the_normal_quantile(self):
+        z975 = statistics.NormalDist().inv_cdf(0.975)
+        quantiles = [_model_at_dof(dof)._t95 for dof in [*range(1, 121), 1000]]
+        assert all(a > b for a, b in zip(quantiles, quantiles[1:]))
+        assert quantiles[-1] > z975
+
+    def test_dof_floor_is_one(self):
+        assert _model_at_dof(-1)._t95 == _model_at_dof(1)._t95
