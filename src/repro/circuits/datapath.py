@@ -24,14 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import mhz_to_period_ns
 from ..core.design import LinearProjectionDesign
-from ..errors import DesignError
+from ..errors import DesignError, TimingError
 from ..fabric.device import FPGADevice
-from ..netlist.core import bits_from_ints
+from ..netlist.core import bits_from_ints, ints_from_bits
 from ..parallel.cache import PlacedDesignCache, get_default_cache, multiplier_netlist
 from ..synthesis.flow import PlacedDesign
 from ..timing.capture import capture_stream
 from ..timing.simulator import simulate_transitions
+from ..timing.sta import arrival_times
 
 __all__ = ["ProjectionDatapath", "LaneRun"]
 
@@ -120,6 +122,26 @@ class ProjectionDatapath:
         """Device-true STA Fmax of the slowest lane (error-free bound)."""
         return min(lane.device_sta().fmax_mhz for lane in self.lanes)
 
+    def lane_slack_ns(self, lane: int, freq_mhz: float) -> float:
+        """Worst-case slack of one lane's product bus at ``freq_mhz``.
+
+        The earliest capture window :func:`capture_stream` can draw at
+        the PLL-achieved clock (its float64 operations at the largest
+        jitter, ``bound_ns``) minus the lane's float32 worst-case arrival
+        over the product bus, which bounds every settle time the simulator
+        can produce (see :func:`arrival_times`).  Non-negative slack
+        proves that no product bit can be late, for any stimulus and any
+        jitter draw.
+        """
+        placed = self.lanes[lane]
+        pll = self.device.family.pll
+        period = mhz_to_period_ns(pll.synthesize(freq_mhz).achieved_mhz)
+        earliest = (period - pll.jitter.bound_ns) - placed.setup_ns
+        bound = arrival_times(
+            placed.netlist, placed.node_delay, placed.edge_delay, dtype=np.float32
+        )
+        return earliest - float(bound[placed.netlist.output_buses["p"]].max())
+
     def run_lane(
         self,
         lane: int,
@@ -128,6 +150,10 @@ class ProjectionDatapath:
         rng: np.random.Generator,
     ) -> LaneRun:
         """Run one lane's multiplier over the full test stream.
+
+        When :meth:`lane_slack_ns` proves the lane on time, the products
+        come from functional evaluation and settle propagation is
+        skipped; the result is the one the simulation would capture.
 
         Parameters
         ----------
@@ -157,6 +183,20 @@ class ProjectionDatapath:
             "a": bits_from_ints(a_stream, self.design.w_data),
             "b": bits_from_ints(b_stream, wl),
         }
+        jitter = self.device.family.pll.jitter
+        if self.lane_slack_ns(lane, freq_mhz) >= 0.0:
+            # No bit can be late, so the captured word is the ideal word.
+            # The jitter is still drawn, leaving ``rng`` where capture
+            # would have left it.
+            if a_stream.size < 2:
+                raise TimingError(
+                    "need at least 2 stimulus vectors to form a transition"
+                )
+            jitter.sample(a_stream.size - 1, rng)
+            products = ints_from_bits(placed.netlist.evaluate(inputs)["p"][1:])
+            return LaneRun(
+                lane=lane, captured_products=products, exact_products=products.copy()
+            )
         timing = simulate_transitions(
             placed.netlist, inputs, placed.node_delay, placed.edge_delay
         )
@@ -166,7 +206,7 @@ class ProjectionDatapath:
             "p",
             clock.achieved_mhz,
             setup_ns=placed.setup_ns,
-            jitter=self.device.family.pll.jitter,
+            jitter=jitter,
             rng=rng,
         )
         return LaneRun(

@@ -66,6 +66,7 @@ def arrival_times(
     edge_delay: np.ndarray,
     edge_active: np.ndarray | None = None,
     node_static: np.ndarray | None = None,
+    dtype: type[np.floating] = np.float64,
 ) -> np.ndarray:
     """Compute worst-case arrival times for every node.
 
@@ -89,6 +90,14 @@ def arrival_times(
         (matching the transition simulator, where an unchanged node
         contributes no settle delay).  Supplying only ``node_static``
         without ``edge_active`` is allowed and is already sound.
+    dtype:
+        Arithmetic precision.  ``np.float32`` performs the float32
+        operations of :func:`repro.timing.simulator.simulate_transitions`
+        (a fanin's time plus ``edge_delay.astype(float32)``, the max, then
+        plus ``node_delay.astype(float32)``) over every fanin, where the
+        simulator takes only the changed ones.  Rounding is monotone, so
+        with non-negative delays no settle time the simulator produces,
+        for any stimulus and either kernel, exceeds that result.
     """
     n = netlist.n_nodes
     if node_delay.shape != (n,):
@@ -99,12 +108,14 @@ def arrival_times(
         raise TimingError(f"edge_active shape {edge_active.shape} != ({n}, 4)")
     if node_static is not None and node_static.shape != (n,):
         raise TimingError(f"node_static shape {node_static.shape} != ({n},)")
-    arrival = np.zeros(n, dtype=np.float64)
+    node_delay = np.asarray(node_delay, dtype=dtype)
+    edge_delay = np.asarray(edge_delay, dtype=dtype)
+    arrival = np.zeros(n, dtype=dtype)
     arity = netlist.arity
     fidx = netlist.fanin_idx
     for ids in netlist.level_groups:
         a = arity[ids]
-        best = np.full(ids.shape[0], -np.inf)
+        best = np.full(ids.shape[0], -np.inf, dtype=dtype)
         for k in range(4):
             mask = a > k
             if not mask.any():

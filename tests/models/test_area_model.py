@@ -5,13 +5,17 @@ import statistics
 import numpy as np
 import pytest
 
-from repro.errors import ModelError
+import repro.models.area_model as area_module
+import repro.synthesis.flow as flow_module
+from repro.config import analysis_settings
+from repro.errors import LintError, ModelError
 from repro.models.area_model import (
     AreaModel,
     AreaSample,
     collect_area_samples,
     fit_area_model,
 )
+from repro.netlist.mac import mac_block
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +51,64 @@ class TestCollection:
             collect_area_samples(device, (), n_runs=2)
         with pytest.raises(ModelError):
             collect_area_samples(device, (3,), n_runs=0)
+
+
+class TestLintOnce:
+    """Each MAC netlist passes the synthesis lint gate on its first placement."""
+
+    # Recorded with every placement linted; linting once per netlist
+    # must not change a sample.
+    PINNED = [
+        (3, 91, 3000, (0, 0)), (3, 92, 3001, (49, 0)),
+        (3, 91, 3002, (0, 49)), (3, 87, 3003, (49, 49)),
+        (4, 117, 4000, (0, 0)), (4, 122, 4001, (47, 0)),
+        (4, 115, 4002, (0, 47)), (4, 126, 4003, (47, 47)),
+        (5, 150, 5000, (0, 0)), (5, 157, 5001, (45, 0)),
+        (5, 140, 5002, (0, 45)), (5, 147, 5003, (45, 45)),
+    ]
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """Record the flow's lint-gate calls and placements, in order."""
+        events = []
+        lint, place = flow_module.check_netlist, flow_module.place_netlist
+
+        def lint_spy(netlist, *args, **kwargs):
+            events.append("lint")
+            return lint(netlist, *args, **kwargs)
+
+        def place_spy(*args, **kwargs):
+            events.append("place")
+            return place(*args, **kwargs)
+
+        monkeypatch.setattr(flow_module, "check_netlist", lint_spy)
+        monkeypatch.setattr(flow_module, "place_netlist", place_spy)
+        return events
+
+    def test_one_lint_per_netlist_same_samples(self, device, spies):
+        samples = collect_area_samples(device, (3, 4, 5), n_runs=4)
+        assert spies.count("lint") == 3
+        assert spies.count("place") == 12
+        assert [
+            (s.wordlength, s.logic_elements, s.seed, s.location) for s in samples
+        ] == self.PINNED
+
+    def test_dirty_mac_refused_before_placement(self, device, spies, monkeypatch):
+        def dirty_mac(w_data, wl):
+            nl = mac_block(w_data, wl)
+            nl.AND(nl.input_buses["a"][0], nl.input_buses["b"][0])  # dead: NL002
+            return nl
+
+        monkeypatch.setattr(area_module, "mac_block", dirty_mac)
+        with pytest.raises(LintError) as exc_info:
+            collect_area_samples(device, (3, 4), n_runs=4)
+        assert "NL002" in exc_info.value.report.rule_ids
+        assert spies == ["lint"]
+
+    def test_settings_disable_lint(self, device, spies):
+        with analysis_settings(lint_synthesis=False):
+            collect_area_samples(device, (3, 4), n_runs=2)
+        assert "lint" not in spies
 
 
 class TestFit:
