@@ -6,9 +6,7 @@ hot paths show up directly.
 """
 
 import numpy as np
-import pytest
 
-from repro.config import kernel_mode
 from repro.core.bayesian import GibbsConfig, sample_projection_vector
 from repro.kernels import evaluate_tile
 from repro.models.prior import CoefficientPrior
@@ -36,27 +34,21 @@ def _inputs():
     }
 
 
-@pytest.mark.parametrize("kernel", ["packed", "interp"])
-def test_functional_evaluation_throughput(ctx, benchmark, kernel):
+def test_functional_evaluation_throughput(ctx, benchmark):
     placed = _placed(ctx)
-    ins = _inputs()
-    with kernel_mode(kernel):
-        out = benchmark(placed.netlist.evaluate, ins)
+    out = benchmark(placed.netlist.evaluate, _inputs())
     assert out["p"].shape == (N_STREAM, 16)
 
 
-@pytest.mark.parametrize("kernel", ["packed", "interp"])
-def test_transition_simulation_throughput(ctx, benchmark, kernel):
+def test_transition_simulation_throughput(ctx, benchmark):
     placed = _placed(ctx)
-    ins = _inputs()
-    with kernel_mode(kernel):
-        res = benchmark(
-            simulate_transitions,
-            placed.netlist,
-            ins,
-            placed.node_delay,
-            placed.edge_delay,
-        )
+    res = benchmark(
+        simulate_transitions,
+        placed.netlist,
+        _inputs(),
+        placed.node_delay,
+        placed.edge_delay,
+    )
     assert res.settle.shape[1] == N_STREAM - 1
 
 

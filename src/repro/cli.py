@@ -43,7 +43,6 @@ import sys
 import numpy as np
 
 from .analysis import LintConfig, lint_netlist, rule_table
-from .config import KERNEL_MODES, REPRO_KERNEL_ENV, set_kernel_mode
 from .eval import figures, tables
 from .eval.context import ExperimentContext
 from .eval.report import render_table
@@ -694,17 +693,7 @@ def main(argv: list[str] | None = None) -> int:
         default=0.05,
         help="fraction of the paper's Table-I sample counts (1.0 = full)",
     )
-    parser.add_argument(
-        "--kernel",
-        choices=sorted(KERNEL_MODES),
-        default=None,
-        help="netlist evaluation kernel: bit-sliced 'packed' or the "
-        "interpreted golden reference (default: $REPRO_KERNEL or packed)",
-    )
     args = parser.parse_args(argv)
-    if args.kernel is not None:
-        os.environ[REPRO_KERNEL_ENV] = args.kernel
-        set_kernel_mode(args.kernel)
 
     if args.experiment == "table1":
         _print_result("table1", tables.table1())

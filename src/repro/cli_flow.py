@@ -29,19 +29,12 @@ see ``docs/observability.md``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from dataclasses import replace
 
 from .circuits.domains import Domain
-from .config import (
-    KERNEL_MODES,
-    REPRO_KERNEL_ENV,
-    TableISettings,
-    get_resilience_settings,
-    set_kernel_mode,
-)
+from .config import TableISettings, get_resilience_settings
 from .errors import ConfigError, SweepFailedError
 from .eval.report import render_table
 from .fabric.device import make_device
@@ -226,14 +219,6 @@ def main(argv: list[str] | None = None) -> int:
         help="write a metrics snapshot of the run to PATH "
         "(default: $REPRO_METRICS)",
     )
-    parser.add_argument(
-        "--kernel",
-        choices=sorted(KERNEL_MODES),
-        default=None,
-        help="netlist evaluation kernel: bit-sliced 'packed' or the "
-        "interpreted golden reference (default: $REPRO_KERNEL or packed; "
-        "results are bit-identical either way)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("init", help="create a workspace for one device")
@@ -293,11 +278,6 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_status)
 
     args = parser.parse_args(argv)
-    if args.kernel is not None:
-        # The env var makes worker processes (and any spawn-started
-        # subprocess) agree with the parent's kernel choice.
-        os.environ[REPRO_KERNEL_ENV] = args.kernel
-        set_kernel_mode(args.kernel)
     trace_path, metrics_path = resolve_telemetry_paths(args.trace, args.metrics)
     if trace_path or metrics_path:
         obs.enable_observability(

@@ -37,13 +37,6 @@ __all__ = [
     "REPRO_SHARD_TIMEOUT_ENV",
     "REPRO_MAX_RETRIES_ENV",
     "REPRO_ALLOW_DEGRADED_ENV",
-    "KERNEL_PACKED",
-    "KERNEL_INTERP",
-    "KERNEL_MODES",
-    "REPRO_KERNEL_ENV",
-    "get_kernel_mode",
-    "set_kernel_mode",
-    "kernel_mode",
     "mhz_to_period_ns",
     "period_ns_to_mhz",
     "DEFAULT_SEED",
@@ -296,72 +289,6 @@ def resilience_settings(**overrides: object) -> Iterator[ResilienceSettings]:
         yield get_resilience_settings()
     finally:
         set_resilience_settings(previous)
-
-
-#: Environment knob selecting the netlist evaluation kernel
-#: (see docs/performance.md, "The kernel compiler").
-REPRO_KERNEL_ENV = "REPRO_KERNEL"
-
-#: Bit-sliced execution plans: 64 stimuli per uint64 word (the default).
-KERNEL_PACKED = "packed"
-#: Per-sample truth-table gathers: the golden reference path.
-KERNEL_INTERP = "interp"
-#: All recognised kernel modes.
-KERNEL_MODES = (KERNEL_PACKED, KERNEL_INTERP)
-
-
-def _kernel_mode_from_env() -> str:
-    raw = os.environ.get(REPRO_KERNEL_ENV)
-    if raw is None:
-        return KERNEL_PACKED
-    mode = raw.strip().lower()
-    if mode not in KERNEL_MODES:
-        raise ConfigError(
-            f"{REPRO_KERNEL_ENV}={raw!r} is not a kernel mode; "
-            f"expected one of {KERNEL_MODES}"
-        )
-    return mode
-
-
-_kernel_mode = _kernel_mode_from_env()
-
-
-def get_kernel_mode() -> str:
-    """The netlist-evaluation kernel currently in effect.
-
-    ``"packed"`` routes :meth:`CompiledNetlist.evaluate` and
-    :func:`simulate_transitions` through the bit-sliced execution plans
-    of :mod:`repro.kernels`; ``"interp"`` keeps the original per-sample
-    truth-table interpreter (the golden reference the packed kernel is
-    proven bit-identical to).
-    """
-    return _kernel_mode
-
-
-def set_kernel_mode(mode: str) -> str:
-    """Replace the process-wide kernel mode; returns the previous one."""
-    global _kernel_mode
-    if mode not in KERNEL_MODES:
-        raise ConfigError(
-            f"unknown kernel mode {mode!r}; expected one of {KERNEL_MODES}"
-        )
-    previous = _kernel_mode
-    _kernel_mode = mode
-    return previous
-
-
-@contextmanager
-def kernel_mode(mode: str) -> Iterator[str]:
-    """Temporarily select a kernel mode (tests, A/B benches)::
-
-        with kernel_mode("interp"):
-            golden = cn.evaluate(bits)
-    """
-    previous = set_kernel_mode(mode)
-    try:
-        yield mode
-    finally:
-        set_kernel_mode(previous)
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,11 @@ truth table is lowered once to a minimal boolean expression
 ``uint64`` word, and evaluation becomes a short sequence of whole-array
 bitwise operations (:mod:`~repro.kernels.execute`).
 
-The kernel is selected process-wide via
-:func:`repro.config.get_kernel_mode` (``REPRO_KERNEL={packed,interp}``);
-the interpreted path remains the golden reference and the packed kernel
-is proven bit-identical to it by the test suite and the
-``BENCH_compile`` contract.  See docs/performance.md, "The kernel
-compiler".
+It is the library's only netlist evaluator: :meth:`CompiledNetlist.evaluate`
+and :func:`repro.timing.simulator.simulate_transitions` run on it.  The
+test suite proves it bit-identical to a per-sample truth-table
+interpreter, its oracle (``tests/kernels/oracle.py``).  See
+docs/performance.md, "The kernel compiler".
 """
 
 from .execute import evaluate_packed, evaluate_tile, pack_bits, stream_values, unpack_plane

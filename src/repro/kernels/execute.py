@@ -4,8 +4,8 @@ The packed value representation is a ``(n_nodes, W)`` uint64 plane with
 ``W = ceil(batch / 64)``: bit ``b`` of word ``w`` in row ``nid`` is node
 ``nid``'s value on sample ``64*w + b``.  One whole-array AND/OR/XOR over
 a row group therefore evaluates 64 samples for every node in the group
-at once — this is what replaces the per-sample ``take_along_axis``
-gather of the interpreted path.
+at once, where a per-sample evaluator would gather each sample's
+truth-table row with ``take_along_axis``.
 
 Packing uses ``np.packbits``/``np.unpackbits`` with
 ``bitorder="little"`` through a ``uint8`` view of the word plane.  All
@@ -25,9 +25,9 @@ Entry points
   equivalence family prover instead of per-row python loops.
 
 All user-facing validation (unknown bus, bad shape, missing buses)
-raises :class:`~repro.errors.NetlistError` with the same messages as
-the interpreted path, so callers cannot tell the kernels apart except
-by speed.
+raises :class:`~repro.errors.NetlistError`.  The test suite proves
+every entry point bit-identical to a per-sample truth-table
+interpreter, its oracle (``tests/kernels/oracle.py``).
 """
 
 from __future__ import annotations
@@ -120,6 +120,8 @@ def _packed_plane(
     scratch: EvalScratch | None,
 ) -> tuple[np.ndarray, int]:
     """Validate + bind + execute; returns the word plane and batch size."""
+    if not inputs:
+        raise NetlistError(f"missing input buses: {sorted(cn.input_buses)}")
     first = next(iter(inputs.values()))
     batch = int(np.asarray(first).shape[0])
     n_words = (batch + WORD_BITS - 1) // WORD_BITS
@@ -157,9 +159,8 @@ def evaluate_packed(
 ) -> dict[str, np.ndarray]:
     """Functional evaluation via the bit-sliced plan.
 
-    Same contract (and same :class:`~repro.errors.NetlistError`
-    messages) as the interpreted :meth:`CompiledNetlist.evaluate`; the
-    results are proven bit-identical by the kernel test suite.
+    The body of :meth:`CompiledNetlist.evaluate`, which documents the
+    contract.
     """
     plan = plan_for(cn)
     with obs.span("kernel.eval", netlist=cn.name, consumer="evaluate"):
@@ -235,8 +236,7 @@ def evaluate_tile(
     rows, which is what replaces per-multiplicand python loops over
     :meth:`CompiledNetlist.evaluate_ints` in characterisation-style
     sweeps.  Evaluation goes through :meth:`CompiledNetlist.evaluate`,
-    so the tile honours ``REPRO_KERNEL`` and is bit-identical across
-    kernels like every other consumer.
+    so the tile gives the same bits as that per-row loop.
     """
     for name in list(fixed) + list(streamed):
         if name not in cn.input_buses:

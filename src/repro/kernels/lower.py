@@ -1,9 +1,9 @@
 """Truth-table lowering: each LUT becomes a minimal boolean expression.
 
-The interpreted evaluator resolves every LUT with a per-sample
-``take_along_axis`` gather into its 16-row table.  The bit-sliced kernel
-instead evaluates 64 samples per ``uint64`` word, which requires each
-truth table to be expressed as bitwise operations over the fanin words.
+A per-sample evaluator resolves every LUT with a ``take_along_axis``
+gather into its 16-row table.  The bit-sliced kernel instead evaluates
+64 samples per ``uint64`` word, which requires each truth table to be
+expressed as bitwise operations over the fanin words.
 This module performs that lowering **once per distinct ``(arity, tt)``
 pair** at plan-compile time:
 

@@ -10,11 +10,11 @@ can be computed once per netlist instead of once per evaluation:
   is then a handful of whole-array bitwise ops over ``(g, W)`` uint64
   planes — no per-sample gathers, no ``astype(np.intp)`` temporaries.
 * **Timing gathers** — the settle-propagation loop of
-  :func:`repro.timing.simulator.simulate_transitions` re-derives
-  ``arity > k`` masks and fanin columns per call; the plan precomputes
-  per-level ``(rows_k, ids_k, srcs_k)`` index triples that select
-  exactly the populated fanin slots while preserving the float32
-  operation order (bit-identity with the interpreted path).
+  :func:`repro.timing.simulator.simulate_transitions` reads per-level
+  ``(rows_k, ids_k, srcs_k)`` index triples that select exactly the
+  populated fanin slots, instead of re-deriving ``arity > k`` masks and
+  fanin columns per call, while preserving the float32 operation order
+  (bit-identity with the test suite's interpreted oracle).
 
 Plans are memoised in a module-level cache keyed by a **content hash**
 of the compiled arrays (:func:`netlist_fingerprint`), not by object

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..config import KERNEL_PACKED, get_kernel_mode
 from ..errors import NetlistError
 
 __all__ = [
@@ -531,40 +530,6 @@ class CompiledNetlist:
     def lut_mask(self) -> np.ndarray:
         return self.kinds == _KIND_LUT
 
-    def initial_values(self, batch: int, scratch: EvalScratch | None = None) -> np.ndarray:
-        """Node-value array of shape ``(n_nodes, batch)`` with constants set.
-
-        With ``scratch``, the plane is drawn from the pool instead of
-        freshly allocated (and is clobbered by the next scratch user).
-        """
-        if scratch is None:
-            vals = np.zeros((self.n_nodes, batch), dtype=np.uint8)
-        else:
-            vals = scratch.array("values", (self.n_nodes, batch), np.uint8)
-            vals.fill(0)
-        const_mask = self.kinds == _KIND_CONST
-        vals[const_mask] = self.const_values[const_mask, None]
-        return vals
-
-    def bind_inputs(self, values: np.ndarray, inputs: dict[str, np.ndarray]) -> None:
-        """Write input-bus bit arrays into a node-value array in place.
-
-        ``inputs[name]`` must be ``(batch, width)`` uint8, LSB first.
-        """
-        for name, bits in inputs.items():
-            if name not in self.input_buses:
-                raise NetlistError(f"unknown input bus {name!r}")
-            ids = self.input_buses[name]
-            b = np.asarray(bits, dtype=np.uint8)
-            if b.ndim != 2 or b.shape[1] != ids.shape[0]:
-                raise NetlistError(
-                    f"input {name!r}: expected shape (batch, {ids.shape[0]}), got {b.shape}"
-                )
-            values[ids] = b.T
-        missing = set(self.input_buses) - set(inputs)
-        if missing:
-            raise NetlistError(f"missing input buses: {sorted(missing)}")
-
     def evaluate(
         self,
         inputs: dict[str, np.ndarray],
@@ -572,11 +537,7 @@ class CompiledNetlist:
     ) -> dict[str, np.ndarray]:
         """Pure functional evaluation (no timing), batched.
 
-        Dispatches on :func:`repro.config.get_kernel_mode`: ``"packed"``
-        (the default) runs the bit-sliced execution plan of
-        :mod:`repro.kernels`; ``"interp"`` runs the original per-sample
-        truth-table interpreter, kept verbatim as the golden reference
-        the packed kernel is proven bit-identical to.
+        Runs the bit-sliced execution plan of :mod:`repro.kernels`.
 
         Parameters
         ----------
@@ -592,40 +553,9 @@ class CompiledNetlist:
         dict
             Mapping output bus name -> ``(batch, width)`` uint8 bit array.
         """
-        if get_kernel_mode() == KERNEL_PACKED:
-            from ..kernels.execute import evaluate_packed
+        from ..kernels.execute import evaluate_packed
 
-            return evaluate_packed(self, inputs, scratch=scratch)
-        return self._evaluate_interp(inputs, scratch)
-
-    def _evaluate_interp(
-        self,
-        inputs: dict[str, np.ndarray],
-        scratch: EvalScratch | None = None,
-    ) -> dict[str, np.ndarray]:
-        """The interpreted (per-sample gather) evaluator: golden reference."""
-        first = next(iter(inputs.values()))
-        batch = np.asarray(first).shape[0]
-        values = self.initial_values(batch, scratch)
-        self.bind_inputs(values, inputs)
-        for ids in self.level_groups:
-            idx = values[self.fanin_idx[ids, 0]].astype(np.intp)
-            idx |= values[self.fanin_idx[ids, 1]].astype(np.intp) << 1
-            idx |= values[self.fanin_idx[ids, 2]].astype(np.intp) << 2
-            idx |= values[self.fanin_idx[ids, 3]].astype(np.intp) << 3
-            values[ids] = np.take_along_axis(
-                self.tt_bits[ids], idx, axis=1
-            )
-        if scratch is None:
-            return {
-                name: values[ids].T.copy() for name, ids in self.output_buses.items()
-            }
-        out: dict[str, np.ndarray] = {}
-        for name, ids in self.output_buses.items():
-            buf = scratch.array(f"out.{name}", (batch, int(ids.shape[0])), np.uint8)
-            np.copyto(buf, values[ids].T)
-            out[name] = buf
-        return out
+        return evaluate_packed(self, inputs, scratch=scratch)
 
     def evaluate_ints(
         self, signed_out: bool = False, **int_inputs: np.ndarray

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import KERNEL_PACKED, get_kernel_mode
 from ..errors import TimingError
 from ..netlist.core import CompiledNetlist, EvalScratch
 
@@ -75,13 +74,10 @@ def simulate_transitions(
 ) -> TransitionTimingResult:
     """Simulate a stream of input vectors through a placed netlist.
 
-    Dispatches on :func:`repro.config.get_kernel_mode`: in ``"packed"``
-    mode the functional value plane comes from the bit-sliced kernel
-    and the float32 settle propagation uses the plan's precomputed
-    per-level gather indices; in ``"interp"`` mode the original
-    per-sample path runs verbatim.  Both produce bit-identical results
-    (same values, same float32 settle times) — the settle arithmetic
-    performs the identical float operations in the identical order.
+    The functional value plane comes from the bit-sliced kernel, and
+    the float32 settle propagation reads each level's populated fanin
+    slots from the plan's precomputed gather indices
+    (:class:`~repro.kernels.plan.TimingLevel`).
 
     Parameters
     ----------
@@ -112,74 +108,12 @@ def simulate_transitions(
     if stream_len < 2:
         raise TimingError("need at least 2 stimulus vectors to form a transition")
 
-    if get_kernel_mode() == KERNEL_PACKED:
-        return _simulate_packed(
-            netlist, inputs, node_delay, edge_delay, stream_len, scratch
-        )
-
-    # Functional values for the whole stream.
-    values = netlist.initial_values(stream_len)
-    netlist.bind_inputs(values, inputs)
-    fidx = netlist.fanin_idx
-    arity = netlist.arity
-    for ids in netlist.level_groups:
-        idx = values[fidx[ids, 0]].astype(np.intp)
-        idx |= values[fidx[ids, 1]].astype(np.intp) << 1
-        idx |= values[fidx[ids, 2]].astype(np.intp) << 2
-        idx |= values[fidx[ids, 3]].astype(np.intp) << 3
-        values[ids] = np.take_along_axis(netlist.tt_bits[ids], idx, axis=1)
-
-    n_tr = stream_len - 1
-    changed = values[:, 1:] != values[:, :-1]  # (n, n_tr) bool
-    settle = np.zeros((n, n_tr), dtype=np.float32)
-
-    # Inputs/consts: settle 0 (input registers switch at t=0; the change
-    # itself is accounted for by `changed`).
-    for ids in netlist.level_groups:
-        a = arity[ids]
-        best = np.full((ids.shape[0], n_tr), -np.inf, dtype=np.float32)
-        for k in range(4):
-            mask_k = a > k
-            if not mask_k.any():
-                break
-            src = fidx[ids, k]
-            cand = settle[src] + edge_delay[ids, k, None].astype(np.float32)
-            cand = np.where(changed[src], cand, -np.inf)
-            best[mask_k] = np.maximum(best[mask_k], cand[mask_k])
-        node_settle = node_delay[ids, None].astype(np.float32) + best
-        # Unchanged nodes settle at 0; changed nodes take the path time.
-        settle[ids] = np.where(changed[ids], node_settle, 0.0)
-        # A changed node must have at least one changed fanin; if the
-        # best is still -inf the netlist values are inconsistent.
-        bad = changed[ids] & ~np.isfinite(node_settle)
-        if bad.any():
-            raise TimingError("changed node with no changed fanin (internal error)")
-
-    return TransitionTimingResult(netlist=netlist, values=values, settle=settle)
-
-
-def _simulate_packed(
-    netlist: CompiledNetlist,
-    inputs: dict[str, np.ndarray],
-    node_delay: np.ndarray,
-    edge_delay: np.ndarray,
-    stream_len: int,
-    scratch: EvalScratch | None,
-) -> TransitionTimingResult:
-    """Packed-kernel body: bit-sliced values + pre-gathered settle loop.
-
-    The settle recurrence mirrors the interpreted loop's float32
-    operations exactly; the only difference is that the ``arity > k``
-    row selection and fanin gathers come precomputed from the plan
-    (``TimingLevel``), so each level touches only populated fanin slots.
-    """
     from ..kernels.execute import stream_values
     from ..kernels.plan import plan_for
 
     values = stream_values(netlist, inputs, scratch=scratch)
     plan = plan_for(netlist)
 
-    n = netlist.n_nodes
     n_tr = stream_len - 1
     if scratch is None:
         changed = np.empty((n, n_tr), dtype=np.bool_)

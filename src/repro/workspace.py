@@ -123,20 +123,10 @@ class Workspace:
         finally:
             tmp.unlink(missing_ok=True)
 
-    def initialize(
-        self,
-        device: FPGADevice,
-        settings: TableISettings,
-        seed: int,
-        exist_ok: bool = False,
-    ) -> None:
-        """Create the workspace for one device + settings combination.
-
-        With ``exist_ok=True`` an already-initialised workspace is
-        accepted *iff* its recorded identity (device, settings, seed)
-        matches — the idempotent form concurrent callers can all use;
-        a mismatch still raises :class:`~repro.errors.ConfigError`.
-        """
+    def initialize(self, device: FPGADevice, settings: TableISettings, seed: int) -> None:
+        """Create the workspace for one device + settings combination."""
+        if self.exists():
+            raise ConfigError(f"workspace already initialised at {self.root}")
         meta = {
             "version": _META_VERSION,
             "device_serial": device.serial,
@@ -144,17 +134,6 @@ class Workspace:
             "seed": seed,
             "settings": asdict(settings),
         }
-        if self.exists():
-            if not exist_ok:
-                raise ConfigError(f"workspace already initialised at {self.root}")
-            existing = self._meta()
-            # Round-trip through JSON so tuple-vs-list differences vanish.
-            if existing != json.loads(json.dumps(meta)):
-                raise ConfigError(
-                    f"workspace at {self.root} is initialised with a different "
-                    f"device/settings/seed combination"
-                )
-            return
         self.root.mkdir(parents=True, exist_ok=True)
         self.char_dir.mkdir(exist_ok=True)
         self.designs_dir.mkdir(exist_ok=True)

@@ -55,6 +55,12 @@ def test_audit_scales_sanely():
     assert report.n_functions > 500
 
 
+def test_audit_is_deterministic():
+    # An audit whose output hung on iteration order could not police
+    # DT004 (unordered iteration) itself.
+    assert audit_paths([SRC]).to_json() == audit_paths([SRC]).to_json()
+
+
 # ----------------------------------------------------------------------
 # CLI surface.
 

@@ -8,7 +8,14 @@ from repro.characterization import (
     characterize_multiplier,
     error_trace,
 )
+from repro.characterization.circuit import CharacterizationCircuit
 from repro.errors import CharacterizationError
+from repro.fabric import make_device
+from repro.netlist.core import bits_from_ints
+from repro.parallel import PlacedDesignCache, multiplier_netlist
+from repro.rng import SeedTree
+from repro.synthesis import SynthesisFlow
+from repro.timing.simulator import simulate_transitions
 
 
 class TestConfigValidation:
@@ -111,3 +118,104 @@ class TestErrorTrace:
         a = error_trace(device, 222, 420.0, 200, seed=1)
         b = error_trace(device, 222, 420.0, 200, seed=1)
         assert np.array_equal(a.captured, b.captured)
+
+
+def _legacy_sweep(device, w_data, w_coeff, config, seed):
+    """Replica of the harness loop as it was before the sharded engine.
+
+    Same seed paths and draw order as the engine, but the old
+    structure: a probe placement, a fresh synthesis per location, one
+    ``capture`` per frequency and per-segment statistics in Python.
+    """
+    tree = SeedTree(seed).child("characterization", f"{w_data}x{w_coeff}")
+    multiplicands = np.asarray(config.multiplicands, dtype=np.int64)
+    pll = device.family.pll
+
+    seen, freq_requests = set(), []
+    for f in sorted(config.freqs_mhz):
+        achieved_f = round(pll.synthesize(f).achieved_mhz, 6)
+        if achieved_f not in seen:
+            seen.add(achieved_f)
+            freq_requests.append(f)
+
+    flow = SynthesisFlow(device)
+    probe = flow.run(multiplier_netlist(w_data, w_coeff), anchor=(0, 0), seed=seed)
+    locations = tuple(flow.available_anchors(probe.netlist, config.n_locations))
+
+    n_f, n_m, n_l = len(freq_requests), multiplicands.shape[0], len(locations)
+    variance = np.zeros((n_l, n_m, n_f))
+    mean = np.zeros((n_l, n_m, n_f))
+    rate = np.zeros((n_l, n_m, n_f))
+    seg_len = config.n_samples + 1
+    achieved = [pll.synthesize(f).achieved_mhz for f in freq_requests]
+
+    for li, loc in enumerate(locations):
+        circuit = CharacterizationCircuit(
+            device,
+            w_data,
+            w_coeff,
+            anchor=loc,
+            seed=seed + li,
+            max_stream_depth=max(32768, seg_len * config.segment_chunk),
+            cache=PlacedDesignCache(),  # empty: every location is synthesised
+        )
+        stim_rng = tree.rng("stimulus", str(loc))
+        for start in range(0, n_m, config.segment_chunk):
+            chunk = multiplicands[start : start + config.segment_chunk]
+            stream = stim_rng.integers(
+                0, 1 << w_data, size=seg_len * chunk.shape[0], dtype=np.int64
+            )
+            inputs = {
+                "a": bits_from_ints(stream, w_data),
+                "b": bits_from_ints(np.repeat(chunk, seg_len), w_coeff),
+            }
+            timing = simulate_transitions(
+                circuit.placed.netlist,
+                inputs,
+                circuit.placed.node_delay,
+                circuit.placed.edge_delay,
+            )
+            n_tr = seg_len * chunk.shape[0] - 1
+            valid = np.ones(n_tr, dtype=bool)
+            valid[np.arange(1, chunk.shape[0]) * seg_len - 1] = False
+            seg_of_transition = np.arange(n_tr) // seg_len
+            for fi, f in enumerate(freq_requests):
+                cap_rng = tree.rng("capture", str(loc), f"{f}", str(start))
+                run_all = circuit.capture(timing, int(chunk[0]), f, cap_rng)
+                errors = run_all.captured - run_all.expected
+                for ci in range(chunk.shape[0]):
+                    e = errors[valid & (seg_of_transition == ci)]
+                    mi = start + ci
+                    variance[li, mi, fi] = float(e.var())
+                    mean[li, mi, fi] = float(e.mean())
+                    rate[li, mi, fi] = float((e != 0).mean())
+    return {
+        "variance": variance,
+        "mean": mean,
+        "error_rate": rate,
+        "freqs_mhz": np.asarray(achieved),
+        "locations": locations,
+    }
+
+
+class TestLegacyOracle:
+    """The sharded engine against a replica of the harness loop it replaced."""
+
+    def test_engine_matches_legacy_sweep(self):
+        device = make_device(42)
+        cfg = CharacterizationConfig(
+            freqs_mhz=(270.0, 300.0, 330.0),
+            n_samples=60,
+            multiplicands=tuple(range(16)),
+            n_locations=2,
+        )
+        legacy = _legacy_sweep(device, 8, 8, cfg, seed=42)
+        engine = characterize_multiplier(device, 8, 8, cfg, seed=42)
+        np.testing.assert_array_equal(engine.mean, legacy["mean"])
+        np.testing.assert_array_equal(engine.error_rate, legacy["error_rate"])
+        np.testing.assert_array_equal(engine.freqs_mhz, legacy["freqs_mhz"])
+        assert engine.locations == legacy["locations"]
+        # The engine's two-pass moment differs from ndarray.var in the last ulps.
+        np.testing.assert_allclose(
+            engine.variance, legacy["variance"], rtol=1e-9, atol=1e-9
+        )

@@ -1,20 +1,22 @@
-"""Packed kernel vs interpreted evaluator: proven bit-for-bit identical.
+"""Packed kernel vs the interpreted oracle: proven bit-for-bit identical.
 
 The packed kernel's whole claim is "same bits, faster".  These tests
-pin that claim on random netlists (Hypothesis-driven DAGs with every
-gate helper the builder offers), on the real arithmetic generators, and
-on the transition-timing path (values *and* float32 settle times).
+pin that claim against the interpreted evaluator of
+``tests/kernels/oracle.py`` on random netlists (Hypothesis-driven DAGs
+with every gate helper the builder offers), on the real arithmetic
+generators, and on the transition-timing path (values *and* float32
+settle times).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import kernel_mode
 from repro.kernels import evaluate_packed, pack_bits, stream_values, unpack_plane
 from repro.netlist.core import Netlist
 from repro.netlist.generators import generate
 from repro.timing.simulator import simulate_transitions
+from tests.kernels import oracle
 
 # Compiled-netlist cache: compilation dominates test time otherwise.
 _GEN_CACHE: dict = {}
@@ -94,7 +96,7 @@ class TestRandomNetlists:
     def test_packed_matches_interp(self, seed, width, n_luts, batch):
         cn = _random_netlist(seed, width, n_luts).compile()
         inputs = _random_inputs(cn, batch, seed ^ 0x5EED)
-        want = cn._evaluate_interp(inputs)
+        want = oracle.evaluate(cn, inputs)
         got = evaluate_packed(cn, inputs)
         assert set(got) == set(want)
         for name in want:
@@ -106,17 +108,7 @@ class TestRandomNetlists:
         cn = _random_netlist(seed, 5, 25).compile()
         inputs = _random_inputs(cn, 50, seed)  # (N, width) streams
         plane = stream_values(cn, inputs)
-        # Interp reference: bind + level loop via initial_values/evaluate.
-        values = cn.initial_values(50)
-        cn.bind_inputs(values, inputs)
-        fidx = cn.fanin_idx
-        for ids in cn.level_groups:
-            idx = values[fidx[ids, 0]].astype(np.intp)
-            idx |= values[fidx[ids, 1]].astype(np.intp) << 1
-            idx |= values[fidx[ids, 2]].astype(np.intp) << 2
-            idx |= values[fidx[ids, 3]].astype(np.intp) << 3
-            values[ids] = np.take_along_axis(cn.tt_bits[ids], idx, axis=1)
-        np.testing.assert_array_equal(plane, values)
+        np.testing.assert_array_equal(plane, oracle.stream_values(cn, inputs))
 
 
 class TestGeneratorNetlists:
@@ -133,7 +125,7 @@ class TestGeneratorNetlists:
             cn = _generated(name, *args)
             for batch in (1, 64, 97):
                 inputs = _random_inputs(cn, batch, 1000 + case_i)
-                want = cn._evaluate_interp(inputs)
+                want = oracle.evaluate(cn, inputs)
                 got = evaluate_packed(cn, inputs)
                 for bus in want:
                     np.testing.assert_array_equal(got[bus], want[bus], err_msg=f"{name}/{bus}")
@@ -150,14 +142,12 @@ class TestTimingEquivalence:
             "a": bits_from_ints(rng.integers(0, 256, n), 8),
             "b": bits_from_ints(rng.integers(0, 256, n), 8),
         }
-        with kernel_mode("interp"):
-            ref = simulate_transitions(
-                cn, inputs, placed_mult8.node_delay, placed_mult8.edge_delay
-            )
-        with kernel_mode("packed"):
-            got = simulate_transitions(
-                cn, inputs, placed_mult8.node_delay, placed_mult8.edge_delay
-            )
+        ref = oracle.simulate_transitions(
+            cn, inputs, placed_mult8.node_delay, placed_mult8.edge_delay
+        )
+        got = simulate_transitions(
+            cn, inputs, placed_mult8.node_delay, placed_mult8.edge_delay
+        )
         np.testing.assert_array_equal(got.values, ref.values)
         # Bit-identical float32: same ops in the same order, not just close.
         np.testing.assert_array_equal(
@@ -173,10 +163,8 @@ class TestTimingEquivalence:
             name: rng.integers(0, 2, size=(40, ids.shape[0])).astype(np.uint8)
             for name, ids in cn.input_buses.items()
         }
-        with kernel_mode("interp"):
-            ref = simulate_transitions(cn, inputs, node_delay, edge_delay)
-        with kernel_mode("packed"):
-            got = simulate_transitions(cn, inputs, node_delay, edge_delay)
+        ref = oracle.simulate_transitions(cn, inputs, node_delay, edge_delay)
+        got = simulate_transitions(cn, inputs, node_delay, edge_delay)
         np.testing.assert_array_equal(got.values, ref.values)
         np.testing.assert_array_equal(
             got.settle.view(np.uint32), ref.settle.view(np.uint32)

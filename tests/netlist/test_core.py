@@ -11,6 +11,7 @@ from repro.netlist.core import (
     bits_from_ints,
     ints_from_bits,
 )
+from repro.netlist.multipliers import unsigned_array_multiplier
 
 
 class TestBitPacking:
@@ -241,6 +242,12 @@ class TestStatsAndCompile:
         c = nl.compile()
         with pytest.raises(NetlistError):
             c.evaluate({"a": np.zeros((2, 1), dtype=np.uint8)})
+        # No buses at all: the same error, not a StopIteration.
+        mult = unsigned_array_multiplier(3, 3).compile()
+        with pytest.raises(NetlistError, match=r"missing input buses: \['a', 'b'\]"):
+            mult.evaluate({})
+        with pytest.raises(NetlistError, match=r"missing input buses: \['a', 'b'\]"):
+            mult.evaluate_ints()
 
     def test_wrong_width_rejected(self):
         nl = Netlist()

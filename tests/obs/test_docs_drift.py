@@ -76,7 +76,7 @@ def test_performance_doc_names_are_current():
         "REPRO_JOBS",
         "REPRO_CACHE_DIR",
         "repro cache info",
-        "BENCH_characterization.json",
+        "BENCHMARK.json",
         "capture.samples_per_second",   # obs cross-reference
         "docs/observability.md",
     ):

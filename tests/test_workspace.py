@@ -127,21 +127,8 @@ class TestFlowCli:
 
 
 class TestSharedWorkspace:
-    """Regressions for the sharing contract: idempotent initialisation,
-    one memoised cache handle, and atomic writes."""
-
-    def test_initialize_exist_ok_is_idempotent(self, ws, device):
-        before = ws.meta_path.read_bytes()
-        ws.initialize(device, SETTINGS, seed=3, exist_ok=True)
-        assert ws.meta_path.read_bytes() == before
-
-    def test_initialize_exist_ok_rejects_identity_mismatch(
-        self, ws, device, other_device
-    ):
-        with pytest.raises(ConfigError, match="different"):
-            ws.initialize(other_device, SETTINGS, seed=3, exist_ok=True)
-        with pytest.raises(ConfigError, match="different"):
-            ws.initialize(device, SETTINGS, seed=4, exist_ok=True)
+    """Regressions for the sharing contract: one memoised cache handle
+    and atomic writes."""
 
     def test_placed_cache_is_memoised(self, ws):
         assert ws.placed_cache() is ws.placed_cache()

@@ -2,20 +2,21 @@
 
 The datapath skips settle propagation on a lane whose float32 arrival
 (``arrival_times(..., dtype=np.float32)``) meets the clock, so the bound
-must hold with no tolerance, for any stimulus and under either kernel.
+must hold with no tolerance, for any stimulus, in the simulator and in
+the interpreted oracle of ``tests/kernels/oracle.py``.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import kernel_mode
 from repro.fabric import make_device
 from repro.netlist.core import Netlist, bits_from_ints
 from repro.parallel.cache import multiplier_netlist
 from repro.synthesis import SynthesisFlow
 from repro.timing.simulator import simulate_transitions
 from repro.timing.sta import arrival_times
+from tests.kernels import oracle
 
 
 @st.composite
@@ -52,10 +53,9 @@ def _settle_bound(compiled, node_delay, edge_delay):
 
 def _assert_settle_within_bound(compiled, inputs, node_delay, edge_delay):
     bound = _settle_bound(compiled, node_delay, edge_delay)
-    for mode in ("packed", "interp"):
-        with kernel_mode(mode):
-            res = simulate_transitions(compiled, inputs, node_delay, edge_delay)
-        assert np.all(res.settle <= bound[:, None]), mode
+    for simulate in (simulate_transitions, oracle.simulate_transitions):
+        res = simulate(compiled, inputs, node_delay, edge_delay)
+        assert np.all(res.settle <= bound[:, None]), simulate.__module__
 
 
 class TestSettleBound:
