@@ -28,11 +28,10 @@ import argparse
 import numpy as np
 
 from repro import Domain, OptimizationFramework, TableISettings, make_device
-from repro.characterization import CharacterizationConfig
 from repro.core.design import LinearProjectionDesign
 from repro.datasets import face_like_patches
 from repro.eval.report import render_table
-from repro.framework import default_frequency_grid
+from repro.framework import characterization_config
 
 
 def make_identities(n_ids: int, samples_per_id: int, rng: np.random.Generator):
@@ -116,11 +115,7 @@ def main() -> None:
         max_coeff_wordlength=8,
     )
     device = make_device(args.serial)
-    char = CharacterizationConfig(
-        freqs_mhz=default_frequency_grid(settings.clock_frequency_mhz),
-        n_samples=settings.n_characterization,
-        n_locations=1,
-    )
+    char = characterization_config(settings, 1)
     fw = OptimizationFramework(device, settings, char_config=char, seed=args.serial)
 
     rng = np.random.default_rng(0)

@@ -30,11 +30,9 @@ import numpy as np
 
 from repro import Domain, OptimizationFramework, TableISettings, make_device, obs
 from repro.analysis import lint_netlist
-from repro.characterization import CharacterizationConfig
 from repro.cli_flow import export_telemetry, resolve_telemetry_paths
 from repro.datasets import low_rank_gaussian
 from repro.eval.report import render_table
-from repro.framework import default_frequency_grid
 from repro.netlist.multipliers import unsigned_array_multiplier
 from repro.parallel import resolve_jobs
 
@@ -49,11 +47,9 @@ def main() -> None:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default: $REPRO_JOBS or 1)")
     parser.add_argument("--trace", default=None, metavar="PATH",
-                        help="record a repro.obs trace of the run "
-                             "(default: $REPRO_TRACE)")
+                        help="record a repro.obs trace of the run")
     parser.add_argument("--metrics", default=None, metavar="PATH",
-                        help="write a repro.obs metrics snapshot "
-                             "(default: $REPRO_METRICS)")
+                        help="write a repro.obs metrics snapshot")
     args = parser.parse_args()
     jobs = resolve_jobs(args.jobs)  # rejects jobs < 1 up front
     trace_path, metrics_path = resolve_telemetry_paths(args.trace, args.metrics)
@@ -77,13 +73,7 @@ def main() -> None:
 
     # 3. Build the framework (characterisation + area model are lazy).
     settings = TableISettings().scaled(args.scale)
-    char = CharacterizationConfig(
-        freqs_mhz=default_frequency_grid(settings.clock_frequency_mhz),
-        n_samples=settings.n_characterization,
-        n_locations=2,
-    )
-    fw = OptimizationFramework(device, settings, char_config=char,
-                               seed=args.serial, jobs=jobs)
+    fw = OptimizationFramework(device, settings, seed=args.serial, jobs=jobs)
     print(f"characterising multipliers for word-lengths "
           f"{settings.coeff_wordlengths} (jobs={jobs}) ...")
     fw.characterize()

@@ -24,7 +24,7 @@ substrate:
   the end-to-end Fig. 2 flow;
 * :mod:`repro.eval` — experiment drivers regenerating every figure and
   table of the paper's evaluation;
-* :mod:`repro.obs` — opt-in tracing/metrics/profiling across the whole
+* :mod:`repro.obs` — opt-in trace spans and counters across the whole
   pipeline (off by default; never changes the numbers).
 
 Quickstart

@@ -258,21 +258,7 @@ ALLOWANCES: tuple[Allowance, ...] = (
     ),
     Allowance(
         EFFECT_ENV_READ,
-        "repro.obs.runtime",
-        "tracing_paths_from_env",
-        "REPRO_TRACE/REPRO_METRICS select export paths for telemetry, "
-        "which is bit-transparent to the pipeline by contract.",
-    ),
-    Allowance(
-        EFFECT_ENV_READ,
         "repro.cli",
-        None,
-        "CLI front door: flags fall back to documented environment "
-        "variables before the pipeline is entered.",
-    ),
-    Allowance(
-        EFFECT_ENV_READ,
-        "repro.cli_flow",
         None,
         "CLI front door: flags fall back to documented environment "
         "variables before the pipeline is entered.",
@@ -280,24 +266,10 @@ ALLOWANCES: tuple[Allowance, ...] = (
     # --- wall_clock: sanctioned latency bookkeeping ---------------------
     Allowance(
         EFFECT_WALL_CLOCK,
-        "repro.obs",
-        None,
-        "The observability layer is the designated timing boundary; it "
-        "is off by default and bit-transparent when enabled.",
-    ),
-    Allowance(
-        EFFECT_WALL_CLOCK,
         "repro.parallel.engine",
         None,
-        "perf_counter reads feed attempt latencies and throughput "
-        "metrics only; shard numerics never consume them.",
-    ),
-    Allowance(
-        EFFECT_WALL_CLOCK,
-        "repro.characterization.harness",
-        None,
-        "Sweep wall-clock feeds the characterize.sweep_seconds histogram "
-        "only; the grids are computed before the clock is read.",
+        "perf_counter reads feed the shard attempt latencies of the "
+        "sweep outcome report only; shard numerics never consume them.",
     ),
     Allowance(
         EFFECT_WALL_CLOCK,
@@ -314,20 +286,6 @@ ALLOWANCES: tuple[Allowance, ...] = (
         "REGISTRY",
         "Rule registry populated by decorators at import time and "
         "treated as frozen thereafter; workers re-import identically.",
-    ),
-    Allowance(
-        EFFECT_MODULE_STATE,
-        "repro.analysis.sanitizer.rules",
-        "DT_REGISTRY",
-        "DT-rule registry populated at import time and treated as "
-        "frozen thereafter; workers re-import identically.",
-    ),
-    Allowance(
-        EFFECT_MODULE_STATE,
-        "repro.analysis.sanitizer.rules",
-        "_RULE_BY_EFFECT",
-        "Effect-to-rule index derived from DT_REGISTRY at import time; "
-        "frozen thereafter.",
     ),
     Allowance(
         EFFECT_MODULE_STATE,

@@ -28,7 +28,6 @@ determinism argument — bit-identical to undisturbed ones.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,7 +137,6 @@ def characterize_multiplier(
         Chaos plan to inject into the sweep (tests/drills); ``None``
         consults ``REPRO_FAULTS``.
     """
-    t0 = time.perf_counter()
     with obs.span(
         "characterize.sweep", w_data=w_data, w_coeff=w_coeff, seed=seed
     ) as span:
@@ -152,7 +150,6 @@ def characterize_multiplier(
             status=result.outcome.status if result.outcome is not None else "",
         )
     obs.counter_add("characterize.sweeps")
-    obs.observe("characterize.sweep_seconds", time.perf_counter() - t0)
     return result
 
 

@@ -555,7 +555,7 @@ def _audit_main(argv: list[str]) -> int:
         "--trace",
         metavar="PATH",
         help="record a repro.obs trace of the audit: PATH.jsonl + PATH.json "
-        "(chrome trace_event) plus a metrics snapshot (default: $REPRO_TRACE)",
+        "(chrome trace_event) plus a metrics snapshot",
     )
     args = parser.parse_args(argv)
 
@@ -604,7 +604,7 @@ def _obs_main(argv: list[str]) -> int:
         "action",
         choices=["reference", "trace", "metrics"],
         help="reference: print the telemetry catalogue; trace: summarise "
-        "a JSONL trace sidecar; metrics: pretty-print a metrics snapshot",
+        "a JSONL trace sidecar; metrics: print the counters of a metrics snapshot",
     )
     parser.add_argument(
         "path",
@@ -643,17 +643,8 @@ def _obs_main(argv: list[str]) -> int:
         if args.format == "json":
             print(json.dumps(snapshot, indent=2, sort_keys=True))
         else:
-            for name, value in sorted(snapshot.get("counters", {}).items()):
-                print(f"counter   {name} = {value}")
-            for name, value in sorted(snapshot.get("gauges", {}).items()):
-                print(f"gauge     {name} = {value}")
-            for name, h in sorted(snapshot.get("histograms", {}).items()):
-                print(f"histogram {name}: count={h['count']} sum={h['sum']:.6g}"
-                      + (f" min={h['min']:.6g} max={h['max']:.6g}"
-                         if h["count"] else ""))
-            for p in snapshot.get("profiles", []):
-                print(f"profile   {p['stage']}: wall={p['wall_s']}s "
-                      f"cpu={p['cpu_s']}s peak_rss={p['peak_rss_bytes']}B")
+            for name, value in sorted(snapshot["counters"].items()):
+                print(f"{name} = {value}")
         return 0
     except ObservabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

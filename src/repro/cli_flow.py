@@ -18,12 +18,11 @@ a process pool; results are identical at any worker count.  Placed
 designs are cached under ``WS/cache/placed`` and reused across stages
 and sessions.
 
-Telemetry: the top-level ``--trace PATH`` / ``--metrics PATH`` flags (or
-``REPRO_TRACE`` / ``REPRO_METRICS``) enable :mod:`repro.obs` for the
-invoked stage — ``--trace`` writes both a JSONL sidecar and a Chrome
-``trace_event`` file (and, unless ``--metrics`` names its own path, a
-metrics snapshot next to them).  Telemetry never changes the numbers;
-see ``docs/observability.md``.
+Telemetry: the top-level ``--trace PATH`` / ``--metrics PATH`` flags
+enable :mod:`repro.obs` for the invoked stage — ``--trace`` writes both
+a JSONL sidecar and a Chrome ``trace_event`` file (and, unless
+``--metrics`` names its own path, a metrics snapshot next to them).
+Telemetry never changes the numbers; see ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -173,15 +172,12 @@ def _cmd_status(args: argparse.Namespace) -> int:
 def resolve_telemetry_paths(
     trace: str | None, metrics: str | None
 ) -> tuple[str | None, str | None]:
-    """Final (trace_base, metrics_path): flags first, then env vars.
+    """Final (trace_base, metrics_path) from the ``--trace``/``--metrics`` flags.
 
     A trace request without a metrics path still snapshots metrics, next
     to the trace files (``<base>.metrics.json``) — a trace without its
     counters is half a story.
     """
-    env_trace, env_metrics = obs.tracing_paths_from_env()
-    trace = trace or env_trace
-    metrics = metrics or env_metrics
     if trace and not metrics:
         metrics = str(obs.default_metrics_path(trace))
     return trace, metrics
@@ -210,14 +206,13 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="PATH",
         help="trace the run: writes PATH.jsonl and PATH.json (Chrome "
-        "trace_event) plus a metrics snapshot (default: $REPRO_TRACE)",
+        "trace_event) plus a metrics snapshot",
     )
     parser.add_argument(
         "--metrics",
         default=None,
         metavar="PATH",
-        help="write a metrics snapshot of the run to PATH "
-        "(default: $REPRO_METRICS)",
+        help="write a metrics snapshot of the run to PATH",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

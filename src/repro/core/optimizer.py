@@ -194,7 +194,6 @@ def optimize_designs(
                         dt = time.perf_counter() - t0
                         result.sampling_times.append((d, wl, dt))
                         obs.counter_add("gibbs.draws")
-                        obs.observe("gibbs.iteration_seconds", dt)
                         column = {
                             "values": samp.values,
                             "magnitudes": samp.magnitudes,

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..characterization.harness import CharacterizationConfig
 from ..config import TableISettings
 from ..core.design import LinearProjectionDesign
 from ..core.optimizer import OptimizationResult
 from ..datasets import low_rank_gaussian
 from ..fabric.device import FPGADevice, make_device
-from ..framework import OptimizationFramework, default_frequency_grid
+from ..framework import OptimizationFramework, characterization_config
 
 __all__ = ["ExperimentContext"]
 
@@ -64,14 +63,11 @@ class ExperimentContext:
             return _CONTEXT_CACHE[key]
         settings = TableISettings().scaled(scale)
         device = make_device(device_serial if device_serial is not None else seed)
-        char = CharacterizationConfig(
-            freqs_mhz=default_frequency_grid(settings.clock_frequency_mhz),
-            n_samples=settings.n_characterization,
-            multiplicands=None,
-            n_locations=n_char_locations,
-        )
         framework = OptimizationFramework(
-            device, settings, char_config=char, seed=seed
+            device,
+            settings,
+            char_config=characterization_config(settings, n_char_locations),
+            seed=seed,
         )
         rng = np.random.default_rng(seed)
         x_all = low_rank_gaussian(

@@ -18,13 +18,12 @@ Everything is deterministic in ``(device.serial, seed)``.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .characterization.harness import CharacterizationConfig, characterize_multiplier
-from .characterization.results import CharacterizationResult
 from .circuits.domains import Domain
 from .circuits.executor import DomainEvaluation, evaluate_design, evaluate_domains
 from .config import ResilienceSettings, TableISettings
@@ -39,30 +38,12 @@ from .obs import runtime as obs
 from .parallel.cache import PlacedDesignCache
 from .parallel.jobs import resolve_jobs
 
-__all__ = ["OptimizationFramework", "default_frequency_grid"]
-
-
-def _characterize_one_wordlength(
-    device: FPGADevice,
-    w_data: int,
-    wl: int,
-    config: CharacterizationConfig,
-    seed: int,
-    cache_directory: str | None,
-    resilience: ResilienceSettings | None = None,
-) -> CharacterizationResult:
-    """Pool-friendly wrapper: one word-length's sweep, serial inside.
-
-    Runs at module level so it pickles; the outer fan-out already claims
-    the workers, so the inner sweep stays at ``jobs=1``.  The resilience
-    policy ships explicitly — workers must not depend on the parent's
-    process-wide settings.
-    """
-    cache = PlacedDesignCache(cache_directory) if cache_directory else None
-    return characterize_multiplier(
-        device, w_data, wl, config, seed=seed, jobs=1, cache=cache,
-        resilience=resilience,
-    )
+__all__ = [
+    "OptimizationFramework",
+    "area_model_degree",
+    "characterization_config",
+    "default_frequency_grid",
+]
 
 
 def default_frequency_grid(target_mhz: float) -> tuple[float, ...]:
@@ -81,6 +62,32 @@ def default_frequency_grid(target_mhz: float) -> tuple[float, ...]:
     if not any(abs(g - target_mhz) < 1e-6 for g in grid):
         grid.append(target_mhz)
     return tuple(sorted(grid))
+
+
+def characterization_config(
+    settings: TableISettings, n_locations: int = 2
+) -> CharacterizationConfig:
+    """The sweep configuration the flow derives from case-study settings.
+
+    The frequency grid brackets the target clock, the sample count is
+    Table I's (scaled), every multiplicand is enumerated (the paper's
+    procedure) and ``n_locations`` placement anchors are characterised
+    per word-length.
+    """
+    return CharacterizationConfig(
+        freqs_mhz=default_frequency_grid(settings.clock_frequency_mhz),
+        n_samples=settings.n_characterization,
+        n_locations=n_locations,
+    )
+
+
+def area_model_degree(wordlengths: Sequence[int]) -> int:
+    """Degree of the area-model polynomial fitted over ``wordlengths``.
+
+    Quadratic by default; a narrow word-length sweep (fewer than three
+    distinct values) cannot support it and gets a lower degree.
+    """
+    return max(1, min(2, len(set(wordlengths)) - 1))
 
 
 @dataclass
@@ -129,19 +136,14 @@ class OptimizationFramework:
     def _characterization_config(self) -> CharacterizationConfig:
         if self.char_config is not None:
             return self.char_config
-        return CharacterizationConfig(
-            freqs_mhz=default_frequency_grid(self.settings.clock_frequency_mhz),
-            n_samples=self.settings.n_characterization,
-            multiplicands=None,  # full enumeration, as in the paper
-            n_locations=2,
-        )
+        return characterization_config(self.settings)
 
     def characterize(self, verbose: bool = False) -> ErrorModelSet:
         """Characterise every word-length's multiplier geometry (cached).
 
-        With ``jobs > 1`` the per-word-length sweeps fan out over a
-        process pool (one word-length per worker — the sweeps are fully
-        independent); the numbers are identical to the serial order.
+        The word-lengths are swept one after another; with ``jobs > 1``
+        each sweep fans its shards out over the sweep engine's process
+        pool.  The numbers are identical at any worker count.
         """
         if self._error_models is not None:
             return self._error_models
@@ -151,45 +153,23 @@ class OptimizationFramework:
         w_data = self.settings.input_wordlength
         with obs.span(
             "flow.characterize", wordlengths=len(wordlengths), jobs=n_jobs
-        ), obs.profile_stage("characterize"):
-            if n_jobs > 1 and len(wordlengths) > 1:
-                cache_dir = (
-                    str(self.cache.directory)
-                    if self.cache is not None and self.cache.directory is not None
-                    else None
+        ):
+            results = []
+            for wl in wordlengths:
+                if verbose:
+                    print(f"[characterize] {w_data}x{wl} ...")
+                results.append(
+                    characterize_multiplier(
+                        self.device,
+                        w_data,
+                        wl,
+                        cfg,
+                        seed=self.seed,
+                        jobs=n_jobs,
+                        cache=self.cache,
+                        resilience=self.resilience,
+                    )
                 )
-                with ProcessPoolExecutor(
-                    max_workers=min(n_jobs, len(wordlengths))
-                ) as pool:
-                    results = list(
-                        pool.map(
-                            _characterize_one_wordlength,
-                            [self.device] * len(wordlengths),
-                            [w_data] * len(wordlengths),
-                            wordlengths,
-                            [cfg] * len(wordlengths),
-                            [self.seed] * len(wordlengths),
-                            [cache_dir] * len(wordlengths),
-                            [self.resilience] * len(wordlengths),
-                        )
-                    )
-            else:
-                results = []
-                for wl in wordlengths:
-                    if verbose:
-                        print(f"[characterize] {w_data}x{wl} ...")
-                    results.append(
-                        characterize_multiplier(
-                            self.device,
-                            w_data,
-                            wl,
-                            cfg,
-                            seed=self.seed,
-                            jobs=n_jobs,
-                            cache=self.cache,
-                            resilience=self.resilience,
-                        )
-                    )
             self._sweep_outcomes = {
                 wl: result.outcome for wl, result in zip(wordlengths, results)
             }
@@ -217,9 +197,7 @@ class OptimizationFramework:
         """Fit the LE-cost model from synthesis runs (cached)."""
         if self._area_model is not None:
             return self._area_model
-        with obs.span(
-            "flow.fit_area_model", n_runs=n_runs
-        ), obs.profile_stage("fit_area_model"):
+        with obs.span("flow.fit_area_model", n_runs=n_runs):
             samples = collect_area_samples(
                 self.device,
                 self.settings.coeff_wordlengths,
@@ -227,9 +205,9 @@ class OptimizationFramework:
                 n_runs=n_runs,
                 seed=self.seed,
             )
-            # A narrow word-length sweep cannot support the default quadratic.
-            degree = min(2, len(set(self.settings.coeff_wordlengths)) - 1)
-            self._area_model = fit_area_model(samples, degree=max(1, degree))
+            self._area_model = fit_area_model(
+                samples, degree=area_model_degree(self.settings.coeff_wordlengths)
+            )
         return self._area_model
 
     # ------------------------------------------------------------------

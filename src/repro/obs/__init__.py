@@ -1,14 +1,13 @@
 """Observability for the characterisation → optimisation pipeline.
 
-``repro.obs`` is a zero-dependency telemetry layer with three legs:
+``repro.obs`` is a zero-dependency telemetry layer with two record
+kinds:
 
 * **trace spans** (:mod:`repro.obs.trace`) — hierarchical, monotonic
   timings with structured attributes, exportable as a JSONL sidecar and
-  as Chrome ``trace_event`` JSON;
-* **metrics** (:mod:`repro.obs.metrics`) — counters, gauges and
-  histograms with deterministic snapshot/export;
-* **profiling** (:mod:`repro.obs.profile`) — per-stage wall/CPU time
-  and peak RSS.
+  as Chrome ``trace_event`` JSON: where the time went;
+* **counters** (:mod:`repro.obs.metrics`) — catalogued event counts
+  with deterministic snapshot/export: what work was done.
 
 Every name the library can emit is declared in the closed-world
 catalogue (:mod:`repro.obs.spec`), from which the reference tables in
@@ -17,8 +16,7 @@ catalogue (:mod:`repro.obs.spec`), from which the reference tables in
 Telemetry is **off by default** and the disabled path is a shared no-op
 (:mod:`repro.obs.runtime`), so instrumented pipelines remain
 bit-identical and effectively free when nobody is watching.  Enable via
-``repro-flow --trace/--metrics``, the ``REPRO_TRACE``/``REPRO_METRICS``
-environment variables, or programmatically::
+``repro-flow --trace/--metrics`` or programmatically::
 
     from repro import obs
 
@@ -29,41 +27,28 @@ environment variables, or programmatically::
 """
 
 from .metrics import (
-    DEFAULT_BOUNDARIES,
     METRICS_SCHEMA_VERSION,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     MetricsSnapshot,
     load_metrics_snapshot,
 )
-from .profile import peak_rss_bytes, stage_profiler
 from .runtime import (
-    REPRO_METRICS_ENV,
-    REPRO_TRACE_ENV,
     Observer,
     counter_add,
     default_metrics_path,
     disable_observability,
     enable_observability,
     export_trace_files,
-    gauge_set,
     get_observer,
     metrics_enabled,
     observability,
-    observe,
-    profile_stage,
     set_observer,
     snapshot_metrics,
     span,
     trace_enabled,
-    tracing_paths_from_env,
 )
 from .spec import (
-    COUNTER,
-    GAUGE,
-    HISTOGRAM,
     METRIC_CATALOG,
     SPAN_CATALOG,
     MetricSpec,
@@ -85,19 +70,11 @@ from .trace import (
 )
 
 __all__ = [
-    "COUNTER",
-    "DEFAULT_BOUNDARIES",
-    "GAUGE",
-    "HISTOGRAM",
     "METRICS_SCHEMA_VERSION",
     "METRIC_CATALOG",
-    "REPRO_METRICS_ENV",
-    "REPRO_TRACE_ENV",
     "SPAN_CATALOG",
     "TRACE_SCHEMA_VERSION",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricSpec",
     "MetricsRegistry",
     "MetricsSnapshot",
@@ -112,7 +89,6 @@ __all__ = [
     "disable_observability",
     "enable_observability",
     "export_trace_files",
-    "gauge_set",
     "get_observer",
     "load_metrics_snapshot",
     "load_trace_jsonl",
@@ -120,17 +96,12 @@ __all__ = [
     "metrics_enabled",
     "metrics_table_markdown",
     "observability",
-    "observe",
-    "peak_rss_bytes",
-    "profile_stage",
     "set_observer",
     "snapshot_metrics",
     "span",
     "span_spec",
     "spans_table_markdown",
-    "stage_profiler",
     "summarize_spans",
     "telemetry_reference_markdown",
     "trace_enabled",
-    "tracing_paths_from_env",
 ]

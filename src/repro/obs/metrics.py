@@ -1,6 +1,6 @@
-"""Metrics registry: counters, gauges and histograms with deterministic export.
+"""Metrics registry: catalogued counters with deterministic export.
 
-Instruments are created lazily by name through a :class:`MetricsRegistry`;
+Counters are created lazily by name through a :class:`MetricsRegistry`;
 names are validated against the telemetry catalogue
 (:mod:`repro.obs.spec`), so an undeclared metric cannot be recorded —
 the guarantee behind the generated reference in ``docs/observability.md``.
@@ -22,25 +22,16 @@ from pathlib import Path
 from typing import Any
 
 from ..errors import ObservabilityError
-from .spec import COUNTER, GAUGE, HISTOGRAM, MetricSpec, metric_spec
+from .spec import MetricSpec, metric_spec
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "MetricsSnapshot",
     "load_metrics_snapshot",
 ]
 
-METRICS_SCHEMA_VERSION = 1
-
-#: Default histogram bucket upper bounds — log-spaced, wide enough for
-#: both sub-millisecond captures and multi-minute sweeps (seconds) and
-#: for rate-style values (samples/s).
-DEFAULT_BOUNDARIES: tuple[float, ...] = (
-    1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 60.0, 600.0, 3600.0, 1e6, 1e9,
-)
+METRICS_SCHEMA_VERSION = 2
 
 
 class Counter:
@@ -62,80 +53,11 @@ class Counter:
             self.value += n
 
 
-class Gauge:
-    """Last-write-wins value."""
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: MetricSpec) -> None:
-        self.spec = spec
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-
-class Histogram:
-    """Bucketed distribution with exact count/sum/min/max."""
-
-    __slots__ = ("spec", "boundaries", "bucket_counts", "count", "total",
-                 "minimum", "maximum", "_lock")
-
-    def __init__(
-        self, spec: MetricSpec, boundaries: tuple[float, ...] = DEFAULT_BOUNDARIES
-    ) -> None:
-        if list(boundaries) != sorted(boundaries) or len(set(boundaries)) != len(
-            boundaries
-        ):
-            raise ObservabilityError(
-                f"histogram {spec.name!r} boundaries must be strictly increasing"
-            )
-        self.spec = spec
-        self.boundaries = tuple(float(b) for b in boundaries)
-        self.bucket_counts = [0] * (len(boundaries) + 1)  # +1: overflow bucket
-        self.count = 0
-        self.total = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        v = float(value)
-        idx = len(self.boundaries)
-        for i, bound in enumerate(self.boundaries):
-            if v <= bound:
-                idx = i
-                break
-        with self._lock:
-            self.bucket_counts[idx] += 1
-            self.count += 1
-            self.total += v
-            self.minimum = min(self.minimum, v)
-            self.maximum = max(self.maximum, v)
-
-    def as_dict(self) -> dict[str, Any]:
-        if self.count == 0:
-            return {"count": 0, "sum": 0.0, "min": None, "max": None,
-                    "boundaries": list(self.boundaries),
-                    "bucket_counts": list(self.bucket_counts)}
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.minimum,
-            "max": self.maximum,
-            "boundaries": list(self.boundaries),
-            "bucket_counts": list(self.bucket_counts),
-        }
-
-
 @dataclass(frozen=True)
 class MetricsSnapshot:
     """Point-in-time, JSON-ready view of one registry."""
 
     counters: dict[str, int]
-    gauges: dict[str, float]
-    histograms: dict[str, dict[str, Any]]
-    profiles: tuple[dict[str, Any], ...]
 
     def deterministic_counters(self) -> dict[str, int]:
         """Counters whose catalogue entry is marked deterministic.
@@ -154,9 +76,6 @@ class MetricsSnapshot:
         return {
             "schema_version": METRICS_SCHEMA_VERSION,
             "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "histograms": dict(sorted(self.histograms.items())),
-            "profiles": list(self.profiles),
         }
 
     def to_json(self) -> str:
@@ -170,86 +89,29 @@ class MetricsSnapshot:
 
 
 class MetricsRegistry:
-    """Creates and holds instruments; every name must be catalogued."""
+    """Creates and holds counters; every name must be catalogued."""
 
     def __init__(self) -> None:
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
-        self._profiles: list[dict[str, Any]] = []
+        self._counters: dict[str, Counter] = {}
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    def _get(self, name: str, kind: str) -> Counter | Gauge | Histogram:
-        inst = self._instruments.get(name)
-        if inst is not None:
-            if inst.spec.kind != kind:
-                raise ObservabilityError(
-                    f"metric {name!r} is a {inst.spec.kind}, not a {kind}"
-                )
-            return inst
-        spec = metric_spec(name)
-        if spec.kind != kind:
-            raise ObservabilityError(
-                f"metric {name!r} is catalogued as a {spec.kind}, not a {kind}"
-            )
-        with self._lock:
-            inst = self._instruments.get(name)
-            if inst is None:
-                if kind == COUNTER:
-                    inst = Counter(spec)
-                elif kind == GAUGE:
-                    inst = Gauge(spec)
-                else:
-                    inst = Histogram(spec)
-                self._instruments[name] = inst
-        return inst
-
     def counter(self, name: str) -> Counter:
-        inst = self._get(name, COUNTER)
-        assert isinstance(inst, Counter)
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        inst = self._get(name, GAUGE)
-        assert isinstance(inst, Gauge)
-        return inst
-
-    def histogram(self, name: str) -> Histogram:
-        inst = self._get(name, HISTOGRAM)
-        assert isinstance(inst, Histogram)
-        return inst
-
-    # ------------------------------------------------------------------
-    def record_profile(self, profile: dict[str, Any]) -> None:
-        """Append one stage profile record (see :mod:`repro.obs.profile`)."""
-        with self._lock:
-            self._profiles.append(profile)
+        counter = self._counters.get(name)
+        if counter is None:
+            spec = metric_spec(name)
+            with self._lock:
+                counter = self._counters.setdefault(name, Counter(spec))
+        return counter
 
     def reset(self) -> None:
         with self._lock:
-            self._instruments.clear()
-            self._profiles.clear()
+            self._counters.clear()
 
     def snapshot(self) -> MetricsSnapshot:
-        """Deterministically ordered snapshot of every instrument."""
-        counters: dict[str, int] = {}
-        gauges: dict[str, float] = {}
-        histograms: dict[str, dict[str, Any]] = {}
+        """Deterministically ordered snapshot of every counter."""
         with self._lock:
-            items = sorted(self._instruments.items())
-            profiles = tuple(dict(p) for p in self._profiles)
-        for name, inst in items:
-            if isinstance(inst, Counter):
-                counters[name] = inst.value
-            elif isinstance(inst, Gauge):
-                gauges[name] = inst.value
-            else:
-                histograms[name] = inst.as_dict()
-        return MetricsSnapshot(
-            counters=counters,
-            gauges=gauges,
-            histograms=histograms,
-            profiles=profiles,
-        )
+            items = sorted(self._counters.items())
+        return MetricsSnapshot(counters={name: c.value for name, c in items})
 
 
 def load_metrics_snapshot(path: str | Path) -> dict[str, Any]:

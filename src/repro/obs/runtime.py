@@ -1,15 +1,14 @@
 """The process-wide observability switchboard.
 
 The library's hot paths call the module-level helpers here
-(:func:`span`, :func:`counter_add`, :func:`observe`, :func:`gauge_set`,
-:func:`profile_stage`).  By default observability is **off** and every
-helper is a near-free early return sharing one stateless null span — no
-tracer, no registry, no timing reads — so the instrumented code paths
-are bit- and cost-identical to uninstrumented ones.  Enabling is
-explicit (:func:`enable_observability`, the ``observability`` context
-manager, or the ``REPRO_TRACE`` / ``REPRO_METRICS`` environment
-variables consulted by the CLIs) and never touches RNG state, which is
-what preserves bit-identical pipeline results with telemetry on.
+(:func:`span`, :func:`counter_add`).  By default observability is
+**off** and every helper is a near-free early return sharing one
+stateless null span — no tracer, no registry, no timing reads — so the
+instrumented code paths are bit- and cost-identical to uninstrumented
+ones.  Enabling is explicit (:func:`enable_observability`, the
+``observability`` context manager, or the CLIs' ``--trace`` /
+``--metrics`` flags) and never touches RNG state, which is what
+preserves bit-identical pipeline results with telemetry on.
 
 Scope: the observer is **per process**.  Pool workers spawned by the
 sweep engine run with observability disabled; the parent still traces
@@ -20,44 +19,29 @@ count (see ``docs/observability.md``).
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
 from .metrics import MetricsRegistry, MetricsSnapshot
-from .profile import stage_profiler
 from .trace import Tracer
 
 __all__ = [
     "Observer",
-    "REPRO_METRICS_ENV",
-    "REPRO_TRACE_ENV",
     "counter_add",
     "default_metrics_path",
     "enable_observability",
     "disable_observability",
     "export_trace_files",
-    "gauge_set",
     "get_observer",
     "metrics_enabled",
     "observability",
-    "observe",
-    "profile_stage",
     "set_observer",
     "snapshot_metrics",
     "span",
     "trace_enabled",
-    "tracing_paths_from_env",
 ]
-
-#: Environment variables the CLIs consult: a path base for trace export
-#: and a path for the metrics snapshot.  Setting them is how headless
-#: runs (CI, cron sweeps) opt in without code changes.
-REPRO_TRACE_ENV = "REPRO_TRACE"
-REPRO_METRICS_ENV = "REPRO_METRICS"
-
 
 class _NullSpan:
     """Shared do-nothing span for the disabled path."""
@@ -171,39 +155,8 @@ def counter_add(name: str, n: int = 1) -> None:
         ob.metrics.counter(name).add(n)
 
 
-def gauge_set(name: str, value: float) -> None:
-    ob = _observer
-    if ob.metrics_on:
-        ob.metrics.gauge(name).set(value)
-
-
-def observe(name: str, value: float) -> None:
-    ob = _observer
-    if ob.metrics_on:
-        ob.metrics.histogram(name).observe(value)
-
-
-@contextmanager
-def profile_stage(stage: str) -> Iterator[None]:
-    """Record a wall/CPU/peak-RSS profile of ``stage`` when metrics are on."""
-    ob = _observer
-    if not ob.metrics_on:
-        yield
-        return
-    with stage_profiler(stage, ob.metrics.record_profile):
-        yield
-
-
 # ----------------------------------------------------------------------
 # Export plumbing shared by the CLIs and the quickstart example.
-def tracing_paths_from_env(
-    environ: dict[str, str] | None = None,
-) -> tuple[str | None, str | None]:
-    """``(trace_base, metrics_path)`` from ``REPRO_TRACE``/``REPRO_METRICS``."""
-    env = os.environ if environ is None else environ
-    return env.get(REPRO_TRACE_ENV) or None, env.get(REPRO_METRICS_ENV) or None
-
-
 def _trace_base(path: str | Path) -> Path:
     base = Path(path)
     if base.suffix in (".json", ".jsonl"):

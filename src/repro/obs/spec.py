@@ -15,9 +15,8 @@ A metric is marked *deterministic* when its value on a fault-free run is
 a pure function of the workload — invariant across worker counts
 (``REPRO_JOBS``), cache temperature and retry scheduling.  Deterministic
 metrics are the ones ``MetricsSnapshot.deterministic_counters`` exposes
-and the parallel-determinism test pins across ``jobs`` values; wall-clock
-histograms and process-local cache counters are explicitly not in that
-set.
+and the parallel-determinism test pins across ``jobs`` values;
+process-local cache and pool counters are explicitly not in that set.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ from dataclasses import dataclass
 from ..errors import ObservabilityError
 
 __all__ = [
-    "COUNTER",
-    "GAUGE",
-    "HISTOGRAM",
     "METRIC_CATALOG",
     "MetricSpec",
     "SPAN_CATALOG",
@@ -40,12 +36,6 @@ __all__ = [
     "spans_table_markdown",
     "telemetry_reference_markdown",
 ]
-
-#: Metric kinds.
-COUNTER = "counter"
-GAUGE = "gauge"
-HISTOGRAM = "histogram"
-
 
 @dataclass(frozen=True)
 class SpanSpec:
@@ -68,22 +58,18 @@ class SpanSpec:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """One metric instrument the library may record.
+    """One counter the library may record (counters only ever grow).
 
     Attributes
     ----------
-    kind:
-        ``counter`` (monotonic), ``gauge`` (last-write-wins) or
-        ``histogram`` (count/sum/min/max plus bucketed distribution).
     unit:
-        Human-readable unit of the recorded values.
+        Human-readable unit of the counted events.
     deterministic:
         Value is workload-pure on fault-free runs: identical at any
         ``jobs`` worker count and cache temperature (see module docs).
     """
 
     name: str
-    kind: str
     unit: str
     emitted_by: str
     deterministic: bool
@@ -102,6 +88,12 @@ SPAN_CATALOG: tuple[SpanSpec, ...] = (
         "cache.synthesize",
         "repro.parallel.cache",
         "Placed-design cache miss: one synthesis + placement rebuild of the keyed geometry.",
+    ),
+    SpanSpec(
+        "capture.batch",
+        "repro.parallel.engine",
+        "One inline shard's batched capture: its simulated stream sampled at every "
+        "sweep frequency (cycles per frequency x frequencies).",
     ),
     SpanSpec(
         "characterize.sweep",
@@ -171,11 +163,10 @@ SPAN_CATALOG: tuple[SpanSpec, ...] = (
     ),
 )
 
-#: Catalogue of every metric the library records, sorted by name.
+#: Catalogue of every counter the library records, sorted by name.
 METRIC_CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec(
         "cache.placed.corruptions",
-        COUNTER,
         "entries",
         "repro.parallel.cache",
         False,
@@ -183,7 +174,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "cache.placed.hits",
-        COUNTER,
         "lookups",
         "repro.parallel.cache",
         False,
@@ -191,7 +181,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "cache.placed.misses",
-        COUNTER,
         "lookups",
         "repro.parallel.cache",
         False,
@@ -199,7 +188,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "cache.placed.sanitizer_violations",
-        COUNTER,
         "violations",
         "repro.parallel.sanitize",
         False,
@@ -208,31 +196,13 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "cache.placed.stores",
-        COUNTER,
         "entries",
         "repro.parallel.cache",
         False,
         "Freshly synthesised designs written back to the cache in this process.",
     ),
     MetricSpec(
-        "capture.samples_per_second",
-        HISTOGRAM,
-        "samples/s",
-        "repro.parallel.engine",
-        False,
-        "Capture throughput of one inline shard: (transitions x frequencies) / wall seconds.",
-    ),
-    MetricSpec(
-        "characterize.sweep_seconds",
-        HISTOGRAM,
-        "s",
-        "repro.characterization.harness",
-        False,
-        "Wall-clock of one word-length's full characterisation sweep.",
-    ),
-    MetricSpec(
         "characterize.sweeps",
-        COUNTER,
         "sweeps",
         "repro.characterization.harness",
         True,
@@ -240,23 +210,13 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "gibbs.draws",
-        COUNTER,
         "draws",
         "repro.core.optimizer",
         True,
         "Projection-vector Gibbs runs executed (dimension x survivor x word-length).",
     ),
     MetricSpec(
-        "gibbs.iteration_seconds",
-        HISTOGRAM,
-        "s",
-        "repro.core.optimizer",
-        False,
-        "Wall-clock of one Gibbs run — the quantity the paper's runtime model (eq. 8) predicts.",
-    ),
-    MetricSpec(
         "kernel.plan.cache_hits",
-        COUNTER,
         "lookups",
         "repro.kernels.plan",
         False,
@@ -265,7 +225,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "kernel.plan.cache_misses",
-        COUNTER,
         "lookups",
         "repro.kernels.plan",
         False,
@@ -273,7 +232,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "optimize.candidates",
-        COUNTER,
         "designs",
         "repro.core.optimizer",
         True,
@@ -281,7 +239,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "optimize.dimensions",
-        COUNTER,
         "dimensions",
         "repro.core.optimizer",
         True,
@@ -289,7 +246,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "sweep.attempts.total",
-        COUNTER,
         "attempts",
         "repro.parallel.engine",
         False,
@@ -297,7 +253,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "sweep.pool.broken",
-        COUNTER,
         "events",
         "repro.parallel.engine",
         False,
@@ -305,23 +260,13 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "sweep.pool.fallbacks",
-        COUNTER,
         "events",
         "repro.parallel.engine",
         False,
         "Sweeps that abandoned the pool (timeout or breakage) and degraded to inline execution.",
     ),
     MetricSpec(
-        "sweep.shard_seconds",
-        HISTOGRAM,
-        "s",
-        "repro.parallel.engine",
-        False,
-        "Latency of every shard attempt, successful or not (pool wait or inline wall-clock).",
-    ),
-    MetricSpec(
         "sweep.shards.completed",
-        COUNTER,
         "shards",
         "repro.parallel.engine",
         True,
@@ -329,7 +274,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "sweep.shards.quarantined",
-        COUNTER,
         "shards",
         "repro.parallel.engine",
         True,
@@ -337,7 +281,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "sweep.shards.recovered",
-        COUNTER,
         "shards",
         "repro.parallel.engine",
         True,
@@ -345,7 +288,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "sweep.shards.retried",
-        COUNTER,
         "shards",
         "repro.parallel.engine",
         True,
@@ -353,7 +295,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "sweep.shards.total",
-        COUNTER,
         "shards",
         "repro.parallel.engine",
         True,
@@ -361,7 +302,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "synthesis.runs",
-        COUNTER,
         "runs",
         "repro.synthesis.flow",
         False,
@@ -415,15 +355,15 @@ def spans_table_markdown() -> str:
 
 
 def metrics_table_markdown() -> str:
-    """The metric catalogue as a GitHub-flavoured markdown table."""
+    """The counter catalogue as a GitHub-flavoured markdown table."""
     lines = [
-        "| Metric | Kind | Unit | Deterministic | Emitted by | Meaning |",
-        "|---|---|---|---|---|---|",
+        "| Counter | Unit | Deterministic | Emitted by | Meaning |",
+        "|---|---|---|---|---|",
     ]
     for m in sorted(METRIC_CATALOG, key=lambda m: m.name):
         det = "yes" if m.deterministic else "no"
         lines.append(
-            f"| `{m.name}` | {m.kind} | {m.unit} | {det} "
+            f"| `{m.name}` | {m.unit} | {det} "
             f"| `{m.emitted_by}` | {_escape(m.description)} |"
         )
     return "\n".join(lines)
@@ -438,6 +378,6 @@ def telemetry_reference_markdown() -> str:
     return (
         "### Trace spans\n\n"
         + spans_table_markdown()
-        + "\n\n### Metrics\n\n"
+        + "\n\n### Counters\n\n"
         + metrics_table_markdown()
     )

@@ -185,17 +185,12 @@ def run_shard(
         tree.rng("capture", str(shard.location), f"{f}", str(shard.start))
         for f in plan.freqs_mhz
     ]
-    do_metrics = obs.metrics_enabled()
-    t_capture = time.perf_counter() if do_metrics else 0.0
-    batch = circuit.capture_batch(timing, plan.achieved_mhz, rngs)
-    if do_metrics:
-        dt = time.perf_counter() - t_capture
-        if dt > 0.0:
-            n_transitions = shard.stimulus.shape[0] - 1
-            obs.observe(
-                "capture.samples_per_second",
-                n_transitions * len(plan.freqs_mhz) / dt,
-            )
+    with obs.span(
+        "capture.batch",
+        cycles=shard.stimulus.shape[0] - 1,
+        frequencies=len(plan.achieved_mhz),
+    ):
+        batch = circuit.capture_batch(timing, plan.achieved_mhz, rngs)
     variance, mean, rate = _segment_statistics(
         batch.errors(), chunk.shape[0], seg_len
     )
@@ -288,7 +283,6 @@ class _SweepState:
 
     def record(self, i: int, outcome: str, t0: float, detail: str = "") -> None:
         latency_s = time.perf_counter() - t0
-        obs.observe("sweep.shard_seconds", latency_s)
         self.attempts[i].append(
             ShardAttempt(
                 attempt=len(self.attempts[i]),

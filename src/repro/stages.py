@@ -21,20 +21,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .characterization.harness import CharacterizationConfig, characterize_multiplier
+from .characterization.harness import characterize_multiplier
 from .circuits.domains import Domain
-from .config import ResilienceSettings, TableISettings
+from .config import ResilienceSettings
 from .core.design import LinearProjectionDesign
 from .core.optimizer import OptimizationResult
 from .datasets import low_rank_gaussian
-from .framework import default_frequency_grid
+from .framework import area_model_degree, characterization_config
 from .models.area_model import AreaModel, collect_area_samples, fit_area_model
 from .parallel.jobs import resolve_jobs
 from .workspace import Workspace
 
 __all__ = [
     "ProgressFn",
-    "characterization_config",
     "characterize_workspace",
     "evaluate_workspace",
     "fit_area_workspace",
@@ -49,20 +48,6 @@ ProgressFn = Callable[[dict], None]
 def _emit(progress: ProgressFn | None, event: dict) -> None:
     if progress is not None:
         progress(event)
-
-
-def characterization_config(settings: TableISettings) -> CharacterizationConfig:
-    """The sweep configuration the flow derives from workspace settings.
-
-    The frequency grid brackets the target clock, the sample count is
-    Table I's (scaled), and two placement anchors are characterised per
-    word-length.
-    """
-    return CharacterizationConfig(
-        freqs_mhz=default_frequency_grid(settings.clock_frequency_mhz),
-        n_samples=settings.n_characterization,
-        n_locations=2,
-    )
 
 
 def characterize_workspace(
@@ -130,8 +115,7 @@ def fit_area_workspace(ws: Workspace, n_runs: int = 6) -> tuple[AreaModel, Path]
         n_runs=n_runs,
         seed=ws.seed(),
     )
-    degree = max(1, min(2, len(set(settings.coeff_wordlengths)) - 1))
-    model = fit_area_model(samples, degree=degree)
+    model = fit_area_model(samples, degree=area_model_degree(settings.coeff_wordlengths))
     path = ws.save_area_model(model)
     return model, path
 

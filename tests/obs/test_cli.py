@@ -52,13 +52,21 @@ class TestObsSubcommand:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
+        registry.counter("sweep.shards.total").add(2)
         registry.counter("gibbs.draws").add(6)
-        registry.histogram("sweep.shard_seconds").observe(0.5)
         path = registry.snapshot().write(tmp_path / "m.json")
         assert experiment_main(["obs", "metrics", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "counter   gibbs.draws = 6" in out
-        assert "histogram sweep.shard_seconds: count=1" in out
+        assert capsys.readouterr().out == "gibbs.draws = 6\nsweep.shards.total = 2\n"
+
+        # Counters only, also from a snapshot that carries other sections.
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({
+            "schema_version": 1,
+            "counters": {"gibbs.draws": 6},
+            "histograms": {"sweep.shard_seconds": {"count": 1, "sum": 0.5}},
+        }))
+        assert experiment_main(["obs", "metrics", str(legacy)]) == 0
+        assert capsys.readouterr().out == "gibbs.draws = 6\n"
 
     def test_missing_path_is_a_usage_error(self, capsys):
         assert experiment_main(["obs", "trace"]) == 2
@@ -70,30 +78,12 @@ class TestObsSubcommand:
 
 
 class TestTelemetryPathResolution:
-    def test_flags_win_over_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "/env/trace")
-        monkeypatch.setenv("REPRO_METRICS", "/env/metrics.json")
-        trace, metrics = resolve_telemetry_paths("/flag/trace", "/flag/m.json")
-        assert trace == "/flag/trace"
-        assert metrics == "/flag/m.json"
-
-    def test_environment_used_when_flags_absent(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "/env/trace")
-        monkeypatch.delenv("REPRO_METRICS", raising=False)
-        trace, metrics = resolve_telemetry_paths(None, None)
-        assert trace == "/env/trace"
-        assert metrics == "/env/trace.metrics.json"
-
-    def test_trace_alone_implies_a_metrics_snapshot(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        monkeypatch.delenv("REPRO_METRICS", raising=False)
+    def test_trace_alone_implies_a_metrics_snapshot(self):
         trace, metrics = resolve_telemetry_paths("out/run.json", None)
         assert trace == "out/run.json"
         assert metrics == "out/run.metrics.json"
 
-    def test_nothing_requested_means_no_telemetry(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        monkeypatch.delenv("REPRO_METRICS", raising=False)
+    def test_nothing_requested_means_no_telemetry(self):
         assert resolve_telemetry_paths(None, None) == (None, None)
 
 
@@ -110,13 +100,14 @@ class TestFlowTracing:
 
         records = load_trace_jsonl(base.with_suffix(".jsonl"))
         names = {r["name"] for r in records}
-        assert {"characterize.sweep", "sweep.run", "sweep.shard"} <= names
+        assert {"characterize.sweep", "sweep.run", "sweep.shard", "capture.batch"} <= names
 
         chrome = json.loads(base.with_suffix(".json").read_text())
         assert chrome["otherData"]["producer"] == "repro.obs"
         assert len(chrome["traceEvents"]) == len(records)
 
         snapshot = load_metrics_snapshot(tmp_path / "out" / "run.metrics.json")
+        assert set(snapshot) == {"schema_version", "counters"}
         assert snapshot["counters"]["characterize.sweeps"] >= 1
         assert snapshot["counters"]["sweep.shards.total"] > 0
         assert "cache.placed.misses" in snapshot["counters"]

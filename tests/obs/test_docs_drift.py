@@ -17,6 +17,15 @@ DOC = DOCS / "observability.md"
 BEGIN = "<!-- telemetry-reference:begin"
 END = "<!-- telemetry-reference:end -->"
 
+#: Retired surfaces no page may name: the environment switches, the
+#: observability micro-benchmark and the capture-throughput histogram.
+RETIRED = (
+    "REPRO_TRACE",
+    "REPRO_METRICS",
+    "benchmarks/bench_observability.py",
+    "capture.samples_per_second",
+)
+
 
 def _doc_reference() -> str:
     text = DOC.read_text()
@@ -48,17 +57,18 @@ def test_every_metric_documented_exactly_once():
 def test_doc_mentions_the_surfaces():
     text = DOC.read_text()
     for needle in (
-        "REPRO_TRACE",
-        "REPRO_METRICS",
         "repro obs reference",
         "repro obs trace",
         "repro obs metrics",
         "deterministic_counters",
         "chrome://tracing",
         "tests/obs/test_noop_identity.py",
-        "benchmarks/bench_observability.py",
     ):
         assert needle in text, f"docs/observability.md lost {needle}"
+    for page in sorted(DOCS.glob("*.md")) + [DOCS.parent / "README.md"]:
+        page_text = page.read_text()
+        for needle in RETIRED:
+            assert needle not in page_text, f"{page.name} still names {needle}"
 
 
 def test_docs_index_links_every_page():
@@ -77,7 +87,7 @@ def test_performance_doc_names_are_current():
         "REPRO_CACHE_DIR",
         "repro cache info",
         "BENCHMARK.json",
-        "capture.samples_per_second",   # obs cross-reference
+        "capture.batch",   # obs cross-reference
         "docs/observability.md",
     ):
         assert needle in text, f"docs/performance.md lost {needle}"

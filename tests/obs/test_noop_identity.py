@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.characterization import characterize_multiplier
 from repro.obs import runtime
+from repro.parallel import PlacedDesignCache
 
 
 def _grids_equal(a, b) -> bool:
@@ -24,25 +25,42 @@ class TestBitIdentity:
         self, device, small_char_config
     ):
         cfg = small_char_config(n_mult=8, chunk=4)
-        baseline = characterize_multiplier(device, 8, 8, cfg, seed=5)
 
+        def sweep():
+            # A cold cache per run: every placement is a synthesis miss.
+            return characterize_multiplier(
+                device, 8, 8, cfg, seed=5, cache=PlacedDesignCache()
+            )
+
+        baseline = sweep()
         with runtime.observability(trace=True, metrics=True) as observer:
-            traced = characterize_multiplier(device, 8, 8, cfg, seed=5)
+            traced = sweep()
         with runtime.observability(trace=True, metrics=False):
-            trace_only = characterize_multiplier(device, 8, 8, cfg, seed=5)
+            trace_only = sweep()
         with runtime.observability(trace=False, metrics=True):
-            metrics_only = characterize_multiplier(device, 8, 8, cfg, seed=5)
+            metrics_only = sweep()
 
         assert _grids_equal(baseline, traced)
         assert _grids_equal(baseline, trace_only)
         assert _grids_equal(baseline, metrics_only)
 
-        # The enabled run actually recorded the sweep stages.
+        # The enabled run actually recorded every stage of the sweep:
+        # planning, execution, shards, their captures and the cache misses.
         names = {r.name for r in observer.tracer.records}
-        assert {"characterize.sweep", "sweep.run", "sweep.shard"} <= names
-        counters = observer.metrics.snapshot().counters
-        assert counters["characterize.sweeps"] == 1
+        assert {
+            "characterize.sweep",
+            "sweep.run",
+            "sweep.shard",
+            "capture.batch",
+            "cache.synthesize",
+        } <= names
+        snapshot = observer.metrics.snapshot()
+        counters = snapshot.counters
         assert counters["sweep.shards.total"] > 0
+        assert counters["sweep.attempts.total"] == counters["sweep.shards.total"]
+        assert counters["cache.placed.misses"] > 0
+        assert counters["cache.placed.stores"] > 0
+        assert snapshot.deterministic_counters()["characterize.sweeps"] == 1
 
 
 class TestDisabledPath:
@@ -54,13 +72,14 @@ class TestDisabledPath:
             assert entered.set(anything=1) is entered
 
     def test_disabled_helpers_touch_no_instruments(self):
-        runtime.counter_add("gibbs.draws", 5)
-        runtime.gauge_set("gibbs.draws", 1.0)
-        runtime.observe("sweep.shard_seconds", 0.1)
-        snap = runtime.get_observer().metrics.snapshot()
-        assert snap.counters == {}
-        assert snap.gauges == {}
-        assert snap.histograms == {}
+        with runtime.span("sweep.shard", li=0, start=0, attempt=0):
+            runtime.counter_add("gibbs.draws", 5)
+        observer = runtime.get_observer()
+        assert observer.tracer.records == ()
+        assert observer.metrics.snapshot().as_dict() == {
+            "schema_version": 2,
+            "counters": {},
+        }
 
     def test_disabled_span_skips_catalogue_validation(self):
         # The null span is shared and stateless; no name lookup happens,

@@ -8,10 +8,13 @@ own modules.
 import numpy as np
 import pytest
 
-from repro import Domain, OptimizationFramework, TableISettings
+import repro.framework
+from repro import Domain, OptimizationFramework, TableISettings, make_device
 from repro.characterization import CharacterizationConfig
 from repro.datasets import low_rank_gaussian
 from repro.framework import default_frequency_grid
+from repro.obs import runtime
+from repro.parallel import PlacedDesignCache
 
 SETTINGS = TableISettings(
     n_characterization=120,
@@ -60,6 +63,66 @@ class TestCharacterize:
 
     def test_cached(self, fw):
         assert fw.characterize() is fw.characterize()
+
+
+class TestPooledCharacterize:
+    """``jobs`` reaches the sweep engine's shard pool, so a pooled run
+    equals the serial one byte for byte and keeps its telemetry."""
+
+    SETTINGS = TableISettings(
+        n_characterization=30, min_coeff_wordlength=3, max_coeff_wordlength=4
+    )
+    CHAR = CharacterizationConfig(freqs_mhz=(280.0, 320.0), n_samples=30)
+
+    def _run(self, monkeypatch, jobs):
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(characterize(*args, **kwargs))
+            return results[-1]
+
+        characterize = repro.framework.characterize_multiplier
+        monkeypatch.setattr(repro.framework, "characterize_multiplier", spy)
+        fw = OptimizationFramework(
+            make_device(7), self.SETTINGS, char_config=self.CHAR, seed=3,
+            jobs=jobs, cache=PlacedDesignCache(),
+        )
+        with runtime.observability() as observer:
+            fw.characterize()
+        monkeypatch.undo()
+        return results, observer
+
+    @staticmethod
+    def _sweep_spans(observer, name):
+        return [
+            {k: v for k, v in r.attrs.items() if k != "jobs"}
+            for r in observer.tracer.records
+            if r.name == name
+        ]
+
+    @pytest.mark.slow
+    def test_pooled_run_matches_serial_with_its_telemetry(self, monkeypatch):
+        serial, serial_obs = self._run(monkeypatch, jobs=1)
+        pooled, pooled_obs = self._run(monkeypatch, jobs=2)
+
+        det = serial_obs.metrics.snapshot().deterministic_counters()
+        assert det["characterize.sweeps"] == 2
+        assert pooled_obs.metrics.snapshot().deterministic_counters() == det
+        for name in ("characterize.sweep", "sweep.run"):
+            assert len(self._sweep_spans(serial_obs, name)) == 2
+            assert self._sweep_spans(pooled_obs, name) == self._sweep_spans(
+                serial_obs, name
+            )
+        pool_spans = [r for r in pooled_obs.tracer.records if r.name == "sweep.pool"]
+        assert [r.attrs["jobs"] for r in pool_spans] == [2, 2]
+        assert not any(r.name == "sweep.pool" for r in serial_obs.tracer.records)
+
+        # The sweeps ran in this process, and their grids are equal bytes.
+        assert [r.w_coeff for r in pooled] == [3, 4]
+        for a, b in zip(serial, pooled):
+            for grid in ("freqs_mhz", "multiplicands", "variance", "mean", "error_rate"):
+                assert getattr(a, grid).tobytes() == getattr(b, grid).tobytes()
+            assert a.locations == b.locations
 
 
 class TestAreaModel:
