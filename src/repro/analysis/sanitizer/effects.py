@@ -273,11 +273,12 @@ ALLOWANCES: tuple[Allowance, ...] = (
     ),
     Allowance(
         EFFECT_WALL_CLOCK,
-        "repro.core.optimizer",
-        None,
-        "Per-draw wall-clock is a *deliverable* here: the paper's "
-        "runtime model (eqs. 7-8) is fitted to these records; they ride "
-        "alongside results without feeding any numeric path.",
+        "repro.core.bayesian",
+        "sample_projection_vectors",
+        "Per-draw sampling seconds are a *deliverable* here: the paper's "
+        "runtime model (eqs. 7-8) is fitted to the optimizer's "
+        "sampling_times records built from them; they ride alongside "
+        "results without feeding any numeric path.",
     ),
     # --- module state: deliberate, documented singletons ----------------
     Allowance(

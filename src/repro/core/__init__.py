@@ -22,7 +22,12 @@ from .quantize import (
     quantize_data,
     QuantizedMatrix,
 )
-from .bayesian import GibbsConfig, sample_projection_vector, SampledProjection
+from .bayesian import (
+    GibbsConfig,
+    SampledProjection,
+    sample_projection_vector,
+    sample_projection_vectors,
+)
 from .objective import objective_t, overclocking_variance, reconstruction_mse
 from .pareto import pareto_front, select_q_bins
 from .optimizer import OptimizerConfig, OptimizationResult, optimize_designs
@@ -39,6 +44,7 @@ __all__ = [
     "QuantizedMatrix",
     "GibbsConfig",
     "sample_projection_vector",
+    "sample_projection_vectors",
     "SampledProjection",
     "objective_t",
     "overclocking_variance",

@@ -24,18 +24,30 @@ After burn-in, thinned samples are scored with the local objective
 (column reconstruction MSE plus the column's over-clocking variance
 penalty) and the best-scoring sample is returned — the sampling-based
 minimisation of T the paper describes in Sec. V-C.
+
+Algorithm 1 draws every candidate of one dimension with one
+:func:`sample_projection_vectors` call, which steps all its chains in
+lockstep on stacked arrays; each chain's draws and result are
+bit-identical to running it alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import OptimizationError
 from ..models.prior import CoefficientPrior
 
-__all__ = ["GibbsConfig", "SampledProjection", "sample_projection_vector"]
+__all__ = [
+    "GibbsConfig",
+    "SampledProjection",
+    "sample_projection_vector",
+    "sample_projection_vectors",
+]
 
 
 @dataclass(frozen=True)
@@ -95,6 +107,9 @@ class SampledProjection:
         Over-clocking variance term alone.
     n_scored:
         Number of thinned samples that competed.
+    seconds:
+        This draw's share of the sampling call's wall time (see
+        :func:`sample_projection_vectors`); never feeds a result.
     """
 
     values: np.ndarray
@@ -105,6 +120,7 @@ class SampledProjection:
     mse: float
     oc_penalty: float
     n_scored: int
+    seconds: float = 0.0
 
 
 def _oc_penalty(lam: np.ndarray, per_coeff_var: np.ndarray, p: int) -> float:
@@ -174,6 +190,219 @@ def _column_mse(lam: np.ndarray, x: np.ndarray) -> float:
     return float((err**2).sum() / err.size)
 
 
+class _Chain:
+    """One chain's per-chain state: inputs, generator and best sample."""
+
+    def __init__(
+        self,
+        x: np.ndarray,
+        prior: CoefficientPrior,
+        oc_variance_per_value: np.ndarray,
+        rng: np.random.Generator,
+    ) -> None:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise OptimizationError(f"residual data must be (P, N), got {x.shape}")
+        if x.shape[1] < 2:
+            raise OptimizationError("need at least 2 training cases")
+        oc_var = np.asarray(oc_variance_per_value, dtype=float)
+        if oc_var.shape != prior.values.shape:
+            raise OptimizationError(
+                "oc_variance_per_value must align with the prior grid"
+            )
+        self.x = x
+        self.prior = prior
+        self.oc_var = oc_var
+        self.rng = rng
+        self.best: tuple[float, np.ndarray, float, float] | None = None
+        self.n_scored = 0
+
+    def start(self, config: GibbsConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Initial ``(lam_idx, psi, b0)``: the leading residual direction
+        snapped to the grid, and the data-scaled noise prior."""
+        x, grid = self.x, self.prior.values
+        p, n = x.shape
+        row_var = x.var(axis=1)
+        psi = np.maximum(row_var, 1e-8)
+        b0 = config.b0_scale * np.maximum(row_var, 1e-8) * (config.a0 - 1.0)
+        cov = (x @ x.T) / n
+        v = np.ones(p) / np.sqrt(p)
+        for _ in range(50):
+            w = cov @ v
+            norm = np.linalg.norm(w)
+            if norm < 1e-12:
+                break
+            v = w / norm
+        lam_idx = np.abs(grid[None, :] - v[:, None]).argmin(axis=1)
+        return lam_idx, psi, b0
+
+    def score(self, lam: np.ndarray, lam_idx: np.ndarray) -> None:
+        """Score one thinned sample and keep it if it is the best so far."""
+        mse = _column_mse(lam, self.x)
+        oc = _oc_penalty(lam, self.oc_var[lam_idx], lam.shape[0])
+        score = mse + oc
+        self.n_scored += 1
+        if self.best is None or score < self.best[0]:
+            self.best = (score, lam_idx.copy(), mse, oc)
+
+    def finish(self, config: GibbsConfig) -> SampledProjection:
+        """Polish the best sample and package it."""
+        if self.best is None:  # pragma: no cover - guarded by config validation
+            raise OptimizationError("no samples were scored")
+        x, grid, oc_var = self.x, self.prior.values, self.oc_var
+        p = x.shape[0]
+        score, idx, mse, oc = self.best
+        if config.polish_passes:
+            polished = _polish(idx, x, grid, oc_var, config.polish_passes)
+            p_mse = _column_mse(grid[polished], x)
+            p_oc = _oc_penalty(grid[polished], oc_var[polished], p)
+            p_score = p_mse + p_oc
+            if p_score < score:
+                score, idx, mse, oc = p_score, polished, p_mse, p_oc
+        values = grid[idx]
+        mags = self.prior.magnitude_of(idx)
+        signs = np.where(values < 0, -1, 1).astype(np.int64)
+        signs = np.where(mags == 0, 1, signs)
+        return SampledProjection(
+            values=values,
+            magnitudes=mags,
+            signs=signs,
+            wordlength=self.prior.wordlength,
+            score=float(score),
+            mse=float(mse),
+            oc_penalty=float(oc),
+            n_scored=self.n_scored,
+        )
+
+
+def sample_projection_vectors(
+    xs: Sequence[np.ndarray],
+    priors: Sequence[CoefficientPrior],
+    oc_variances: Sequence[np.ndarray],
+    rngs: Sequence[np.random.Generator],
+    config: GibbsConfig = GibbsConfig(),
+) -> list[SampledProjection]:
+    """Draw one projection vector per chain, stepping all chains together.
+
+    Chain ``c`` samples residual ``xs[c]`` (every residual has the same
+    shape (P, N)) under ``priors[c]``, scores with ``oc_variances[c]`` and
+    draws from ``rngs[c]`` alone; its result is bit-identical to running
+    it by itself.  Each iteration runs the grid-independent algebra once on
+    stacked ``(C, P)``, ``(C, N)`` and ``(C, P, N)`` arrays (dot products
+    and gemvs as stacked ``np.matmul``, which repeats the per-chain BLAS
+    call), and the grid step once per group of chains sharing a prior.
+    Each chain keeps its draw order: ``normal``, ``gumbel``, ``gamma``.
+    Initialisation, thinned scoring and polish stay per chain.
+
+    Each result's ``seconds`` is its share of this call's wall time: the
+    grid-independent time split evenly over the chains, plus its prior
+    group's grid-step time split over the group.  They sum to the call.
+
+    Parameters
+    ----------
+    xs:
+        Residual data matrices, one per chain.
+    priors:
+        Coefficient prior of each chain (carries word-length and target
+        frequency); chains that share a prior object share its grid step.
+    oc_variances:
+        Over-clocking variance (value units) for each grid entry of each
+        chain's prior, aligned with ``prior.values`` — used for scoring.
+    rngs:
+        One randomness source per chain.
+    """
+    t_call = time.perf_counter()
+    if not len(xs) == len(priors) == len(oc_variances) == len(rngs):
+        raise OptimizationError(
+            "need one residual, prior, oc table and generator per chain"
+        )
+    given = [_Chain(*args) for args in zip(xs, priors, oc_variances, rngs)]
+    if not given:
+        return []
+    shapes = sorted({chain.x.shape for chain in given})
+    if len(shapes) > 1:
+        raise OptimizationError(f"chains disagree on the residual shape: {shapes}")
+    [(p, n)] = shapes
+
+    # Chains are reordered so each prior's group is a contiguous slice,
+    # with its own (C_g, P, G) logits buffer.
+    members: dict[int, list[int]] = {}
+    for c, prior in enumerate(priors):
+        members.setdefault(id(prior), []).append(c)
+    order = [c for group in members.values() for c in group]
+    chains = [given[c] for c in order]
+    groups: list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]] = []
+    lo = 0
+    for group in members.values():
+        prior = priors[group[0]]
+        rows = slice(lo, lo + len(group))
+        lo = rows.stop
+        logits = np.empty((len(group), p, prior.n_values))
+        groups.append((rows, prior.values, prior.log_mass(), logits))
+    grid_s = [0.0] * len(groups)
+
+    starts = [chain.start(config) for chain in chains]
+    x = np.stack([chain.x for chain in chains])  # (C, P, N)
+    lam_idx = np.stack([s[0] for s in starts])  # (C, P)
+    psi = np.stack([s[1] for s in starts])
+    b0 = np.stack([s[2] for s in starts])
+    lam = np.empty((len(chains), p))
+    for rows, grid, _, _ in groups:
+        lam[rows] = grid[lam_idx[rows]]
+    noise = np.empty((len(chains), n))
+    gammas = np.empty((len(chains), p))
+    shape = config.a0 + 0.5 * n
+
+    for it in range(config.burn_in + config.n_samples):
+        # --- 1. factors -------------------------------------------------
+        w_rows = lam / psi  # (C, P)
+        prec_f = 1.0 + np.matmul(lam[:, None, :], w_rows[:, :, None])[:, 0, 0]
+        mean_f = np.matmul(w_rows[:, None, :], x)[:, 0, :] / prec_f[:, None]
+        for c, chain in enumerate(chains):
+            noise[c] = chain.rng.normal(scale=float(prec_f[c]) ** -0.5, size=n)
+        f = mean_f + noise  # (C, N)
+
+        # --- 2. coefficients (exact grid conditionals) ------------------
+        sff = np.matmul(f[:, None, :], f[:, :, None])[:, 0, 0]
+        sxf = np.matmul(x, f[:, :, None])[:, :, 0]  # (C, P)
+        half_prec = 0.5 * (sff[:, None] / psi)
+        mu_rows = np.where(
+            (sff > 0)[:, None], sxf / np.maximum(sff, 1e-300)[:, None], 0.0
+        )
+        for g, (rows, grid, log_prior, logits) in enumerate(groups):
+            t0 = time.perf_counter()
+            # log posterior over the grid, (C_g, P, G), then Gumbel-max.
+            np.subtract(grid, mu_rows[rows, :, None], out=logits)
+            np.square(logits, out=logits)
+            np.multiply(half_prec[rows, :, None], logits, out=logits)
+            np.subtract(log_prior, logits, out=logits)
+            for j, chain in enumerate(chains[rows]):
+                logits[j] += chain.rng.gumbel(size=logits.shape[1:])
+            lam_idx[rows] = logits.argmax(axis=2)
+            lam[rows] = grid[lam_idx[rows]]
+            grid_s[g] += time.perf_counter() - t0
+
+        # --- 3. noise ----------------------------------------------------
+        resid = x - lam[:, :, None] * f[:, None, :]
+        scale = b0 + 0.5 * (resid**2).sum(axis=2)
+        for c, chain in enumerate(chains):
+            gammas[c] = chain.rng.gamma(shape, 1.0, size=p)
+        psi = scale / gammas
+        np.clip(psi, 1e-10, None, out=psi)
+
+        # --- scoring -----------------------------------------------------
+        if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
+            for c, chain in enumerate(chains):
+                chain.score(lam[c], lam_idx[c])
+
+    # Polish runs per chain; its time joins the shared part.
+    finished = [chain.finish(config) for chain in chains]
+    seconds = np.full(len(chains), (time.perf_counter() - t_call - sum(grid_s)) / len(chains))
+    for (rows, _, _, _), group_s in zip(groups, grid_s):
+        seconds[rows] += group_s / (rows.stop - rows.start)
+    return [replace(finished[k], seconds=float(seconds[k])) for k in np.argsort(order)]
+
+
 def sample_projection_vector(
     x: np.ndarray,
     prior: CoefficientPrior,
@@ -182,6 +411,8 @@ def sample_projection_vector(
     config: GibbsConfig = GibbsConfig(),
 ) -> SampledProjection:
     """Draw one projection vector for residual data ``x`` (shape (P, N)).
+
+    The one-chain call of :func:`sample_projection_vectors`.
 
     Parameters
     ----------
@@ -196,98 +427,4 @@ def sample_projection_vector(
     rng:
         Randomness source.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise OptimizationError(f"residual data must be (P, N), got {x.shape}")
-    p, n = x.shape
-    if n < 2:
-        raise OptimizationError("need at least 2 training cases")
-    grid = prior.values
-    log_prior = prior.log_mass()
-    oc_var = np.asarray(oc_variance_per_value, dtype=float)
-    if oc_var.shape != grid.shape:
-        raise OptimizationError(
-            "oc_variance_per_value must align with the prior grid"
-        )
-
-    # --- initialisation -------------------------------------------------
-    row_var = x.var(axis=1)
-    psi = np.maximum(row_var, 1e-8)
-    b0 = config.b0_scale * np.maximum(row_var, 1e-8) * (config.a0 - 1.0)
-
-    # Start from the leading residual direction snapped to the grid.
-    cov = (x @ x.T) / n
-    v = np.ones(p) / np.sqrt(p)
-    for _ in range(50):
-        w = cov @ v
-        norm = np.linalg.norm(w)
-        if norm < 1e-12:
-            break
-        v = w / norm
-    lam_idx = np.abs(grid[None, :] - v[:, None]).argmin(axis=1)
-    lam = grid[lam_idx]
-
-    best: tuple[float, np.ndarray, float, float] | None = None
-    n_scored = 0
-    total_iters = config.burn_in + config.n_samples
-
-    for it in range(total_iters):
-        # --- 1. factors -------------------------------------------------
-        w_rows = lam / psi  # (P,)
-        prec_f = 1.0 + float(lam @ w_rows)
-        mean_f = (w_rows @ x) / prec_f  # (N,)
-        f = mean_f + rng.normal(scale=prec_f**-0.5, size=n)
-
-        # --- 2. coefficients (exact grid conditionals) ------------------
-        sff = float(f @ f)
-        sxf = x @ f  # (P,)
-        prec_rows = sff / psi  # (P,)
-        mu_rows = np.where(sff > 0, sxf / max(sff, 1e-300), 0.0)
-        # log posterior over grid: (P, G)
-        delta = grid[None, :] - mu_rows[:, None]
-        logits = log_prior[None, :] - 0.5 * prec_rows[:, None] * delta**2
-        gumbel = rng.gumbel(size=logits.shape)
-        lam_idx = np.argmax(logits + gumbel, axis=1)
-        lam = grid[lam_idx]
-
-        # --- 3. noise ----------------------------------------------------
-        resid = x - np.outer(lam, f)
-        shape = config.a0 + 0.5 * n
-        scale = b0 + 0.5 * (resid**2).sum(axis=1)
-        psi = scale / rng.gamma(shape, 1.0, size=p)
-        np.clip(psi, 1e-10, None, out=psi)
-
-        # --- scoring -----------------------------------------------------
-        if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-            mse = _column_mse(lam, x)
-            oc = _oc_penalty(lam, oc_var[lam_idx], p)
-            score = mse + oc
-            n_scored += 1
-            if best is None or score < best[0]:
-                best = (score, lam_idx.copy(), mse, oc)
-
-    if best is None:  # pragma: no cover - guarded by config validation
-        raise OptimizationError("no samples were scored")
-
-    score, idx, mse, oc = best
-    if config.polish_passes:
-        polished = _polish(idx, x, grid, oc_var, config.polish_passes)
-        p_mse = _column_mse(grid[polished], x)
-        p_oc = _oc_penalty(grid[polished], oc_var[polished], p)
-        p_score = p_mse + p_oc
-        if p_score < score:
-            score, idx, mse, oc = p_score, polished, p_mse, p_oc
-    values = grid[idx]
-    mags = prior.magnitude_of(idx)
-    signs = np.where(values < 0, -1, 1).astype(np.int64)
-    signs = np.where(mags == 0, 1, signs)
-    return SampledProjection(
-        values=values,
-        magnitudes=mags,
-        signs=signs,
-        wordlength=prior.wordlength,
-        score=float(score),
-        mse=float(mse),
-        oc_penalty=float(oc),
-        n_scored=n_scored,
-    )
+    return sample_projection_vectors([x], [prior], [oc_variance_per_value], [rng], config)[0]

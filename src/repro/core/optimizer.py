@@ -7,14 +7,15 @@ its area-model estimate and its objective value; the (area, T) Pareto
 front is extracted; Q bins over the objective span each surrender one
 survivor; and the Q survivors seed the exploration of the next dimension.
 
-The run also records the wall-clock cost of every projection-vector
-sampling, which is exactly the quantity the paper's run-time model
-(eqs. 7-8) predicts — the runtime bench refits the model on these records.
+All candidates of one dimension are drawn by one lockstep Gibbs call
+(:func:`~repro.core.bayesian.sample_projection_vectors`).  The run records
+each draw's share of that call's wall-clock cost per word-length, which
+is the quantity the paper's run-time model (eqs. 7-8) predicts — the
+runtime bench refits the model on these records.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from ..models.error_model import ErrorModelSet
 from ..models.prior import CoefficientPrior
 from ..obs import runtime as obs
 from ..rng import SeedTree
-from .bayesian import GibbsConfig, sample_projection_vector
+from .bayesian import GibbsConfig, sample_projection_vectors
 from .design import LinearProjectionDesign
 from .objective import reconstruction_mse
 from .pareto import pareto_front, select_q_bins
@@ -102,8 +103,12 @@ class OptimizationResult:
     designs: list[LinearProjectionDesign]
     beta: float
     freq_mhz: float
-    #: (dimension, wordlength, seconds) per sampling call — feeds the
-    #: run-time model bench (paper Sec. VI-E).
+    #: (dimension, wordlength, seconds) per drawn projection vector — feeds
+    #: the run-time model bench (paper Sec. VI-E).  A dimension's draws share
+    #: one lockstep call: each record is an even split of its
+    #: grid-independent time plus an even split of its word-length group's
+    #: grid-step time, so the records keep eq. (8)'s growth in wl and sum
+    #: to the calls' wall time.
     sampling_times: list[tuple[int, int, float]] = field(default_factory=list)
     #: candidate (area, objective) per dimension, for inspection.
     candidate_history: list[list[tuple[float, float]]] = field(default_factory=list)
@@ -181,33 +186,41 @@ def optimize_designs(
     with obs.span("optimize.run", beta=config.beta, k=s.k, q=s.q):
         for d in range(1, s.k + 1):
             with obs.span("optimize.dimension", dimension=d) as dim_span:
+                # One chain per (survivor, word-length), in that order: the
+                # Pareto front and the Q bins depend on the candidate order.
+                chains = [
+                    (qi, partial, wl)
+                    for qi, partial in enumerate(survivors)
+                    for wl in s.coeff_wordlengths
+                ]
+                resids = [_residual(x, partial) for partial in survivors]
+                with obs.span("gibbs.sample", dimension=d, chains=len(chains)):
+                    samples = sample_projection_vectors(
+                        [resids[qi] for qi, _, _ in chains],
+                        [priors[wl] for _, _, wl in chains],
+                        [oc_tables[wl] for _, _, wl in chains],
+                        [tree.rng("gibbs", f"d{d}", f"q{qi}", f"wl{wl}")
+                         for qi, _, wl in chains],
+                        gibbs,
+                    )
+                obs.counter_add("gibbs.draws", len(samples))
                 candidates: list[_Partial] = []
-                for qi, partial in enumerate(survivors):
-                    resid = _residual(x, partial)
-                    for wl in s.coeff_wordlengths:
-                        rng = tree.rng("gibbs", f"d{d}", f"q{qi}", f"wl{wl}")
-                        t0 = time.perf_counter()
-                        with obs.span("gibbs.sample", dimension=d, q=qi, wl=wl):
-                            samp = sample_projection_vector(
-                                resid, priors[wl], oc_tables[wl], rng, gibbs
-                            )
-                        dt = time.perf_counter() - t0
-                        result.sampling_times.append((d, wl, dt))
-                        obs.counter_add("gibbs.draws")
-                        column = {
-                            "values": samp.values,
-                            "magnitudes": samp.magnitudes,
-                            "signs": samp.signs,
-                            "wordlength": wl,
-                        }
-                        columns = partial.columns + (column,)
-                        lam = np.stack([c["values"] for c in columns], axis=1)
-                        mse = reconstruction_mse(lam, x)
-                        oc = partial.oc_term + samp.oc_penalty
-                        area = partial.area + col_areas[wl]
-                        candidates.append(
-                            _Partial(columns=columns, area=area, mse=mse, oc_term=oc)
-                        )
+                for (_, partial, wl), samp in zip(chains, samples):
+                    result.sampling_times.append((d, wl, samp.seconds))
+                    column = {
+                        "values": samp.values,
+                        "magnitudes": samp.magnitudes,
+                        "signs": samp.signs,
+                        "wordlength": wl,
+                    }
+                    columns = partial.columns + (column,)
+                    lam = np.stack([c["values"] for c in columns], axis=1)
+                    mse = reconstruction_mse(lam, x)
+                    oc = partial.oc_term + samp.oc_penalty
+                    area = partial.area + col_areas[wl]
+                    candidates.append(
+                        _Partial(columns=columns, area=area, mse=mse, oc_term=oc)
+                    )
                 front = pareto_front(
                     candidates, area_of=lambda c: c.area, mse_of=lambda c: c.objective
                 )

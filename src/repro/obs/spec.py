@@ -118,7 +118,9 @@ SPAN_CATALOG: tuple[SpanSpec, ...] = (
     SpanSpec(
         "gibbs.sample",
         "repro.core.optimizer",
-        "One Gibbs run drawing a candidate projection vector (burn-in + sampling + polish).",
+        "One lockstep Gibbs call drawing every candidate projection vector of a "
+        "dimension, one chain per (survivor, word-length) (burn-in + sampling + "
+        "polish; attrs dimension, chains).",
     ),
     SpanSpec(
         "kernel.compile",

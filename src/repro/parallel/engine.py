@@ -234,9 +234,16 @@ def _init_worker(
     _worker_scratch = EvalScratch()
 
 
-def _run_shard_in_worker(shard: Shard, attempt: int = 0) -> ShardResult:
+def _run_shard_in_worker(shard: Shard, attempt: int = 0) -> tuple[ShardResult, float]:
+    """Run one shard in a pool worker; returns its result and run time.
+
+    The run time is taken here, around :func:`run_shard`, because the
+    parent harvests futures in shard order: its wait for a future is not
+    the shard's latency.
+    """
     assert _worker_device is not None and _worker_plan is not None
-    return run_shard(
+    t0 = time.perf_counter()
+    result = run_shard(
         _worker_device,
         _worker_plan,
         shard,
@@ -245,6 +252,7 @@ def _run_shard_in_worker(shard: Shard, attempt: int = 0) -> ShardResult:
         attempt=attempt,
         scratch=_worker_scratch,
     )
+    return result, time.perf_counter() - t0
 
 
 def _validate_result(plan: SweepPlan, shard: Shard, result: object) -> str | None:
@@ -281,8 +289,7 @@ class _SweepState:
         self.fallback_inline = False
         self.pool_broken = False
 
-    def record(self, i: int, outcome: str, t0: float, detail: str = "") -> None:
-        latency_s = time.perf_counter() - t0
+    def record(self, i: int, outcome: str, latency_s: float, detail: str = "") -> None:
         self.attempts[i].append(
             ShardAttempt(
                 attempt=len(self.attempts[i]),
@@ -293,35 +300,44 @@ class _SweepState:
         )
 
     def accept(self, plan: SweepPlan, shards: list[Shard], i: int,
-               result: object, t0: float) -> None:
+               result: object, latency_s: float) -> None:
         problem = _validate_result(plan, shards[i], result)
         if problem is None:
             self.results[i] = result  # type: ignore[assignment]
-            self.record(i, ATTEMPT_OK, t0)
+            self.record(i, ATTEMPT_OK, latency_s)
         else:
-            self.record(i, ATTEMPT_INVALID, t0, problem)
+            self.record(i, ATTEMPT_INVALID, latency_s, problem)
 
 
 def _harvest_future(state: _SweepState, plan: SweepPlan, shards: list[Shard],
                     i: int, future, timeout: float | None) -> str | None:
     """Wait for one pool future; returns 'timeout'/'broken' on pool-fatal
-    conditions, None otherwise (success or a retryable shard failure)."""
+    conditions, None otherwise (success or a retryable shard failure).
+
+    An ok or invalid attempt records the run time the worker measured.
+    A timeout, a broken pool or an exception raised in the worker has no
+    such time, so it records the parent's wait for this future.
+    """
     t0 = time.perf_counter()
     try:
-        result = future.result(timeout=timeout)
+        result, latency_s = future.result(timeout=timeout)
     except FuturesTimeoutError:
         state.record(
-            i, ATTEMPT_TIMEOUT, t0,
+            i, ATTEMPT_TIMEOUT, time.perf_counter() - t0,
             f"no result within {timeout}s; abandoning pool",
         )
         return "timeout"
     except BrokenExecutor as exc:
-        state.record(i, ATTEMPT_ERROR, t0, f"process pool broke: {exc}")
+        state.record(
+            i, ATTEMPT_ERROR, time.perf_counter() - t0, f"process pool broke: {exc}"
+        )
         return "broken"
     except Exception as exc:  # shard raised inside the worker
-        state.record(i, ATTEMPT_ERROR, t0, f"{type(exc).__name__}: {exc}")
+        state.record(
+            i, ATTEMPT_ERROR, time.perf_counter() - t0, f"{type(exc).__name__}: {exc}"
+        )
         return None
-    state.accept(plan, shards, i, result, t0)
+    state.accept(plan, shards, i, result, latency_s)
     return None
 
 
@@ -511,9 +527,12 @@ def _run_sweep_body(
                         attempt=attempt, scratch=inline_scratch,
                     )
                 except Exception as exc:
-                    state.record(i, ATTEMPT_ERROR, t0, f"{type(exc).__name__}: {exc}")
+                    state.record(
+                        i, ATTEMPT_ERROR, time.perf_counter() - t0,
+                        f"{type(exc).__name__}: {exc}",
+                    )
                     continue
-                state.accept(plan, shards, i, result, t0)
+                state.accept(plan, shards, i, result, time.perf_counter() - t0)
 
     # ---- dispositions ----------------------------------------------
     reports = []

@@ -120,7 +120,10 @@ def simulate_transitions(
     else:
         changed = scratch.array("timing.changed", (n, n_tr), np.bool_)
     np.not_equal(values[:, 1:], values[:, :-1], out=changed)
-    settle = np.zeros((n, n_tr), dtype=np.float32)
+    # Unchanged node-transitions settle at -inf while levels propagate, so
+    # they drop out of every fanin max (max(-inf, x) = x, -inf + d = -inf)
+    # without a mask; one final pass maps them to t = 0.
+    settle = np.where(changed, np.float32(0.0), np.float32(-np.inf))
 
     for li, level in enumerate(plan.timing_levels):
         ids = level.ids
@@ -133,13 +136,14 @@ def simulate_transitions(
         best.fill(-np.inf)
         for k, rows_k, ids_k, srcs_k in level.gathers:
             cand = settle[srcs_k] + edge_delay[ids_k, k, None].astype(np.float32)
-            cand = np.where(changed[srcs_k], cand, -np.inf)
             np.maximum(best[rows_k], cand, out=cand)
             best[rows_k] = cand
         node_settle = node_delay[ids, None].astype(np.float32) + best
-        settle[ids] = np.where(changed[ids], node_settle, 0.0)
-        bad = changed[ids] & ~np.isfinite(node_settle)
+        changed_ids = changed[ids]
+        settle[ids] = np.where(changed_ids, node_settle, -np.inf)
+        bad = changed_ids & ~np.isfinite(node_settle)
         if bad.any():
             raise TimingError("changed node with no changed fanin (internal error)")
+    np.maximum(settle, 0, out=settle)
 
     return TransitionTimingResult(netlist=netlist, values=values, settle=settle)

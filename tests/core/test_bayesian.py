@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core.bayesian import GibbsConfig, sample_projection_vector
+from repro.core.bayesian import (
+    GibbsConfig,
+    sample_projection_vector,
+    sample_projection_vectors,
+)
 from repro.core.klt import fit_klt
 from repro.core.quantize import quantize_coefficients
 from repro.errors import OptimizationError
 from repro.models.prior import CoefficientPrior
 from tests.conftest import make_synthetic_error_model
+from tests.core import gibbs_oracle
 
 
 def _prior(wl=6, beta=4.0, freq=250.0):
@@ -154,3 +159,108 @@ class TestPolish:
             GibbsConfig(burn_in=20, n_samples=40, thin=4, polish_passes=6),
         )
         assert polished.score <= rough.score + 1e-12
+
+
+def _lockstep_case():
+    """Nine chains: word-lengths {3, 5, 9} on three residuals, two identical.
+
+    At 300 MHz and beta 0.5 the prior is mild and the over-clocking
+    penalty non-zero, so the chains land on non-zero, differing designs.
+    """
+    priors = {
+        wl: CoefficientPrior.from_error_model(make_synthetic_error_model(wl), 300.0, 0.5)
+        for wl in (3, 5, 9)
+    }
+    ocs = {wl: prior.variances * 2.0 ** (-2 * (9 + wl)) for wl, prior in priors.items()}
+    a, _ = _rank1_data(n=20, seed=11, noise=0.05)
+    b, _ = _rank1_data(n=20, seed=12, noise=0.2)
+    chains = [(x, wl) for x in (a, a.copy(), b) for wl in (3, 5, 9)]
+    xs = [x for x, _ in chains]
+    return xs, [priors[wl] for _, wl in chains], [ocs[wl] for _, wl in chains]
+
+
+FIELDS = ("values", "magnitudes", "signs", "wordlength", "score", "mse", "oc_penalty",
+          "n_scored")
+
+
+class _RecordingGenerator:
+    """A seeded generator that logs every draw with its arguments.
+
+    The normal's scale is ``(1 + lambda . lambda / psi) ** -0.5``, so the log
+    pins the chain's continuous state (factors, residual, noise
+    variances) every iteration, where the sampled designs would absorb a
+    last-bit difference.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self.calls: list[tuple] = []
+
+    def _draw(self, method: str, *args, **kwargs):
+        self.calls.append((method, args, sorted(kwargs.items())))
+        return getattr(self._rng, method)(*args, **kwargs)
+
+    def normal(self, *args, **kwargs):
+        return self._draw("normal", *args, **kwargs)
+
+    def gumbel(self, *args, **kwargs):
+        return self._draw("gumbel", *args, **kwargs)
+
+    def gamma(self, *args, **kwargs):
+        return self._draw("gamma", *args, **kwargs)
+
+
+class TestLockstep:
+    def test_chains_match_the_serial_oracle_bit_for_bit(self):
+        xs, priors, ocs = _lockstep_case()
+        seeds = range(100, 100 + len(xs))
+        rngs = [_RecordingGenerator(s) for s in seeds]
+        got = sample_projection_vectors(xs, priors, ocs, rngs, FAST)
+        assert len(got) == len(xs)
+        for x, prior, oc, seed, rng, lockstep in zip(xs, priors, ocs, seeds, rngs, got):
+            serial_rng = _RecordingGenerator(seed)
+            serial = gibbs_oracle.sample_projection_vector(x, prior, oc, serial_rng, FAST)
+            for name in FIELDS:
+                a, b = getattr(serial, name), getattr(lockstep, name)
+                assert np.array_equal(a, b), (prior.wordlength, seed, name, a, b)
+                assert np.asarray(a).dtype == np.asarray(b).dtype
+            # Same draws, in the same order, with bit-equal arguments.
+            assert rng.calls == serial_rng.calls, (prior.wordlength, seed)
+        assert [c[0] for c in rngs[0].calls[:3]] == ["normal", "gumbel", "gamma"]
+        # The fixture must exercise distinct results, not nine copies of one.
+        assert len({s.score for s in got}) > 3
+
+    def test_single_chain_call_is_the_lockstep_call(self):
+        xs, priors, ocs = _lockstep_case()
+        alone = sample_projection_vector(xs[2], priors[2], ocs[2], np.random.default_rng(1), FAST)
+        [stepped] = sample_projection_vectors(
+            xs[2:3], priors[2:3], ocs[2:3], [np.random.default_rng(1)], FAST
+        )
+        for name in FIELDS:
+            assert np.array_equal(getattr(alone, name), getattr(stepped, name))
+
+    def test_seconds_split_the_call_by_prior_group(self):
+        xs, priors, ocs = _lockstep_case()
+        got = sample_projection_vectors(
+            xs, priors, ocs, [np.random.default_rng(s) for s in range(len(xs))], FAST
+        )
+        # One record per draw; chains of one prior share one share.
+        for wl in (3, 5, 9):
+            shares = {s.seconds for s in got if s.wordlength == wl}
+            assert len(shares) == 1 and shares.pop() > 0
+
+    def test_no_chains_draw_nothing(self):
+        assert sample_projection_vectors([], [], [], [], FAST) == []
+
+    def test_one_input_per_chain_required(self):
+        xs, priors, ocs = _lockstep_case()
+        with pytest.raises(OptimizationError):
+            sample_projection_vectors(xs, priors[:-1], ocs, [np.random.default_rng(0)] * 9, FAST)
+
+    def test_residual_shapes_must_agree(self):
+        xs, priors, ocs = _lockstep_case()
+        xs[4] = xs[4][:, :-1]
+        with pytest.raises(OptimizationError):
+            sample_projection_vectors(
+                xs, priors, ocs, [np.random.default_rng(s) for s in range(9)], FAST
+            )

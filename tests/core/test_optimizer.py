@@ -1,5 +1,8 @@
 """Tests for repro.core.optimizer — Algorithm 1."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,11 @@ AREA_MODEL = AreaModel(
     wl_range=(3, 9),
     n_samples=40,
 )
+
+
+#: sha256 of the fixture run's designs and candidate history (see
+#: ``test_designs_and_history_bytes_are_pinned``).
+PINNED_DIGEST = "7e9fcf94e1e5d4e8693fff1e844c6028b6ea9a0c6fe06693efb4993eb0500e37"
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +100,31 @@ class TestAlgorithm1:
     def test_candidate_history_recorded(self, result):
         assert len(result.candidate_history) == SETTINGS.k
         assert len(result.candidate_history[0]) == len(SETTINGS.coeff_wordlengths)
+
+    def test_designs_and_history_bytes_are_pinned(self, result):
+        """Alg. 1's output bytes at seed 3, pinned from the serial sampler.
+
+        Any change to the draws, their order or the candidate order moves
+        this digest.
+        """
+        record = {
+            "designs": [
+                {
+                    "values": d.values.tolist(),
+                    "magnitudes": d.magnitudes.tolist(),
+                    "signs": d.signs.tolist(),
+                    "wordlengths": list(d.wordlengths),
+                    "area_le": float(d.area_le),
+                    "metadata": {k: float(v) for k, v in sorted(d.metadata.items())},
+                }
+                for d in result.designs
+            ],
+            "candidate_history": [
+                [[float(a), float(t)] for a, t in dim] for dim in result.candidate_history
+            ],
+        }
+        digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+        assert digest == PINNED_DIGEST
 
     def test_best_design(self, result):
         best = result.best_design()

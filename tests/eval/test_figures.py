@@ -155,6 +155,12 @@ class TestRuntimeTable:
         r = tables.runtime_model_table(ctx)
         assert r["fitted_model"] is not None
 
+    def test_fitted_rate_grows_with_wordlength(self, ctx):
+        """Eq. (8)'s shape survives the lockstep sampler's time split: a
+        wider grid costs more per draw (wl 9 draws 68x wl 3's Gumbels)."""
+        r = tables.runtime_model_table(ctx)
+        assert r["fitted_model"]["rate"] > 0
+
 
 class TestTable1:
     def test_paper_settings_echoed(self):

@@ -5,9 +5,10 @@ table, level by level.  This is the evaluator the library ran before the
 bit-sliced kernel of :mod:`repro.kernels` replaced it, kept here so the
 kernel can be proven bit-identical to it.  The settle loop of
 :func:`simulate_transitions` performs the library simulator's float32
-operations in the same order; it re-derives each level's ``arity > k``
-masks and fanin columns per call where the library reads them from the
-execution plan.
+operations on changed node-transitions in the same order; it re-derives
+each level's ``arity > k`` masks and fanin columns per call where the
+library reads them from the execution plan, and it masks unchanged
+fanins where the library carries them at -inf.
 
 :func:`evaluate` and :func:`simulate_transitions` take the same
 arguments as :meth:`CompiledNetlist.evaluate` and

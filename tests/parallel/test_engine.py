@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.characterization import characterize_multiplier
+from repro.config import ResilienceSettings
+from repro.faults import FaultPlan, FaultSpec
 from repro.parallel import PlacedDesignCache, execute_shards
 from repro.parallel.engine import _segment_statistics
 
@@ -103,3 +105,26 @@ class TestWorkerCountInvariance:
             max_stream_depth=32768,
         )
         assert execute_shards(device, plan, [], jobs=4) == []
+
+
+class TestPooledLatency:
+    @pytest.mark.slow
+    def test_each_attempt_records_its_own_run_time(self, device, small_char_config):
+        """A pooled attempt's ``latency_s`` is its shard's run time.
+
+        Both shards hang 0.3 s at once in two workers.  The parent harvests
+        the futures in shard order, so its wait for the second one is near
+        zero; only a time taken in the worker reads the hang.
+        """
+        plan = FaultPlan(specs=(FaultSpec(kind="hang", times=1, hang_s=0.3),), seed=0)
+        result = characterize_multiplier(
+            device, 8, 8, small_char_config(n_mult=4, chunk=4), seed=3, jobs=2,
+            resilience=ResilienceSettings(backoff_base_s=0.0, backoff_jitter=0.0),
+            faults=plan,
+        )
+        reports = result.outcome.reports
+        assert len(reports) == 2
+        for report in reports:
+            [attempt] = report.attempts
+            assert attempt.ok
+            assert attempt.latency_s >= 0.3
