@@ -26,13 +26,11 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from repro import Domain, OptimizationFramework, TableISettings, make_device, obs
 from repro.analysis import lint_netlist
 from repro.cli_flow import export_telemetry, resolve_telemetry_paths
-from repro.datasets import low_rank_gaussian
 from repro.eval.report import render_table
+from repro.framework import train_test_split
 from repro.netlist.multipliers import unsigned_array_multiplier
 from repro.parallel import resolve_jobs
 
@@ -80,10 +78,7 @@ def main() -> None:
     fw.fit_area_model()
 
     # Data: train/test split from one generative model (Z^6 -> Z^3).
-    rng = np.random.default_rng(0)
-    x = low_rank_gaussian(settings.p, settings.k,
-                          settings.n_train + settings.n_test, rng, noise=0.02)
-    x_train, x_test = x[:, : settings.n_train], x[:, settings.n_train:]
+    x_train, x_test = train_test_split(settings, seed=0)
 
     # 5. Algorithm 1.
     print(f"running Algorithm 1 (beta={args.beta}, "

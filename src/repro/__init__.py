@@ -41,7 +41,7 @@ Quickstart
 """
 
 from . import obs
-from .config import DEFAULT_SEED, TableISettings, TimingConfig
+from .config import TableISettings, TimingConfig
 from .errors import ReproError
 from .fabric import CYCLONE_III_3C16, FPGADevice, OperatingConditions, make_device
 from .framework import OptimizationFramework
@@ -50,7 +50,6 @@ from .circuits import Domain
 __version__ = "1.0.0"
 
 __all__ = [
-    "DEFAULT_SEED",
     "TableISettings",
     "TimingConfig",
     "ReproError",

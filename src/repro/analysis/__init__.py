@@ -13,9 +13,7 @@ framework characterises or places passes through here first).  It offers:
   IDs, catalogued in ``docs/static_analysis.md``).
 
 The gate is wired into :meth:`repro.synthesis.flow.SynthesisFlow.run`
-(on by default) and :func:`repro.netlist.generators.generate` (behind
-``repro.config.AnalysisSettings.lint_generated``), and is exposed on the
-command line as ``repro lint``.
+(on by default) and is exposed on the command line as ``repro lint``.
 
 On top of the structural layer sits the word-level semantic layer:
 

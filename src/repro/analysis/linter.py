@@ -3,7 +3,7 @@
 :func:`lint_netlist` runs every enabled pass over a netlist (builder or
 compiled form) and returns a :class:`~repro.analysis.diagnostics.LintReport`.
 :func:`check_netlist` is the gate used by the synthesis flow and the
-generator factory: it raises :class:`~repro.errors.LintError` when the
+placed-design cache: it raises :class:`~repro.errors.LintError` when the
 report fails the configured severity threshold and funnels sub-threshold
 warnings through :mod:`warnings` so sweeps stay observable but quiet.
 """
@@ -14,7 +14,6 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from ..config import get_analysis_settings
 from ..errors import AnalysisError, LintError
 from ..netlist.core import CompiledNetlist, Netlist
 from .context import AnalysisContext
@@ -65,18 +64,6 @@ class LintConfig:
             raise AnalysisError("lint budgets must be >= 1")
 
     @classmethod
-    def from_settings(cls, **overrides: object) -> "LintConfig":
-        """Build from the library-wide analysis settings (see
-        :func:`repro.config.get_analysis_settings`), with keyword tweaks."""
-        settings = get_analysis_settings()
-        kwargs: dict = {
-            "max_fanout": settings.max_fanout,
-            "max_depth": settings.max_depth,
-        }
-        kwargs.update(overrides)
-        return cls(**kwargs)
-
-    @classmethod
     def build(
         cls,
         disabled: Iterable[str] = (),
@@ -85,15 +72,15 @@ class LintConfig:
         max_depth: int | None = None,
         fail_on: "Severity | str" = Severity.ERROR,
     ) -> "LintConfig":
-        """Lenient constructor accepting severity names (CLI-facing)."""
-        settings = get_analysis_settings()
+        """Lenient constructor accepting severity names (CLI-facing); a
+        budget left at ``None`` keeps the field default."""
         return cls(
             disabled=frozenset(disabled),
             severity_overrides={
                 k: Severity.parse(v) for k, v in (severity_overrides or {}).items()
             },
-            max_fanout=settings.max_fanout if max_fanout is None else max_fanout,
-            max_depth=settings.max_depth if max_depth is None else max_depth,
+            max_fanout=cls.max_fanout if max_fanout is None else max_fanout,
+            max_depth=cls.max_depth if max_depth is None else max_depth,
             fail_on=Severity.parse(fail_on),
         )
 
@@ -119,7 +106,7 @@ def lint_netlist(
     word-level ``WL0xx`` passes: WL001 validates them against bus
     boundaries and WL003 reports logic they freeze.
     """
-    cfg = config if config is not None else LintConfig.from_settings()
+    cfg = config if config is not None else LintConfig()
     ctx = AnalysisContext.build(netlist, assumptions=assumptions)
     diagnostics: list[Diagnostic] = []
     for rule_id in sorted(REGISTRY):
@@ -165,7 +152,7 @@ def check_netlist(
     LintReport
         The report, when the gate passes.
     """
-    cfg = config if config is not None else LintConfig.from_settings()
+    cfg = config if config is not None else LintConfig()
     report = lint_netlist(netlist, cfg, assumptions=assumptions)
     prefix = f"{context}: " if context else ""
     if not report.ok(cfg.fail_on):

@@ -223,13 +223,6 @@ ALLOWANCES: tuple[Allowance, ...] = (
     # --- env.read: the configuration front doors -----------------------
     Allowance(
         EFFECT_ENV_READ,
-        "repro.config",
-        None,
-        "The configuration module is the designated environment boundary: "
-        "REPRO_* knobs are parsed here once into typed settings objects.",
-    ),
-    Allowance(
-        EFFECT_ENV_READ,
         "repro.parallel.jobs",
         "resolve_jobs",
         "REPRO_JOBS is the worker-count entry point; callers receive the "

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..config import ResilienceSettings, get_resilience_settings
+from ..config import ResilienceSettings
 from ..errors import CharacterizationError
 from ..fabric.device import FPGADevice
 from ..faults import FaultPlan
@@ -108,7 +108,7 @@ def characterize_multiplier(
     seed: int = 0,
     jobs: int | None = None,
     cache: PlacedDesignCache | None = None,
-    resilience: ResilienceSettings | None = None,
+    resilience: ResilienceSettings = ResilienceSettings(),
     faults: FaultPlan | None = None,
 ) -> CharacterizationResult:
     """Run a full characterisation sweep of one multiplier geometry.
@@ -127,9 +127,8 @@ def characterize_multiplier(
         Placed-design cache for the per-location circuit placements;
         ``None`` uses the process-wide default.
     resilience:
-        Retry/timeout/degradation policy for shard failures; ``None``
-        uses the process-wide :func:`repro.config.get_resilience_settings`.
-        With ``allow_degraded`` set, quarantined shards leave NaN cells in
+        Retry/timeout/degradation policy for shard failures.  With
+        ``allow_degraded`` set, quarantined shards leave NaN cells in
         the grids and the sweep's ``result.outcome`` records them;
         otherwise an incomplete sweep raises
         :class:`~repro.errors.SweepFailedError`.
@@ -161,13 +160,12 @@ def _characterize_multiplier_impl(
     seed: int = 0,
     jobs: int | None = None,
     cache: PlacedDesignCache | None = None,
-    resilience: ResilienceSettings | None = None,
+    resilience: ResilienceSettings = ResilienceSettings(),
     faults: FaultPlan | None = None,
 ) -> CharacterizationResult:
     if config is None:
         config = CharacterizationConfig()
     n_jobs = resolve_jobs(jobs)
-    settings = resilience if resilience is not None else get_resilience_settings()
     tree = SeedTree(seed).child("characterization", f"{w_data}x{w_coeff}")
     multiplicands = _resolve_multiplicands(config, w_coeff)
 
@@ -237,9 +235,9 @@ def _characterize_multiplier_impl(
 
     outcome = run_sweep(
         device, plan, shards, jobs=n_jobs, cache=cache,
-        resilience=settings, faults=faults,
+        resilience=resilience, faults=faults,
     )
-    outcome.raise_for_status(allow_degraded=settings.allow_degraded)
+    outcome.raise_for_status(allow_degraded=resilience.allow_degraded)
     for shard, result in zip(shards, outcome.results):
         stop = shard.start + shard.multiplicands.shape[0]
         if result is None:

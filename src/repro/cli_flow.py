@@ -13,10 +13,12 @@ session (or on another machine):
     repro-flow evaluate  WS --name run1 --domain actual
     repro-flow status    WS
 
-``--jobs`` (or ``REPRO_JOBS``) fans the characterisation sweeps out over
-a process pool; results are identical at any worker count.  Placed
-designs are cached under ``WS/cache/placed`` and reused across stages
-and sessions.
+``characterize --jobs`` (or ``REPRO_JOBS``) fans the characterisation
+sweeps out over a process pool; results are identical at any worker
+count.  ``optimize`` and ``evaluate`` read the archived sweeps and area
+model, and exit 2 naming the stage to run first when they are missing.
+Placed designs are cached under ``WS/cache/placed`` and reused across
+stages and sessions.
 
 Telemetry: the top-level ``--trace PATH`` / ``--metrics PATH`` flags
 enable :mod:`repro.obs` for the invoked stage — ``--trace`` writes both
@@ -30,10 +32,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from dataclasses import replace
-
 from .circuits.domains import Domain
-from .config import TableISettings, get_resilience_settings
+from .config import ResilienceSettings, TableISettings
 from .errors import ConfigError, SweepFailedError
 from .eval.report import render_table
 from .fabric.device import make_device
@@ -49,16 +49,6 @@ from .workspace import Workspace
 __all__ = ["export_telemetry", "main", "resolve_telemetry_paths"]
 
 
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: $REPRO_JOBS or 1; must be >= 1)",
-    )
-
-
 def _cmd_init(args: argparse.Namespace) -> int:
     ws = Workspace(args.workspace)
     settings = TableISettings().scaled(args.scale)
@@ -67,24 +57,6 @@ def _cmd_init(args: argparse.Namespace) -> int:
     print(f"initialised workspace {ws.root} for device serial {args.serial} "
           f"({settings.n_characterization} characterisation cases/cell)")
     return 0
-
-
-def _resilience_from_args(args: argparse.Namespace):
-    """The active resilience policy with any CLI overrides applied.
-
-    Flags layer on top of the process-wide settings (which already folded
-    in ``REPRO_SHARD_TIMEOUT`` / ``REPRO_MAX_RETRIES`` /
-    ``REPRO_ALLOW_DEGRADED``), so a flag always wins over its env var.
-    """
-    settings = get_resilience_settings()
-    overrides = {}
-    if getattr(args, "shard_timeout", None) is not None:
-        overrides["shard_timeout_s"] = args.shard_timeout
-    if getattr(args, "max_retries", None) is not None:
-        overrides["max_retries"] = args.max_retries
-    if getattr(args, "allow_degraded", False):
-        overrides["allow_degraded"] = True
-    return replace(settings, **overrides) if overrides else settings
 
 
 def _print_characterize_progress(event: dict) -> None:
@@ -109,7 +81,11 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     characterize_workspace(
         ws,
         jobs=args.jobs,
-        resilience=_resilience_from_args(args),
+        resilience=ResilienceSettings(
+            shard_timeout_s=args.shard_timeout,
+            max_retries=args.max_retries,
+            allow_degraded=args.allow_degraded,
+        ),
         progress=_print_characterize_progress,
     )
     return 0
@@ -124,7 +100,7 @@ def _cmd_fit_area(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     ws = Workspace(args.workspace)
-    result, path = optimize_workspace(ws, args.name, args.beta, jobs=args.jobs)
+    result, path = optimize_workspace(ws, args.name, args.beta)
     print(f"Algorithm 1 produced {len(result.designs)} designs "
           f"(beta={args.beta}) -> {path}")
     for d in sorted(result.designs, key=lambda d: d.area_le or 0):
@@ -135,7 +111,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     ws = Workspace(args.workspace)
     domain = Domain(args.domain)
-    rows = evaluate_workspace(ws, args.name, domain, jobs=args.jobs)
+    rows = evaluate_workspace(ws, args.name, domain)
     print(render_table(
         ["wordlengths", "area LE", f"{domain.value} MSE"],
         [(str(tuple(r["wordlengths"])), f"{r['area_le']:.0f}", r["mse"]) for r in rows],
@@ -225,28 +201,32 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("characterize", help="run the multiplier characterisation")
     p.add_argument("workspace")
-    _add_jobs_argument(p)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="N",
+        help="worker processes (default: $REPRO_JOBS or 1; must be >= 1)",
+    )
     p.add_argument(
         "--shard-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-shard timeout on the pool path "
-             "(default: $REPRO_SHARD_TIMEOUT or none)",
+        help="per-shard timeout on the pool path (default: none)",
     )
     p.add_argument(
         "--max-retries",
         type=int,
-        default=None,
+        default=ResilienceSettings.max_retries,
         metavar="N",
-        help="inline retries per failing shard "
-             "(default: $REPRO_MAX_RETRIES or 2)",
+        help="inline retries per failing shard (default: %(default)s)",
     )
     p.add_argument(
         "--allow-degraded",
         action="store_true",
         help="accept sweeps with quarantined shards (NaN cells) instead "
-             "of failing (default: $REPRO_ALLOW_DEGRADED)",
+             "of failing",
     )
     p.set_defaults(fn=_cmd_characterize)
 
@@ -258,14 +238,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("workspace")
     p.add_argument("--beta", type=float, default=4.0)
     p.add_argument("--name", default="run1", help="design-set name")
-    _add_jobs_argument(p)
     p.set_defaults(fn=_cmd_optimize)
 
     p = sub.add_parser("evaluate", help="evaluate a stored design set")
     p.add_argument("workspace")
     p.add_argument("--name", default="run1")
     p.add_argument("--domain", choices=[d.value for d in Domain], default="actual")
-    _add_jobs_argument(p)
     p.set_defaults(fn=_cmd_evaluate)
 
     p = sub.add_parser("status", help="show workspace contents")

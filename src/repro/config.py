@@ -1,4 +1,4 @@
-"""Global configuration objects and the paper's Table I settings.
+"""Frozen configuration objects and the paper's Table I settings.
 
 Units convention used throughout the library:
 
@@ -16,34 +16,17 @@ making the paper's 310 MHz target 1.85x the tool report (paper Sec. VI-D).
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Iterator
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
 __all__ = [
     "TableISettings",
     "TimingConfig",
-    "AnalysisSettings",
-    "get_analysis_settings",
-    "set_analysis_settings",
-    "analysis_settings",
     "ResilienceSettings",
-    "get_resilience_settings",
-    "set_resilience_settings",
-    "resilience_settings",
-    "REPRO_SHARD_TIMEOUT_ENV",
-    "REPRO_MAX_RETRIES_ENV",
-    "REPRO_ALLOW_DEGRADED_ENV",
     "mhz_to_period_ns",
     "period_ns_to_mhz",
-    "DEFAULT_SEED",
 ]
-
-#: Root seed used by examples and benches when the user does not supply one.
-DEFAULT_SEED = 20140519  # IPDPSW 2014 week, entirely arbitrary but fixed.
 
 
 def mhz_to_period_ns(freq_mhz: float) -> float:
@@ -104,89 +87,13 @@ class TimingConfig:
             raise ConfigError("tool pessimism factors must be >= 1.0")
 
 
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() in ("1", "true", "yes", "on")
-
-
-@dataclass(frozen=True)
-class AnalysisSettings:
-    """Library-wide switches for the netlist static-analysis subsystem.
-
-    Attributes
-    ----------
-    lint_generated:
-        Lint every netlist produced through the
-        :func:`repro.netlist.generators.generate` factory and raise
-        :class:`~repro.errors.LintError` on error-severity findings.
-        Off by default (generators are covered by the synthesis gate and
-        the test suite); enable for sweeps over untrusted generators.
-        Env default: ``REPRO_LINT_GENERATED``.
-    lint_synthesis:
-        Gate :meth:`repro.synthesis.flow.SynthesisFlow.run` on the lint
-        report of the incoming netlist: errors abort the run, warnings
-        are surfaced via :mod:`warnings`.  On by default.
-        Env default: ``REPRO_LINT_SYNTHESIS``.
-    max_fanout / max_depth:
-        Default budgets for the NL009 / NL010 passes.
-    """
-
-    lint_generated: bool = _env_flag("REPRO_LINT_GENERATED", False)
-    lint_synthesis: bool = _env_flag("REPRO_LINT_SYNTHESIS", True)
-    max_fanout: int = 32
-    max_depth: int = 128
-
-    def __post_init__(self) -> None:
-        if self.max_fanout < 1 or self.max_depth < 1:
-            raise ConfigError("analysis budgets must be >= 1")
-
-
-_analysis_settings = AnalysisSettings()
-
-
-def get_analysis_settings() -> AnalysisSettings:
-    """The process-wide :class:`AnalysisSettings` currently in effect."""
-    return _analysis_settings
-
-
-def set_analysis_settings(settings: AnalysisSettings) -> AnalysisSettings:
-    """Replace the process-wide analysis settings; returns the previous ones."""
-    global _analysis_settings
-    previous = _analysis_settings
-    _analysis_settings = settings
-    return previous
-
-
-@contextmanager
-def analysis_settings(**overrides: object) -> Iterator[AnalysisSettings]:
-    """Temporarily override analysis settings (tests, sweeps)::
-
-        with analysis_settings(lint_generated=True):
-            nl = generate("ccm", 93, 8)   # linted
-    """
-    previous = get_analysis_settings()
-    set_analysis_settings(replace(previous, **overrides))  # type: ignore[arg-type]
-    try:
-        yield get_analysis_settings()
-    finally:
-        set_analysis_settings(previous)
-
-
-#: Environment knobs for the sweep-resilience layer (see docs/resilience.md).
-REPRO_SHARD_TIMEOUT_ENV = "REPRO_SHARD_TIMEOUT"
-REPRO_MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
-REPRO_ALLOW_DEGRADED_ENV = "REPRO_ALLOW_DEGRADED"
-
-
 @dataclass(frozen=True)
 class ResilienceSettings:
     """Retry/timeout/degradation policy for sharded sweeps.
 
-    Consumed by :func:`repro.parallel.engine.run_sweep`.  Every knob has a
-    matching environment variable so deployments can harden a flow without
-    code changes; explicit ``ResilienceSettings`` arguments always win.
+    Consumed by :func:`repro.parallel.engine.run_sweep`; callers build one
+    and pass it down (``repro-flow characterize`` builds it from its
+    ``--shard-timeout``, ``--max-retries`` and ``--allow-degraded`` flags).
 
     Attributes
     ----------
@@ -231,64 +138,6 @@ class ResilienceSettings:
             raise ConfigError("backoff_factor must be >= 1.0")
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise ConfigError("backoff_jitter must be in [0, 1]")
-
-    @classmethod
-    def from_env(cls, environ: dict | None = None) -> "ResilienceSettings":
-        """Settings with the ``REPRO_*`` environment overrides applied."""
-        env = os.environ if environ is None else environ
-        kwargs: dict = {}
-        raw = env.get(REPRO_SHARD_TIMEOUT_ENV)
-        if raw is not None:
-            try:
-                timeout = float(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{REPRO_SHARD_TIMEOUT_ENV}={raw!r} is not a number"
-                ) from None
-            kwargs["shard_timeout_s"] = timeout if timeout > 0 else None
-        raw = env.get(REPRO_MAX_RETRIES_ENV)
-        if raw is not None:
-            try:
-                kwargs["max_retries"] = int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{REPRO_MAX_RETRIES_ENV}={raw!r} is not an integer"
-                ) from None
-        raw = env.get(REPRO_ALLOW_DEGRADED_ENV)
-        if raw is not None:
-            kwargs["allow_degraded"] = raw.strip().lower() in ("1", "true", "yes", "on")
-        return cls(**kwargs)
-
-
-_resilience_settings = ResilienceSettings.from_env()
-
-
-def get_resilience_settings() -> ResilienceSettings:
-    """The process-wide :class:`ResilienceSettings` currently in effect."""
-    return _resilience_settings
-
-
-def set_resilience_settings(settings: ResilienceSettings) -> ResilienceSettings:
-    """Replace the process-wide resilience settings; returns the previous ones."""
-    global _resilience_settings
-    previous = _resilience_settings
-    _resilience_settings = settings
-    return previous
-
-
-@contextmanager
-def resilience_settings(**overrides: object) -> Iterator[ResilienceSettings]:
-    """Temporarily override resilience settings (tests, chaos gates)::
-
-        with resilience_settings(max_retries=0):
-            characterize_multiplier(...)   # fail-fast
-    """
-    previous = get_resilience_settings()
-    set_resilience_settings(replace(previous, **overrides))  # type: ignore[arg-type]
-    try:
-        yield get_resilience_settings()
-    finally:
-        set_resilience_settings(previous)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,8 @@ import numpy as np
 from ..config import TableISettings
 from ..core.design import LinearProjectionDesign
 from ..core.optimizer import OptimizationResult
-from ..datasets import low_rank_gaussian
 from ..fabric.device import FPGADevice, make_device
-from ..framework import OptimizationFramework, characterization_config
+from ..framework import OptimizationFramework, characterization_config, train_test_split
 
 __all__ = ["ExperimentContext"]
 
@@ -69,18 +68,15 @@ class ExperimentContext:
             char_config=characterization_config(settings, n_char_locations),
             seed=seed,
         )
-        rng = np.random.default_rng(seed)
-        x_all = low_rank_gaussian(
-            settings.p, settings.k, settings.n_train + settings.n_test, rng, noise=0.02
-        )
+        x_train, x_test = train_test_split(settings, seed)
         ctx = cls(
             seed=seed,
             scale=scale,
             settings=settings,
             device=device,
             framework=framework,
-            x_train=x_all[:, : settings.n_train],
-            x_test=x_all[:, settings.n_train :],
+            x_train=x_train,
+            x_test=x_test,
         )
         _CONTEXT_CACHE[key] = ctx
         return ctx

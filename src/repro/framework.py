@@ -30,6 +30,7 @@ from .config import ResilienceSettings, TableISettings
 from .core.design import DesignPoint, LinearProjectionDesign
 from .core.klt import klt_reference_design
 from .core.optimizer import OptimizationResult, OptimizerConfig, optimize_designs
+from .datasets import low_rank_gaussian
 from .errors import OptimizationError
 from .fabric.device import FPGADevice
 from .models.area_model import AreaModel, collect_area_samples, fit_area_model
@@ -43,6 +44,7 @@ __all__ = [
     "area_model_degree",
     "characterization_config",
     "default_frequency_grid",
+    "train_test_split",
 ]
 
 
@@ -81,6 +83,25 @@ def characterization_config(
     )
 
 
+def train_test_split(
+    settings: TableISettings, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The flow's (train, test) data, derived from ``seed`` alone.
+
+    One draw of ``n_train + n_test`` columns from a rank-``k`` Gaussian in
+    ``p`` dimensions (noise 0.02); the first ``n_train`` columns train
+    Algorithm 1 and the rest are the test set.
+    """
+    x = low_rank_gaussian(
+        settings.p,
+        settings.k,
+        settings.n_train + settings.n_test,
+        np.random.default_rng(seed),
+        noise=0.02,
+    )
+    return x[:, : settings.n_train], x[:, settings.n_train :]
+
+
 def area_model_degree(wordlengths: Sequence[int]) -> int:
     """Degree of the area-model polynomial fitted over ``wordlengths``.
 
@@ -114,8 +135,7 @@ class OptimizationFramework:
         Placed-design cache shared by characterisation and actual-domain
         evaluation; ``None`` uses the process-wide default.
     resilience:
-        Retry/degradation policy for the characterisation sweeps;
-        ``None`` uses the process-wide settings.  After
+        Retry/degradation policy for the characterisation sweeps.  After
         :meth:`characterize`, :meth:`sweep_health` reports each
         word-length's sweep status so callers can tell complete from
         degraded data.
@@ -127,7 +147,7 @@ class OptimizationFramework:
     seed: int = 0
     jobs: int | None = None
     cache: PlacedDesignCache | None = None
-    resilience: ResilienceSettings | None = None
+    resilience: ResilienceSettings = ResilienceSettings()
     _error_models: ErrorModelSet | None = field(default=None, repr=False)
     _area_model: AreaModel | None = field(default=None, repr=False)
     _sweep_outcomes: dict = field(default_factory=dict, repr=False)

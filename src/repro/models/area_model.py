@@ -153,7 +153,7 @@ def collect_area_samples(
                 netlist,
                 anchor=anchor,
                 seed=seed + 1000 * wl + run,
-                lint=None if run == 0 else False,
+                lint=(run == 0),
             )
             samples.append(
                 AreaSample(

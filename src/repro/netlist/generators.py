@@ -40,26 +40,11 @@ def register_generator(name: str, fn: Callable[..., Netlist]) -> None:
 
 
 def generate(name: str, *args, **kwargs) -> Netlist:
-    """Instantiate a registered generator by name.
-
-    When :func:`repro.config.get_analysis_settings` has ``lint_generated``
-    set (off by default; enable with ``REPRO_LINT_GENERATED=1``), every
-    generated netlist passes through the static-analysis gate, raising
-    :class:`~repro.errors.LintError` on error-severity findings.
-    """
+    """Instantiate a registered generator by name."""
     try:
         fn = GENERATORS[name]
     except KeyError:
         raise NetlistError(
             f"unknown generator {name!r}; available: {sorted(GENERATORS)}"
         ) from None
-    netlist = fn(*args, **kwargs)
-    from ..config import get_analysis_settings
-
-    if get_analysis_settings().lint_generated:
-        # Imported lazily: repro.analysis reads repro.netlist.core, which
-        # would recurse through this package during its own import.
-        from ..analysis import check_netlist
-
-        check_netlist(netlist, context=f"generator {name!r}")
-    return netlist
+    return fn(*args, **kwargs)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import ResilienceSettings, get_resilience_settings
+from ..config import ResilienceSettings
 from ..fabric.device import FPGADevice
 from ..obs import runtime as obs
 from ..faults import FaultInjector, FaultPlan
@@ -400,7 +400,7 @@ def run_sweep(
     shards: list[Shard],
     jobs: int = 1,
     cache: PlacedDesignCache | None = None,
-    resilience: ResilienceSettings | None = None,
+    resilience: ResilienceSettings = ResilienceSettings(),
     faults: FaultPlan | None = None,
 ) -> SweepOutcome:
     """Run all shards with retries, timeouts and quarantine bookkeeping.
@@ -423,8 +423,7 @@ def run_sweep(
     Parameters
     ----------
     resilience:
-        Retry/timeout policy; ``None`` uses the process-wide
-        :func:`repro.config.get_resilience_settings`.
+        Retry/timeout policy.
     faults:
         Chaos plan to inject; ``None`` consults ``REPRO_FAULTS`` (an
         unset variable injects nothing).
@@ -485,12 +484,11 @@ def _run_sweep_body(
     shards: list[Shard],
     jobs: int = 1,
     cache: PlacedDesignCache | None = None,
-    resilience: ResilienceSettings | None = None,
+    resilience: ResilienceSettings = ResilienceSettings(),
     faults: FaultPlan | None = None,
 ) -> SweepOutcome:
     if cache is None:
         cache = get_default_cache()
-    settings = resilience if resilience is not None else get_resilience_settings()
     if faults is None:
         faults = FaultPlan.from_env()
     injector = (
@@ -503,17 +501,17 @@ def _run_sweep_body(
     # At jobs=1 or with a single shard the inline loop below takes every
     # first attempt; so it does for shards an abandoned pool left behind.
     if jobs > 1 and n > 1:
-        _pool_pass(device, plan, shards, jobs, cache, settings, faults, state)
+        _pool_pass(device, plan, shards, jobs, cache, resilience, faults, state)
 
     # ---- inline pass: first attempts at jobs=1, then all retries ----
     inline_scratch = EvalScratch()
     for i, shard in enumerate(shards):
-        while state.results[i] is None and len(state.attempts[i]) <= settings.max_retries:
+        while state.results[i] is None and len(state.attempts[i]) <= resilience.max_retries:
             attempt = len(state.attempts[i])
             if attempt > 0:
                 time.sleep(
                     backoff_delay(
-                        settings, plan.seed, attempt - 1,
+                        resilience, plan.seed, attempt - 1,
                         str(shard.li), str(shard.start),
                     )
                 )
@@ -566,7 +564,7 @@ def execute_shards(
     shards: list[Shard],
     jobs: int = 1,
     cache: PlacedDesignCache | None = None,
-    resilience: ResilienceSettings | None = None,
+    resilience: ResilienceSettings = ResilienceSettings(),
     faults: FaultPlan | None = None,
 ) -> list[ShardResult]:
     """Run all shards, inline (``jobs=1``) or over a process pool.

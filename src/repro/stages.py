@@ -12,6 +12,10 @@ The CLI's printing stays out of this module: the characterisation
 stage, the only long-running one, reports its milestones through an
 optional ``progress`` callback that receives plain-dict events
 (``{"stage", "event", ...}``).
+
+Each stage reads only what earlier stages archived: ``optimize`` and
+``evaluate`` refuse a workspace that lacks their inputs rather than
+recompute them in memory.
 """
 
 from __future__ import annotations
@@ -19,15 +23,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .characterization.harness import characterize_multiplier
 from .circuits.domains import Domain
 from .config import ResilienceSettings
 from .core.design import LinearProjectionDesign
 from .core.optimizer import OptimizationResult
-from .datasets import low_rank_gaussian
-from .framework import area_model_degree, characterization_config
+from .errors import ConfigError
+from .framework import area_model_degree, characterization_config, train_test_split
 from .models.area_model import AreaModel, collect_area_samples, fit_area_model
 from .parallel.jobs import resolve_jobs
 from .workspace import Workspace
@@ -38,7 +40,6 @@ __all__ = [
     "evaluate_workspace",
     "fit_area_workspace",
     "optimize_workspace",
-    "training_data",
 ]
 
 #: Stage progress callback: receives one plain-dict event per milestone.
@@ -53,7 +54,7 @@ def _emit(progress: ProgressFn | None, event: dict) -> None:
 def characterize_workspace(
     ws: Workspace,
     jobs: int | None = None,
-    resilience: ResilienceSettings | None = None,
+    resilience: ResilienceSettings = ResilienceSettings(),
     progress: ProgressFn | None = None,
 ) -> list[Path]:
     """Characterise every configured word-length and archive the sweeps.
@@ -120,46 +121,46 @@ def fit_area_workspace(ws: Workspace, n_runs: int = 6) -> tuple[AreaModel, Path]
     return model, path
 
 
-def training_data(ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """The deterministic (train, test) split derived from the workspace seed."""
-    settings = ws.settings()
-    x = low_rank_gaussian(
-        settings.p,
-        settings.k,
-        settings.n_train + settings.n_test,
-        np.random.default_rng(ws.seed()),
-        noise=0.02,
+def _require_archives(ws: Workspace, stage: str, area_model: bool) -> None:
+    """Raise :class:`ConfigError` unless ``stage``'s inputs are archived.
+
+    The error names the stage to run first and any word-lengths whose
+    characterisation archive is missing.
+    """
+    missing = sorted(
+        set(ws.settings().coeff_wordlengths) - set(ws.characterized_wordlengths())
     )
-    return x[:, : settings.n_train], x[:, settings.n_train :]
+    if missing:
+        raise ConfigError(
+            f"{stage} needs the characterisation archives of word-lengths "
+            f"{missing}; run `repro-flow characterize` first"
+        )
+    if area_model and not ws.area_model_path.exists():
+        raise ConfigError(
+            f"{stage} needs the area model; run `repro-flow fit-area` first"
+        )
 
 
 def optimize_workspace(
-    ws: Workspace,
-    name: str,
-    beta: float,
-    jobs: int | None = None,
+    ws: Workspace, name: str, beta: float
 ) -> tuple[OptimizationResult, Path]:
     """Run Algorithm 1 on the workspace's training data; archive the designs."""
-    fw = ws.framework(jobs=resolve_jobs(jobs))
-    x_train, _ = training_data(ws)
-    result = fw.optimize(x_train, beta=beta)
+    _require_archives(ws, "optimize", area_model=True)
+    x_train, _ = train_test_split(ws.settings(), ws.seed())
+    result = ws.framework().optimize(x_train, beta=beta)
     path = ws.save_design_set(name, result.designs)
     return result, path
 
 
-def evaluate_workspace(
-    ws: Workspace,
-    name: str,
-    domain: Domain,
-    jobs: int | None = None,
-) -> list[dict]:
+def evaluate_workspace(ws: Workspace, name: str, domain: Domain) -> list[dict]:
     """Evaluate a stored design set in one domain.
 
     Returns one row dict per design, sorted by area, for the CLI to
     render as a table.
     """
-    fw = ws.framework(jobs=resolve_jobs(jobs))
-    _, x_test = training_data(ws)
+    _require_archives(ws, "evaluate", area_model=False)
+    fw = ws.framework()
+    _, x_test = train_test_split(ws.settings(), ws.seed())
     designs: Sequence[LinearProjectionDesign] = ws.load_design_set(name)
     rows: list[dict] = []
     for d in sorted(designs, key=lambda d: d.area_le or 0):

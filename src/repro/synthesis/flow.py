@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis import check_netlist
-from ..config import get_analysis_settings
 from ..errors import PlacementError
 from ..obs import runtime as obs
 from ..fabric.device import FPGADevice
@@ -94,7 +93,7 @@ class SynthesisFlow:
         anchor: tuple[int, int] = (0, 0),
         seed: int = 0,
         utilization: float = 0.55,
-        lint: bool | None = None,
+        lint: bool = True,
     ) -> PlacedDesign:
         """Place ``netlist`` at ``anchor`` and annotate actual delays.
 
@@ -110,16 +109,14 @@ class SynthesisFlow:
             Run the static-analysis gate before placement, raising
             :class:`~repro.errors.LintError` on error-severity findings
             (dead logic, malformed output buses, ...) and surfacing the
-            rest as :class:`~repro.analysis.LintWarning`.  ``None`` defers
-            to :func:`repro.config.get_analysis_settings` (on by default;
-            the Fig. 2 flow runs it between "design entry" and placement).
+            rest as :class:`~repro.analysis.LintWarning` (the Fig. 2 flow
+            runs it between "design entry" and placement).  Callers that
+            place one netlist many times lint it once and pass ``False``.
         """
         obs.counter_add("synthesis.runs")
         with obs.span(
             "synthesis.run", anchor=f"{anchor[0]},{anchor[1]}", seed=seed
         ) as span:
-            if lint is None:
-                lint = get_analysis_settings().lint_synthesis
             if lint:
                 check_netlist(netlist, context="synthesis flow")
             compiled = netlist.compile() if isinstance(netlist, Netlist) else netlist

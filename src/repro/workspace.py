@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .characterization.results import CharacterizationResult
-from .config import ResilienceSettings, TableISettings
+from .config import TableISettings
 from .core.design import LinearProjectionDesign
 from .errors import ConfigError
 from .fabric.device import FPGADevice, make_device
@@ -288,27 +288,20 @@ class Workspace:
             self._cache = PlacedDesignCache(self.cache_dir)
         return self._cache
 
-    def framework(
-        self,
-        jobs: int | None = None,
-        resilience: ResilienceSettings | None = None,
-    ) -> OptimizationFramework:
+    def framework(self) -> OptimizationFramework:
         """An OptimizationFramework pre-seeded from the archived artefacts.
 
         The characterisation and area-model caches are filled from disk if
         present, so :meth:`OptimizationFramework.optimize` and
         :meth:`~repro.framework.OptimizationFramework.evaluate` run without
         re-simulating the device.  The framework places through this
-        workspace's disk-backed cache; ``jobs`` sets its worker count and
-        ``resilience`` its shard retry/degradation policy.
+        workspace's disk-backed cache.
         """
         fw = OptimizationFramework(
             self.device(),
             self.settings(),
             seed=self.seed(),
-            jobs=jobs,
             cache=self.placed_cache(),
-            resilience=resilience,
         )
         if self.characterized_wordlengths():
             fw._error_models = self.load_error_models()

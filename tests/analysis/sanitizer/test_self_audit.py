@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
-from repro.analysis.sanitizer import ENTRY_POINTS, audit_paths
+from repro.analysis.sanitizer import ALLOWANCES, DT_REGISTRY, ENTRY_POINTS, audit_paths
+from repro.analysis.sanitizer.auditor import _allowed
 
 SRC = Path(__file__).resolve().parents[3] / "src" / "repro"
 
@@ -35,6 +37,29 @@ def test_every_suppression_is_justified():
     for supp in report.suppressions:
         assert supp.reason and len(supp.reason) > 10, (
             f"{supp.path}:{supp.lineno} pragma lacks a real justification"
+        )
+
+
+def test_every_allowance_suppresses_something():
+    # Audited with no policy, every occurrence an allowance would let
+    # through is a finding; an entry that matches none of them is stale.
+    unpoliced = audit_paths([SRC], allowances=())
+    for allowance in ALLOWANCES:
+        matched = [
+            f
+            for f in unpoliced.findings
+            if _allowed(
+                SimpleNamespace(
+                    effect=DT_REGISTRY[f.rule].effect, qualname=f.qualname
+                ),
+                f.module,
+                (allowance,),
+            )
+        ]
+        assert matched, (
+            f"stale allowance: {allowance.effect} in {allowance.module}"
+            f"{' · ' + allowance.qualname if allowance.qualname else ''} "
+            "suppresses nothing in src/repro; delete it"
         )
 
 

@@ -1,16 +1,14 @@
-"""Integration tests: lint gates in the synthesis flow and generator factory,
-plus property tests that every built-in generator emits lint-clean netlists."""
+"""Integration tests: the lint gate in the synthesis flow, plus property
+tests that every built-in generator emits lint-clean netlists."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import LintWarning, lint_netlist
-from repro.config import analysis_settings
 from repro.errors import LintError
 from repro.netlist.ccm import ccm_multiplier
 from repro.netlist.core import Netlist
-from repro.netlist.generators import GENERATORS, generate, register_generator
 from repro.netlist.mac import mac_block
 from repro.netlist.multipliers import (
     baugh_wooley_multiplier,
@@ -51,11 +49,6 @@ class TestSynthesisFlowGate:
         placed = flow.run(_with_dead_lut(), lint=False)
         assert placed.netlist.n_luts > 0
 
-    def test_settings_disable_gate(self, flow):
-        with analysis_settings(lint_synthesis=False):
-            placed = flow.run(_with_dead_lut())
-        assert placed.netlist.n_luts > 0
-
     def test_warnings_surface_but_pass(self, flow):
         nl = Netlist("warn")
         a = nl.add_input_bus("a", 2)
@@ -67,24 +60,6 @@ class TestSynthesisFlowGate:
     def test_clean_netlist_passes(self, flow):
         placed = flow.run(unsigned_array_multiplier(4, 4))
         assert placed.netlist.n_luts > 0
-
-
-class TestGeneratorGate:
-    def test_dirty_generator_refused_when_enabled(self):
-        register_generator("lint-dirty-test", lambda: _with_dead_lut())
-        try:
-            with analysis_settings(lint_generated=True):
-                with pytest.raises(LintError, match="lint-dirty-test"):
-                    generate("lint-dirty-test")
-            # Off by default: the same generator passes through untouched.
-            assert generate("lint-dirty-test").n_nodes > 0
-        finally:
-            GENERATORS.pop("lint-dirty-test")
-
-    def test_clean_generator_passes_when_enabled(self):
-        with analysis_settings(lint_generated=True):
-            nl = generate("ccm", 93, 8)
-        assert nl.output_buses["p"]
 
 
 class TestGeneratorsLintClean:

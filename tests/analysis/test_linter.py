@@ -9,7 +9,6 @@ from repro.analysis import (
     check_netlist,
     lint_netlist,
 )
-from repro.config import analysis_settings
 from repro.errors import AnalysisError, LintError
 from repro.netlist.core import Netlist
 from repro.netlist.multipliers import unsigned_array_multiplier
@@ -54,14 +53,12 @@ class TestLintConfig:
         assert cfg.severity_for("NL002") is Severity.ERROR  # default kept
 
     def test_build_reads_budget_settings(self):
-        with analysis_settings(max_fanout=7, max_depth=9):
-            cfg = LintConfig.build()
+        cfg = LintConfig.build(max_fanout=7, max_depth=9)
         assert (cfg.max_fanout, cfg.max_depth) == (7, 9)
-
-    def test_from_settings_overrides_win(self):
-        with analysis_settings(max_fanout=7):
-            cfg = LintConfig.from_settings(max_fanout=11)
-        assert cfg.max_fanout == 11
+        # Budgets left unset keep the field defaults.
+        cfg = LintConfig.build()
+        assert (cfg.max_fanout, cfg.max_depth) == (32, 128)
+        assert cfg == LintConfig()
 
 
 class TestLintNetlist:

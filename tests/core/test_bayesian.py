@@ -1,5 +1,7 @@
 """Tests for repro.core.bayesian — the Gibbs projection sampler."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -183,18 +185,40 @@ FIELDS = ("values", "magnitudes", "signs", "wordlength", "score", "mse", "oc_pen
           "n_scored")
 
 
+class _LogitsProbe(np.ndarray):
+    """A Gumbel draw that logs the logits it is added to.
+
+    The lockstep ``logits[j] += g`` and the oracle's ``logits + g`` both
+    dispatch here before adding, so ``log`` receives the chain's
+    pre-Gumbel logits exactly (shape, dtype and a digest of the bytes).
+    """
+
+    log: list
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        assert (ufunc, method) == (np.add, "__call__")
+        (logits,) = [x for x in inputs if x is not self]
+        digest = hashlib.sha256(np.ascontiguousarray(logits).tobytes()).hexdigest()
+        self.log.append((logits.shape, logits.dtype.str, digest))
+        plain = [x.view(np.ndarray) if x is self else x for x in inputs]
+        return ufunc(*plain, **kwargs)
+
+
 class _RecordingGenerator:
     """A seeded generator that logs every draw with its arguments.
 
     The normal's scale is ``(1 + lambda . lambda / psi) ** -0.5``, so the log
     pins the chain's continuous state (factors, residual, noise
     variances) every iteration, where the sampled designs would absorb a
-    last-bit difference.
+    last-bit difference.  The coefficient logits reach results only
+    through the Gumbel argmax, so each Gumbel draw is a
+    :class:`_LogitsProbe` that logs them into ``logits``.
     """
 
     def __init__(self, seed: int) -> None:
         self._rng = np.random.default_rng(seed)
         self.calls: list[tuple] = []
+        self.logits: list[tuple] = []
 
     def _draw(self, method: str, *args, **kwargs):
         self.calls.append((method, args, sorted(kwargs.items())))
@@ -204,7 +228,9 @@ class _RecordingGenerator:
         return self._draw("normal", *args, **kwargs)
 
     def gumbel(self, *args, **kwargs):
-        return self._draw("gumbel", *args, **kwargs)
+        draw = self._draw("gumbel", *args, **kwargs).view(_LogitsProbe)
+        draw.log = self.logits
+        return draw
 
     def gamma(self, *args, **kwargs):
         return self._draw("gamma", *args, **kwargs)
@@ -226,6 +252,10 @@ class TestLockstep:
                 assert np.asarray(a).dtype == np.asarray(b).dtype
             # Same draws, in the same order, with bit-equal arguments.
             assert rng.calls == serial_rng.calls, (prior.wordlength, seed)
+            # Every Gumbel draw met bit-equal pre-Gumbel logits.
+            n_gumbel = sum(call[0] == "gumbel" for call in rng.calls)
+            assert len(rng.logits) == n_gumbel > 0
+            assert rng.logits == serial_rng.logits, (prior.wordlength, seed)
         assert [c[0] for c in rngs[0].calls[:3]] == ["normal", "gumbel", "gamma"]
         # The fixture must exercise distinct results, not nine copies of one.
         assert len({s.score for s in got}) > 3

@@ -7,7 +7,6 @@ import pytest
 
 import repro.models.area_model as area_module
 import repro.synthesis.flow as flow_module
-from repro.config import analysis_settings
 from repro.errors import LintError, ModelError
 from repro.models.area_model import (
     AreaModel,
@@ -104,11 +103,6 @@ class TestLintOnce:
             collect_area_samples(device, (3, 4), n_runs=4)
         assert "NL002" in exc_info.value.report.rule_ids
         assert spies == ["lint"]
-
-    def test_settings_disable_lint(self, device, spies):
-        with analysis_settings(lint_synthesis=False):
-            collect_area_samples(device, (3, 4), n_runs=2)
-        assert "lint" not in spies
 
 
 class TestFit:

@@ -19,9 +19,16 @@ END = "<!-- telemetry-reference:end -->"
 
 #: Retired surfaces no page may name: the environment switches, the
 #: observability micro-benchmark and the capture-throughput histogram.
+#: The resilience and lint switches became arguments (ResilienceSettings,
+#: ``SynthesisFlow.run(lint=...)``).
 RETIRED = (
     "REPRO_TRACE",
     "REPRO_METRICS",
+    "REPRO_SHARD_TIMEOUT",
+    "REPRO_MAX_RETRIES",
+    "REPRO_ALLOW_DEGRADED",
+    "REPRO_LINT_GENERATED",
+    "REPRO_LINT_SYNTHESIS",
     "benchmarks/bench_observability.py",
     "capture.samples_per_second",
 )
@@ -97,9 +104,9 @@ def test_resilience_doc_names_are_current():
     text = (DOCS / "resilience.md").read_text()
     for needle in (
         "REPRO_FAULTS",
-        "REPRO_SHARD_TIMEOUT",
-        "REPRO_MAX_RETRIES",
-        "REPRO_ALLOW_DEGRADED",
+        "ResilienceSettings",
+        "--max-retries",
+        "--allow-degraded",
         "SweepOutcome",
         "fallback_inline",
         "SweepFailedError",

@@ -119,8 +119,12 @@ class TestFlowJobs:
         assert "jobs" in capsys.readouterr().err
 
     def test_optimize_rejects_bad_jobs(self, workspace, capsys):
-        assert flow_main(["optimize", str(workspace), "--jobs", "-3"]) == 2
-        assert "jobs" in capsys.readouterr().err
+        # Only characterize sweeps; optimize and evaluate take no --jobs.
+        for stage in ("optimize", "evaluate"):
+            with pytest.raises(SystemExit) as exc_info:
+                flow_main([stage, str(workspace), "--jobs", "2"])
+            assert exc_info.value.code == 2
+            assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_status_reports_cache(self, workspace, capsys):
         assert flow_main(["status", str(workspace)]) == 0

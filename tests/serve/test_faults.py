@@ -11,13 +11,12 @@ workspace and cache fully valid.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
 from repro.characterization.results import CharacterizationResult
 from repro.cli_flow import main as flow_main
-from repro.config import get_resilience_settings
+from repro.config import ResilienceSettings
 from repro.errors import SweepFailedError
 from repro.parallel.cache import PlacedDesignCache
 from repro.stages import characterize_workspace
@@ -52,9 +51,7 @@ class TestChaosParity:
         job_ws = make_workspace(tmp_path / "job_ws")
         characterize_workspace(
             job_ws,
-            resilience=replace(
-                get_resilience_settings(), max_retries=0, allow_degraded=True
-            ),
+            resilience=ResilienceSettings(max_retries=0, allow_degraded=True),
         )
         health = job_ws.sweep_health()[3]
         assert health["status"] == "degraded"
@@ -74,7 +71,7 @@ class TestChaosParity:
         with pytest.raises(SweepFailedError, match="quarantined"):
             characterize_workspace(
                 job_ws,
-                resilience=replace(get_resilience_settings(), max_retries=0),
+                resilience=ResilienceSettings(max_retries=0),
             )
         # Neither run archived a failed sweep.
         assert not list(cli_ws.char_dir.glob("wl*"))

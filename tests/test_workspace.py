@@ -1,5 +1,7 @@
 """Tests for repro.workspace and the repro-flow CLI."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.klt import klt_reference_design
 from repro.datasets import low_rank_gaussian
 from repro.errors import ConfigError
 from repro.models.area_model import collect_area_samples, fit_area_model
+from repro.stages import optimize_workspace
 from repro.workspace import Workspace
 
 SETTINGS = TableISettings(
@@ -124,6 +127,47 @@ class TestFlowCli:
         assert main(["status", ws]) == 0
         out = capsys.readouterr().out
         assert "t1" in out
+
+
+class TestStageContract:
+    """``optimize`` and ``evaluate`` read archived inputs; they never
+    recompute a missing sweep or area model in memory."""
+
+    @pytest.mark.parametrize("stage", ["optimize", "evaluate"])
+    def test_init_only_workspace_is_refused(self, tmp_path, capsys, stage):
+        from repro.cli_flow import main
+
+        ws = tmp_path / "ws"
+        assert main(["init", str(ws), "--serial", "7", "--scale", "0.012"]) == 0
+        metrics = tmp_path / "metrics.json"
+        assert main(["--metrics", str(metrics), stage, str(ws)]) == 2
+        err = capsys.readouterr().err
+        assert f"{stage} needs the characterisation archives" in err
+        assert "[3, 4, 5, 6, 7, 8, 9]" in err
+        assert "run `repro-flow characterize` first" in err
+        assert list((ws / "designs").iterdir()) == []
+        assert list((ws / "characterization").iterdir()) == []
+        counters = json.loads(metrics.read_text())["counters"]
+        assert "characterize.sweeps" not in counters
+        assert "synthesis.runs" not in counters
+
+    def test_missing_inputs_are_named(self, ws, device):
+        cfg = CharacterizationConfig(
+            freqs_mhz=(400.0, 500.0), n_samples=60, n_locations=1
+        )
+        ws.save_characterization(
+            3, characterize_multiplier(device, 9, 3, cfg, seed=3)
+        )
+        with pytest.raises(
+            ConfigError, match=r"word-lengths \[4\]; run `repro-flow characterize`"
+        ):
+            optimize_workspace(ws, "t", 4.0)
+        ws.save_characterization(
+            4, characterize_multiplier(device, 9, 4, cfg, seed=3)
+        )
+        with pytest.raises(ConfigError, match="area model; run `repro-flow fit-area`"):
+            optimize_workspace(ws, "t", 4.0)
+        assert ws.design_sets() == []
 
 
 class TestSharedWorkspace:
