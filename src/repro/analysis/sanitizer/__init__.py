@@ -5,8 +5,8 @@ the determinism invariant *empirically* (bitwise comparisons at several
 worker counts); this package proves it *structurally*: an AST +
 call-graph pass over the repository's own source verifies that no code
 reachable from a shard entry point performs an uncatalogued ambient
-effect (RNG, clocks, environment, hash-order iteration, unlocked shared
-writes, ...).
+effect (RNG, clocks, environment, hash-order iteration, non-atomic
+shared writes, ...).
 
 * :mod:`~repro.analysis.sanitizer.effects` — the closed-world effect
   catalogue, entry points, and allowance policy;
@@ -17,9 +17,7 @@ writes, ...).
 * :mod:`~repro.analysis.sanitizer.report` — typed findings and reports.
 
 Exposed on the command line as ``repro audit`` and gated to zero
-findings in ``scripts/check.sh``.  The *runtime* half — the cache race
-detector enabled by ``REPRO_SANITIZE=1`` — lives in
-:mod:`repro.parallel.sanitize`.
+findings in ``scripts/check.sh``.
 """
 
 from .auditor import ModuleIndex, audit_paths, build_module_index, discover_files

@@ -46,11 +46,9 @@ from .effects import (
     EFFECT_FORK_UNSAFE,
     EFFECT_MODULE_STATE,
     EFFECT_NONATOMIC_WRITE,
-    EFFECT_UNLOCKED_INSTALL,
     EFFECT_UNORDERED_ITER,
     EFFECT_WALL_CLOCK,
     ENTRY_POINTS,
-    LOCK_HELPER_NAMES,
     SCOPE_EVERYWHERE,
     SCOPE_REACHABLE,
     SCOPE_SHARED_DISK,
@@ -498,13 +496,6 @@ class _Scanner(ast.NodeVisitor):
                 f"write-mode file open ({mode}) — requires write-to-temp "
                 "+ os.replace in the same function",
             )
-        if dotted in ("os.rename", "os.replace"):
-            self._record(
-                EFFECT_UNLOCKED_INSTALL,
-                node,
-                f"`{dotted}` install — requires the advisory entry lock "
-                "in the same function",
-            )
 
     def _check_submit(self, node: ast.Call) -> None:
         func = node.func
@@ -758,16 +749,6 @@ def _reachable_modules(
     return seen
 
 
-def _lock_disciplined(unit: _Unit) -> bool:
-    helpers = set(LOCK_HELPER_NAMES)
-    if unit.calls_bare & helpers or unit.calls_internal & helpers:
-        return True
-    return any(
-        call.split(".")[-1] in helpers
-        for call in unit.calls_dotted | unit.calls_internal
-    )
-
-
 def _allowed(
     occ: _Occurrence, module: str, allowances: Sequence[Allowance]
 ) -> bool:
@@ -910,8 +891,6 @@ def _judge(
 ) -> None:
     rule = rule_for_effect(occ.effect)
     if rule.rule_id in disabled:
-        return
-    if occ.effect == EFFECT_UNLOCKED_INSTALL and _lock_disciplined(unit):
         return
     if occ.effect == EFFECT_NONATOMIC_WRITE and "os.replace" in unit.calls_dotted:
         return

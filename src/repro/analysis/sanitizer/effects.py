@@ -13,7 +13,7 @@ Why these effects: the process pool, the placed-design cache and the
 compiled hot path all rest on the invariant that shard work is
 bit-identical at any worker count.  Each catalogued effect is a way
 that invariant silently breaks — ambient RNG, wall-clock reads,
-hash-order iteration, unlocked shared-disk writes — and each maps to
+hash-order iteration, non-atomic shared-disk writes — and each maps to
 exactly one ``DTnnn`` rule (:mod:`repro.analysis.sanitizer.rules`).
 """
 
@@ -32,12 +32,10 @@ __all__ = [
     "EFFECT_FORK_UNSAFE",
     "EFFECT_MODULE_STATE",
     "EFFECT_NONATOMIC_WRITE",
-    "EFFECT_UNLOCKED_INSTALL",
     "EFFECT_UNORDERED_ITER",
     "EFFECT_WALL_CLOCK",
     "EffectSpec",
     "ENTRY_POINTS",
-    "LOCK_HELPER_NAMES",
     "SCOPE_EVERYWHERE",
     "SCOPE_REACHABLE",
     "SCOPE_SHARED_DISK",
@@ -52,7 +50,6 @@ EFFECT_ENV_READ = "env.read"
 EFFECT_UNORDERED_ITER = "iter.unordered"
 EFFECT_MODULE_STATE = "state.module_mutable"
 EFFECT_NONATOMIC_WRITE = "fs.nonatomic_write"
-EFFECT_UNLOCKED_INSTALL = "fs.unlocked_install"
 EFFECT_FORK_UNSAFE = "pool.fork_unsafe"
 EFFECT_BUILTIN_HASH = "hash.builtin"
 EFFECT_ENTROPY = "entropy.read"
@@ -60,7 +57,7 @@ EFFECT_ENTROPY = "entropy.read"
 #: Enforcement scopes.  ``reachable``: only code transitively reachable
 #: from :data:`ENTRY_POINTS` is held to the rule (a wall-clock read in a
 #: report renderer is fine; one in a shard is not).  ``shared_disk``:
-#: only modules in :data:`SHARED_DISK_MODULES` (the cache disk tier).
+#: only modules in :data:`SHARED_DISK_MODULES` (the workspace).
 #: ``everywhere``: the whole audited tree.
 SCOPE_REACHABLE = "reachable"
 SCOPE_SHARED_DISK = "shared_disk"
@@ -141,14 +138,6 @@ EFFECT_CATALOG: tuple[EffectSpec, ...] = (
         "entries.",
     ),
     EffectSpec(
-        EFFECT_UNLOCKED_INSTALL,
-        SCOPE_SHARED_DISK,
-        "An `os.replace`/`os.rename` install into the shared disk tier "
-        "in a function that never takes the advisory entry lock: the "
-        "runtime sanitizer cannot order such installs, and lost-update "
-        "detection has no critical section to verify.",
-    ),
-    EffectSpec(
         EFFECT_UNORDERED_ITER,
         SCOPE_EVERYWHERE,
         "Iteration over a set/frozenset expression (or materialising one "
@@ -182,16 +171,8 @@ ENTRY_POINTS: tuple[str, ...] = (
 )
 
 #: Modules whose on-disk artefacts are shared between concurrent
-#: processes; the ``shared_disk`` rules apply only here.
-SHARED_DISK_MODULES: tuple[str, ...] = (
-    "repro.parallel.cache",
-    "repro.parallel.sanitize",
-)
-
-#: Functions that constitute "holding the advisory lock" for DT007: an
-#: install function must call one of these (directly) to satisfy the
-#: lock discipline.
-LOCK_HELPER_NAMES: tuple[str, ...] = ("_entry_lock", "entry_lock")
+#: processes; the ``shared_disk`` rule applies only here.
+SHARED_DISK_MODULES: tuple[str, ...] = ("repro.workspace",)
 
 
 @dataclass(frozen=True)
@@ -230,31 +211,10 @@ ALLOWANCES: tuple[Allowance, ...] = (
     ),
     Allowance(
         EFFECT_ENV_READ,
-        "repro.parallel.cache",
-        "get_default_cache",
-        "REPRO_CACHE_DIR names the default disk tier exactly once, at "
-        "process-wide default-cache creation.",
-    ),
-    Allowance(
-        EFFECT_ENV_READ,
-        "repro.parallel.sanitize",
-        "sanitize_enabled",
-        "REPRO_SANITIZE is the runtime sanitizer's opt-in flag; reading "
-        "it cannot perturb results (the sanitizer only observes).",
-    ),
-    Allowance(
-        EFFECT_ENV_READ,
         "repro.faults.plan",
         "FaultPlan.from_env",
         "REPRO_FAULTS is the chaos plan's documented entry point; the "
         "plan itself is deterministic once parsed.",
-    ),
-    Allowance(
-        EFFECT_ENV_READ,
-        "repro.cli",
-        None,
-        "CLI front door: flags fall back to documented environment "
-        "variables before the pipeline is entered.",
     ),
     # --- wall_clock: sanctioned latency bookkeeping ---------------------
     Allowance(

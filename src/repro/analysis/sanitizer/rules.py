@@ -23,7 +23,6 @@ from .effects import (
     EFFECT_FORK_UNSAFE,
     EFFECT_MODULE_STATE,
     EFFECT_NONATOMIC_WRITE,
-    EFFECT_UNLOCKED_INSTALL,
     EFFECT_UNORDERED_ITER,
     EFFECT_WALL_CLOCK,
 )
@@ -110,8 +109,9 @@ _register(
         "ambient-env",
         EFFECT_ENV_READ,
         "Code reads `os.environ`/`os.getenv` outside the declared "
-        "configuration entry points (repro.config, resolve_jobs, the "
-        "CLIs, ...), making behaviour depend on inherited environment.",
+        "configuration entry points (`resolve_jobs` for REPRO_JOBS, "
+        "`FaultPlan.from_env` for REPRO_FAULTS), making behaviour depend "
+        "on inherited environment.",
     )
 )
 _register(
@@ -142,16 +142,6 @@ _register(
         "A shared-disk module opens a file for writing in a function "
         "without the write-to-temp + `os.replace` discipline, so "
         "concurrent writers can tear each other's entries.",
-    )
-)
-_register(
-    DTRule(
-        "DT007",
-        "unlocked-install",
-        EFFECT_UNLOCKED_INSTALL,
-        "A shared-disk module installs an entry (`os.replace`/`os.rename`) "
-        "in a function that never takes the advisory entry lock, leaving "
-        "nothing for the runtime sanitizer's lost-update check to order.",
     )
 )
 _register(

@@ -3,12 +3,11 @@
 Runs one of the paper's experiments at a configurable scale and prints
 the figure's numeric series as ASCII tables.  The ``lint`` subcommand
 instead runs the netlist static analyser over a generated design and
-reports its diagnostics (text or JSON); the ``cache`` subcommand
-inspects or clears an on-disk placed-design cache; the ``faults``
-subcommand describes/validates a chaos fault-injection plan; the ``obs``
-subcommand prints the telemetry reference or summarises exported
-trace/metrics artefacts; the ``audit`` subcommand runs the determinism
-and concurrency sanitizer (DT rules) over repro's own source.
+reports its diagnostics (text or JSON); the ``faults`` subcommand
+describes/validates a chaos fault-injection plan; the ``obs`` subcommand
+prints the telemetry reference or summarises exported trace/metrics
+artefacts; the ``audit`` subcommand runs the determinism and
+concurrency sanitizer (DT rules) over repro's own source.
 
 Examples
 --------
@@ -22,8 +21,6 @@ Examples
     repro-experiment lint unsigned_multiplier 8 8 --format json
     repro-experiment analyze ccm 93 8 --prove
     repro-experiment analyze unsigned_multiplier 8 8 --assume b=222 --sta
-    repro-experiment cache info --workspace WS
-    repro-experiment cache clear --dir /tmp/placed-cache
     repro-experiment faults describe --plan '{"seed": 7, "specs": [...]}'
     repro-experiment faults validate --plan @plan.json
     repro-experiment obs reference
@@ -37,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -426,94 +422,6 @@ def _faults_main(argv: list[str]) -> int:
     return 0
 
 
-def _cache_main(argv: list[str]) -> int:
-    """``cache`` subcommand: inspect or clear a placed-design cache."""
-    from .parallel.cache import REPRO_CACHE_DIR_ENV, PlacedDesignCache
-    from .workspace import Workspace
-
-    parser = argparse.ArgumentParser(
-        prog="repro-experiment cache",
-        description="Inspect, verify or clear an on-disk placed-design cache.",
-    )
-    parser.add_argument(
-        "action",
-        nargs="?",
-        default="info",
-        choices=["info", "verify", "clear"],
-        help="what to do with the cache (default: info)",
-    )
-    parser.add_argument(
-        "--verify",
-        action="store_true",
-        help="shorthand for the 'verify' action: read-only integrity walk "
-        "of the content-addressed store, reporting (not rebuilding) "
-        "checksum mismatches and torn entries",
-    )
-    where = parser.add_mutually_exclusive_group()
-    where.add_argument(
-        "--dir",
-        dest="directory",
-        default=None,
-        help=f"cache directory (default: ${REPRO_CACHE_DIR_ENV})",
-    )
-    where.add_argument(
-        "--workspace",
-        default=None,
-        help="use the placed-design cache of this workspace",
-    )
-    parser.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report rendering (default: text)",
-    )
-    args = parser.parse_args(argv)
-    if args.verify:
-        args.action = "verify"
-
-    if args.workspace is not None:
-        cache = Workspace(args.workspace).placed_cache()
-    else:
-        directory = args.directory or os.environ.get(REPRO_CACHE_DIR_ENV)
-        if not directory:
-            print(
-                "error: no cache directory (pass --dir/--workspace or set "
-                f"${REPRO_CACHE_DIR_ENV})",
-                file=sys.stderr,
-            )
-            return 2
-        cache = PlacedDesignCache(directory)
-
-    if args.action == "clear":
-        removed = cache.clear(disk=True)
-        print(f"removed {removed} cache entries from {cache.directory}")
-        return 0
-    if args.action == "verify":
-        problems = cache.verify()
-        checked = len(cache.disk_entries())
-        if args.format == "json":
-            print(json.dumps(
-                {"directory": str(cache.directory), "entries": checked,
-                 "problems": problems},
-                indent=2,
-            ))
-        else:
-            for problem in problems:
-                print(f"{problem['entry']}: {problem['problem']}")
-            print(
-                f"verified {checked} entries in {cache.directory}: "
-                f"{len(problems)} problem(s)"
-            )
-        return 1 if problems else 0
-    stats = cache.stats().as_dict()
-    if args.format == "json":
-        print(json.dumps(stats, indent=2))
-    else:
-        for key in ("directory", "disk_entries", "disk_bytes"):
-            print(f"{key}: {stats[key]}")
-    return 0
-
-
 def _audit_main(argv: list[str]) -> int:
     """``audit`` subcommand: determinism/concurrency audit of repro source."""
     from .analysis.sanitizer import audit_paths, dt_rule_table_markdown
@@ -524,7 +432,7 @@ def _audit_main(argv: list[str]) -> int:
         prog="repro-experiment audit",
         description="Audit Python source for determinism and concurrency "
         "hazards (DT rules): ambient RNG, clock/env reads, hash-order "
-        "iteration, unlocked shared-cache writes. Reachability is rooted "
+        "iteration, non-atomic shared-disk writes. Reachability is rooted "
         "at the shard entry points (see docs/static_analysis.md).",
     )
     parser.add_argument(
@@ -661,8 +569,6 @@ def main(argv: list[str] | None = None) -> int:
         return _analyze_main(argv[1:])
     if argv and argv[0] == "audit":
         return _audit_main(argv[1:])
-    if argv and argv[0] == "cache":
-        return _cache_main(argv[1:])
     if argv and argv[0] == "faults":
         return _faults_main(argv[1:])
     if argv and argv[0] == "obs":

@@ -16,9 +16,10 @@ session (or on another machine):
 ``characterize --jobs`` (or ``REPRO_JOBS``) fans the characterisation
 sweeps out over a process pool; results are identical at any worker
 count.  ``optimize`` and ``evaluate`` read the archived sweeps and area
-model, and exit 2 naming the stage to run first when they are missing.
-Placed designs are cached under ``WS/cache/placed`` and reused across
-stages and sessions.
+model, and exit 2 naming the stage to run first when they are missing;
+so does ``evaluate --name`` for a design set never written.  Placed
+designs are cached in memory for the one stage a call runs; the
+workspace holds only the archived artefacts.
 
 Telemetry: the top-level ``--trace PATH`` / ``--metrics PATH`` flags
 enable :mod:`repro.obs` for the invoked stage — ``--trace`` writes both
@@ -139,9 +140,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
                   f"[{cells}] — affected grid cells are NaN")
     print(f"area model: {'fitted' if ws.area_model_path.exists() else 'missing'}")
     print(f"design sets: {ws.design_sets() or 'none'}")
-    stats = ws.placed_cache().stats()
-    print(f"placed-design cache: {stats.disk_entries} entries, "
-          f"{stats.disk_bytes} bytes ({ws.cache_dir})")
     return 0
 
 

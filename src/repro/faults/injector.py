@@ -8,8 +8,7 @@ inline path agree on what fires without any shared mutable state.
 
 Injection points inside :func:`repro.parallel.engine.run_shard`:
 
-* ``fire_pre`` — before placement: ``poison-cache`` (corrupt the shard's
-  on-disk placed-design entry), then ``hang`` (sleep), then ``crash``
+* ``fire_pre`` — before placement: ``hang`` (sleep), then ``crash``
   (raise :class:`~repro.errors.InjectedFaultError`);
 * ``mutate_result`` — after computation: ``corrupt`` replaces the
   statistic blocks with NaN, which the engine's result validation
@@ -29,15 +28,9 @@ from ..rng import derive_seed
 from .plan import FaultPlan, FaultSpec
 
 if TYPE_CHECKING:  # circularity guard: parallel imports faults eagerly
-    from ..fabric.device import FPGADevice
-    from ..parallel.cache import PlacedDesignCache
-    from ..parallel.engine import Shard, ShardResult, SweepPlan
+    from ..parallel.engine import Shard, ShardResult
 
 __all__ = ["FaultInjector"]
-
-#: Bytes written over a poisoned cache entry — short enough to also look
-#: like a torn/truncated write to the loader.
-_POISON_BYTES = b"repro-chaos-poisoned-entry"
 
 
 class FaultInjector:
@@ -75,49 +68,8 @@ class FaultInjector:
         )
 
     # ------------------------------------------------------------------
-    def _poison_cache_entry(
-        self,
-        device: "FPGADevice",
-        plan: "SweepPlan",
-        shard: "Shard",
-        cache: "PlacedDesignCache | None",
-    ) -> None:
-        """Overwrite the shard's on-disk placed-design entry with garbage.
-
-        Mirrors the key derivation of the characterisation circuit
-        (anchor = shard location, seed = sweep seed + location index), so
-        exactly this shard's placement is poisoned.  Memory-only caches
-        and not-yet-written entries are left alone — there is nothing on
-        disk to corrupt.
-        """
-        from ..parallel.cache import PlacedKey
-
-        if cache is None or cache.directory is None:
-            return
-        key = PlacedKey.for_device(
-            device, plan.w_data, plan.w_coeff, shard.location, plan.seed + shard.li
-        )
-        path = cache.directory / f"{key.digest()}.pkl"
-        if path.exists():
-            path.write_bytes(_POISON_BYTES)
-        # The worker's in-memory tier may already hold the entry; evict it
-        # so the poisoned disk entry is actually exercised.
-        cache._memory.pop(key, None)
-
-    def fire_pre(
-        self,
-        device: "FPGADevice",
-        plan: "SweepPlan",
-        shard: "Shard",
-        attempt: int,
-        cache: "PlacedDesignCache | None",
-    ) -> None:
+    def fire_pre(self, shard: "Shard", attempt: int) -> None:
         """Fire the pre-computation faults for this shard attempt."""
-        for spec in self.plan.specs:
-            if spec.kind == "poison-cache" and self._fires(
-                spec, shard.li, shard.start, attempt
-            ):
-                self._poison_cache_entry(device, plan, shard, cache)
         for spec in self.plan.specs:
             if spec.kind == "hang" and self._fires(
                 spec, shard.li, shard.start, attempt

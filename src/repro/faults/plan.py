@@ -33,7 +33,7 @@ __all__ = ["FAULT_KINDS", "FaultPlan", "FaultSpec", "REPRO_FAULTS_ENV"]
 REPRO_FAULTS_ENV = "REPRO_FAULTS"
 
 #: The fault taxonomy (docs/resilience.md maps each to a hardware analogue).
-FAULT_KINDS = ("crash", "hang", "corrupt", "poison-cache")
+FAULT_KINDS = ("crash", "hang", "corrupt")
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,7 @@ class FaultSpec:
         ``crash`` raises :class:`~repro.errors.InjectedFaultError` before
         the shard computes; ``hang`` sleeps ``hang_s`` seconds before
         computing (long enough to trip a pool timeout); ``corrupt``
-        replaces the shard's statistic blocks with NaN after computing;
-        ``poison-cache`` overwrites the shard's on-disk placed-design
-        cache entry with garbage before placement.
+        replaces the shard's statistic blocks with NaN after computing.
     li / start:
         Target shard coordinates (location index, multiplicand-chunk
         start); ``None`` matches any value — a spec with both ``None``

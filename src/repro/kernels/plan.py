@@ -19,8 +19,7 @@ can be computed once per netlist instead of once per evaluation:
 Plans are memoised in a module-level cache keyed by a **content hash**
 of the compiled arrays (:func:`netlist_fingerprint`), not by object
 identity: :class:`~repro.netlist.core.CompiledNetlist` instances travel
-through pickles (the placed-design cache, pool workers) and lose
-identity on the way, while structurally identical netlists — every
+through pickles to pool workers and lose identity on the way, while structurally identical netlists — every
 shard of a sweep evaluates the same placed design — should share one
 plan.  The cache is guarded by a lock and is append-only: a key is
 computed from immutable arrays, so concurrent writers can only ever

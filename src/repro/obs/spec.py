@@ -168,18 +168,11 @@ SPAN_CATALOG: tuple[SpanSpec, ...] = (
 #: Catalogue of every counter the library records, sorted by name.
 METRIC_CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec(
-        "cache.placed.corruptions",
-        "entries",
-        "repro.parallel.cache",
-        False,
-        "Damaged on-disk cache entries detected, logged and rebuilt from synthesis.",
-    ),
-    MetricSpec(
         "cache.placed.hits",
         "lookups",
         "repro.parallel.cache",
         False,
-        "Placed-design cache hits (memory tier + disk tier) in this process.",
+        "Placed-design cache hits in this process.",
     ),
     MetricSpec(
         "cache.placed.misses",
@@ -187,14 +180,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
         "repro.parallel.cache",
         False,
         "Placed-design cache misses that fell through to a synthesis run in this process.",
-    ),
-    MetricSpec(
-        "cache.placed.sanitizer_violations",
-        "violations",
-        "repro.parallel.sanitize",
-        False,
-        "Shared-cache discipline violations (lost updates, torn entries, unlocked installs) "
-        "observed by the REPRO_SANITIZE runtime sanitizer.",
     ),
     MetricSpec(
         "cache.placed.stores",

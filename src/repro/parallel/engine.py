@@ -9,9 +9,9 @@ seed paths.  Shard results are therefore bit-identical whether a shard
 runs inline (``jobs=1``) or in any worker of a ``ProcessPoolExecutor`` —
 the worker count only changes wall-clock, never numbers.
 
-Workers re-place the (cheap) characterisation circuit through the
-placed-design cache; handing the pool a disk-backed cache lets all
-workers share one synthesis result per location.
+Workers re-place the (cheap) characterisation circuit through their
+own in-memory placed-design cache, so each worker synthesises a
+location at most once per sweep.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from ..faults import FaultInjector, FaultPlan
 from ..netlist.core import EvalScratch, bits_from_ints
 from ..rng import SeedTree
 from ..timing.simulator import simulate_transitions
-from .cache import PlacedDesignCache, get_default_cache
+from .cache import PlacedDesignCache
 from .retry import (
     ATTEMPT_ERROR,
     ATTEMPT_INVALID,
@@ -155,7 +155,7 @@ def run_shard(
     from ..characterization.circuit import CharacterizationCircuit
 
     if injector is not None:
-        injector.fire_pre(device, plan, shard, attempt, cache)
+        injector.fire_pre(shard, attempt)
     seg_len = plan.n_samples + 1
     chunk = shard.multiplicands
     circuit = CharacterizationCircuit(
@@ -216,14 +216,13 @@ _worker_scratch: EvalScratch | None = None
 def _init_worker(
     device: FPGADevice,
     plan: SweepPlan,
-    cache_directory: str | None,
     faults: FaultPlan | None = None,
 ) -> None:
     global _worker_device, _worker_plan, _worker_cache, _worker_injector
     global _worker_scratch
     _worker_device = device
     _worker_plan = plan
-    _worker_cache = PlacedDesignCache(cache_directory)
+    _worker_cache = PlacedDesignCache()
     _worker_injector = (
         FaultInjector(faults) if faults is not None and not faults.is_empty else None
     )
@@ -346,7 +345,6 @@ def _pool_pass(
     plan: SweepPlan,
     shards: list[Shard],
     jobs: int,
-    cache: PlacedDesignCache,
     settings: ResilienceSettings,
     faults: FaultPlan | None,
     state: _SweepState,
@@ -361,11 +359,10 @@ def _pool_pass(
     """
     n = len(shards)
     with obs.span("sweep.pool", jobs=min(jobs, n), shards=n) as pool_span:
-        directory = str(cache.directory) if cache.directory is not None else None
         pool = ProcessPoolExecutor(
             max_workers=min(jobs, n),
             initializer=_init_worker,
-            initargs=(device, plan, directory, faults),
+            initargs=(device, plan, faults),
         )
         abandon = None
         try:
@@ -487,8 +484,6 @@ def _run_sweep_body(
     resilience: ResilienceSettings = ResilienceSettings(),
     faults: FaultPlan | None = None,
 ) -> SweepOutcome:
-    if cache is None:
-        cache = get_default_cache()
     if faults is None:
         faults = FaultPlan.from_env()
     injector = (
@@ -501,7 +496,7 @@ def _run_sweep_body(
     # At jobs=1 or with a single shard the inline loop below takes every
     # first attempt; so it does for shards an abandoned pool left behind.
     if jobs > 1 and n > 1:
-        _pool_pass(device, plan, shards, jobs, cache, resilience, faults, state)
+        _pool_pass(device, plan, shards, jobs, resilience, faults, state)
 
     # ---- inline pass: first attempts at jobs=1, then all retries ----
     inline_scratch = EvalScratch()

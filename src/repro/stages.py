@@ -5,6 +5,8 @@ One function per flow stage, operating on a
 workspace identity (device serial, settings, seed) and archives its
 outputs there, so the stages can run in separate sessions and the
 archived bytes never depend on the worker count or cache temperature.
+The stages place through the process-wide default placed-design cache,
+so stages run in one process share its placements.
 Every workspace write is atomic, so an interrupted stage leaves only
 valid artefacts on disk.
 
@@ -60,14 +62,13 @@ def characterize_workspace(
     """Characterise every configured word-length and archive the sweeps.
 
     Deterministic in the workspace identity (device serial, settings,
-    seed): the ``jobs`` worker count and the temperature of the
-    workspace's disk-backed placed-design cache never change the
-    archived bytes.  Returns the archive paths in sweep order.
+    seed): the ``jobs`` worker count and the placed-design cache's
+    temperature never change the archived bytes.  Returns the archive
+    paths in sweep order.
     """
     device = ws.device()
     settings = ws.settings()
     n_jobs = resolve_jobs(jobs)
-    placed = ws.placed_cache()
     cfg = characterization_config(settings)
     paths: list[Path] = []
     for wl in settings.coeff_wordlengths:
@@ -84,7 +85,6 @@ def characterize_workspace(
             cfg,
             seed=ws.seed(),
             jobs=n_jobs,
-            cache=placed,
             resilience=resilience,
         )
         path = ws.save_characterization(wl, result)
@@ -144,7 +144,12 @@ def _require_archives(ws: Workspace, stage: str, area_model: bool) -> None:
 def optimize_workspace(
     ws: Workspace, name: str, beta: float
 ) -> tuple[OptimizationResult, Path]:
-    """Run Algorithm 1 on the workspace's training data; archive the designs."""
+    """Run Algorithm 1 on the workspace's training data; archive the designs.
+
+    Raises :class:`ConfigError` unless ``beta > 0`` (NaN included).
+    """
+    if not beta > 0:
+        raise ConfigError(f"beta must be > 0, got {beta}")
     _require_archives(ws, "optimize", area_model=True)
     x_train, _ = train_test_split(ws.settings(), ws.seed())
     result = ws.framework().optimize(x_train, beta=beta)
@@ -159,9 +164,9 @@ def evaluate_workspace(ws: Workspace, name: str, domain: Domain) -> list[dict]:
     render as a table.
     """
     _require_archives(ws, "evaluate", area_model=False)
+    designs: Sequence[LinearProjectionDesign] = ws.load_design_set(name)
     fw = ws.framework()
     _, x_test = train_test_split(ws.settings(), ws.seed())
-    designs: Sequence[LinearProjectionDesign] = ws.load_design_set(name)
     rows: list[dict] = []
     for d in sorted(designs, key=lambda d: d.area_le or 0):
         ev = fw.evaluate(d, x_test, domain)

@@ -13,8 +13,6 @@ machine.  A :class:`Workspace` is a directory holding those artefacts:
   area_model.json           fitted LE-cost model
   designs/
     <name>.json             design lists from optimisation runs
-  cache/placed/
-    <sha256>.pkl            placed-design cache entries (see repro.parallel)
 ```
 
 Everything round-trips bit-exactly, and :meth:`Workspace.framework`
@@ -41,7 +39,6 @@ from .framework import OptimizationFramework
 from .io import load_designs, save_designs
 from .models.area_model import AreaModel
 from .models.error_model import ErrorModel, ErrorModelSet, build_error_model
-from .parallel.cache import PlacedDesignCache
 
 __all__ = ["Workspace"]
 
@@ -60,18 +57,10 @@ class Workspace:
     ----------
     root:
         Workspace directory (created on :meth:`initialize`).
-    cache:
-        Placed-design cache this workspace should place through;
-        ``None`` (the default) lazily creates a disk-backed cache under
-        ``<root>/cache/placed``.  A caller driving many workspaces may
-        pass one warm shared cache here instead — the cache is keyed on
-        device identity, never on the workspace, so sharing is
-        bit-transparent.
     """
 
-    def __init__(self, root: str | Path, cache: PlacedDesignCache | None = None) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self._cache = cache
 
     # ------------------------------------------------------------------
     @property
@@ -90,10 +79,6 @@ class Workspace:
     def area_model_path(self) -> Path:
         return self.root / "area_model.json"
 
-    @property
-    def cache_dir(self) -> Path:
-        return self.root / "cache" / "placed"
-
     def exists(self) -> bool:
         return self.meta_path.exists()
 
@@ -102,9 +87,8 @@ class Workspace:
     def _writer_tag() -> str:
         """Unique-per-writer temp-name tag: pid plus thread id.
 
-        The pid separates racing processes (mirroring the placed cache's
-        install discipline); the thread id separates writer threads,
-        which share one pid.
+        The pid separates racing processes; the thread id separates
+        writer threads, which share one pid.
         """
         return f"{os.getpid()}.{threading.get_ident()}"
 
@@ -253,10 +237,15 @@ class Workspace:
         )
 
     # ------------------------------------------------------------------
-    def save_design_set(self, name: str, designs: list[LinearProjectionDesign]) -> Path:
+    def _design_set_path(self, name: str) -> Path:
+        """The file of design set ``name``; a name that is empty or holds a
+        ``/`` would leave ``designs/`` and raises :class:`ConfigError`."""
         if not name or "/" in name:
             raise ConfigError(f"invalid design-set name {name!r}")
-        path = self.designs_dir / f"{name}.json"
+        return self.designs_dir / f"{name}.json"
+
+    def save_design_set(self, name: str, designs: list[LinearProjectionDesign]) -> Path:
+        path = self._design_set_path(name)
         tmp = path.parent / f".{path.name}.tmp.{self._writer_tag()}"
         try:
             save_designs(designs, tmp)
@@ -266,7 +255,14 @@ class Workspace:
         return path
 
     def load_design_set(self, name: str) -> list[LinearProjectionDesign]:
-        return load_designs(self.designs_dir / f"{name}.json")
+        path = self._design_set_path(name)
+        if not path.exists():
+            raise ConfigError(
+                f"no design set {name!r} in {self.designs_dir}; run "
+                f"`repro-flow optimize --name {name}` first "
+                f"(design sets: {self.design_sets() or 'none'})"
+            )
+        return load_designs(path)
 
     def design_sets(self) -> list[str]:
         if not self.designs_dir.exists():
@@ -274,35 +270,16 @@ class Workspace:
         return sorted(p.stem for p in self.designs_dir.glob("*.json"))
 
     # ------------------------------------------------------------------
-    def placed_cache(self) -> PlacedDesignCache:
-        """The placed-design cache this workspace places through.
-
-        Memoised: every stage of one Workspace instance shares one cache
-        handle (and its warm memory tier) instead of re-opening the
-        directory per call.  If a cache was injected at construction
-        (a shared warm cache), that instance is returned;
-        otherwise a disk-backed cache under ``<root>/cache/placed`` is
-        created on first use and persists across sessions.
-        """
-        if self._cache is None:
-            self._cache = PlacedDesignCache(self.cache_dir)
-        return self._cache
-
     def framework(self) -> OptimizationFramework:
         """An OptimizationFramework pre-seeded from the archived artefacts.
 
         The characterisation and area-model caches are filled from disk if
         present, so :meth:`OptimizationFramework.optimize` and
         :meth:`~repro.framework.OptimizationFramework.evaluate` run without
-        re-simulating the device.  The framework places through this
-        workspace's disk-backed cache.
+        re-simulating the device.  The framework places through the
+        process-wide default placed-design cache.
         """
-        fw = OptimizationFramework(
-            self.device(),
-            self.settings(),
-            seed=self.seed(),
-            cache=self.placed_cache(),
-        )
+        fw = OptimizationFramework(self.device(), self.settings(), seed=self.seed())
         if self.characterized_wordlengths():
             fw._error_models = self.load_error_models()
         if self.area_model_path.exists():

@@ -331,14 +331,13 @@ def test_module_state_found_via_import_closure(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# DT006/DT007 shared-disk discipline (scoped to repro.parallel.cache)
+# DT006 shared-disk discipline (scoped to repro.workspace)
 
 
 def _shared_disk_tree(body: str) -> dict[str, str]:
     return {
         "__init__.py": "",
-        "parallel/__init__.py": "",
-        "parallel/cache.py": body,
+        "workspace.py": body,
     }
 
 
@@ -370,32 +369,17 @@ def test_atomic_write_discipline_accepted(tmp_path):
         """
         import os
 
-        def _entry_lock(path):
-            pass
-
         def store(path, tmp, data):
-            _entry_lock(path)
             with open(tmp, "wb") as fh:
                 fh.write(data)
+            os.replace(tmp, path)
+
+        def store_text(path, tmp, text):
+            tmp.write_text(text)
             os.replace(tmp, path)
         """,
     )
     assert report.clean
-
-
-def test_unlocked_install_in_shared_disk_module(tmp_path):
-    report = run_shared_disk_audit(
-        tmp_path,
-        """
-        import os
-
-        def store(path, tmp, data):
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        """,
-    )
-    assert rules_fired(report) == {"DT007"}
 
 
 def test_write_outside_shared_disk_module_ignored(tmp_path):

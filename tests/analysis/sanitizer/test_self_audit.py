@@ -32,7 +32,7 @@ def test_every_suppression_is_justified():
     report = _report()
     assert report.suppressions, (
         "expected the known pragma suppressions (pll.py DT004, fsm.py "
-        "DT005, sanitize.py DT006) to be recorded, not silently dropped"
+        "DT005) to be recorded, not silently dropped"
     )
     for supp in report.suppressions:
         assert supp.reason and len(supp.reason) > 10, (

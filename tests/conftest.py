@@ -14,11 +14,28 @@ from repro.characterization import CharacterizationConfig, characterize_multipli
 from repro.fabric import DeviceFamily, make_device
 from repro.models.error_model import ErrorModel, ErrorModelSet, build_error_model
 from repro.netlist import unsigned_array_multiplier
+from repro.parallel.cache import PlacedDesignCache, get_default_cache, set_default_cache
 from repro.synthesis import SynthesisFlow
 
 #: A small family keeps placement sweeps cheap while still leaving room
 #: for every netlist the tests synthesise.
 SMALL_FAMILY = DeviceFamily(name="test-family", rows=64, cols=64)
+
+
+@pytest.fixture()
+def cold_default_cache():
+    """A fresh, empty process-wide placed-design cache for one test.
+
+    The stages and in-process ``repro-flow`` calls place through the
+    process-wide cache, so earlier tests may have warmed it; a test that
+    counts placements starts from this one.  The previous cache is put
+    back afterwards.
+    """
+    previous = get_default_cache()
+    cache = PlacedDesignCache()
+    set_default_cache(cache)
+    yield cache
+    set_default_cache(previous)
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ from repro.characterization import characterize_multiplier
 from repro.config import ResilienceSettings
 from repro.errors import SweepFailedError
 from repro.faults import FaultPlan, FaultSpec
-from repro.parallel import PlacedDesignCache
 
 #: Wait-free retries: the chaos suite exercises the retry *logic*, not
 #: the backoff wall-clock.
@@ -67,31 +66,6 @@ class TestTransientFaultRecovery:
         [report] = [r for r in chaos.outcome.reports if (r.li, r.start) == (1, 4)]
         assert report.attempts[0].outcome == "invalid"
         assert report.disposition == "recovered"
-
-    def test_crash_plus_poisoned_cache_entry(self, device, small_char_config, tmp_path, baseline):
-        """The headline acceptance scenario: one-shot crash + one corrupt
-        cache entry; the sweep completes with retries, bit-identical."""
-        cfg = small_char_config()
-        cache = PlacedDesignCache(tmp_path / "placed")
-        characterize_multiplier(device, 8, 8, cfg, seed=3, jobs=1, cache=cache)
-        plan = FaultPlan(
-            specs=(
-                FaultSpec(kind="crash", li=0, start=0, times=1),
-                FaultSpec(kind="poison-cache", li=1, start=0, times=1),
-            ),
-            seed=4,
-        )
-        warm = PlacedDesignCache(tmp_path / "placed")
-        chaos = characterize_multiplier(
-            device, 8, 8, cfg, seed=3, jobs=1, cache=warm,
-            resilience=FAST, faults=plan,
-        )
-        assert _grids_equal(chaos, baseline)
-        assert chaos.outcome.status == "complete"
-        assert (0, 0) in chaos.outcome.retried
-        # The poisoned entry was detected by the checksum layer and rebuilt
-        # in place — a rejected load, not a wrong placement.
-        assert warm.stats().corruptions >= 1
 
     def test_multi_attempt_fault_exhausts_then_recovers(self, device, small_char_config, baseline):
         plan = FaultPlan(specs=(FaultSpec(kind="crash", li=0, start=8, times=2),), seed=5)

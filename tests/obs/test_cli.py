@@ -89,7 +89,9 @@ class TestTelemetryPathResolution:
 
 class TestFlowTracing:
     @pytest.mark.slow
-    def test_characterize_with_trace_emits_all_artefacts(self, tmp_path, capsys):
+    def test_characterize_with_trace_emits_all_artefacts(
+        self, tmp_path, capsys, cold_default_cache
+    ):
         ws = tmp_path / "ws"
         assert flow_main(["init", str(ws), "--serial", "7", "--scale", "0.012"]) == 0
         base = tmp_path / "out" / "run"

@@ -20,7 +20,9 @@ END = "<!-- telemetry-reference:end -->"
 #: Retired surfaces no page may name: the environment switches, the
 #: observability micro-benchmark and the capture-throughput histogram.
 #: The resilience and lint switches became arguments (ResilienceSettings,
-#: ``SynthesisFlow.run(lint=...)``).
+#: ``SynthesisFlow.run(lint=...)``); the placed-design cache lost its
+#: disk tier, and with it the cache CLI, the runtime race sanitizer and
+#: the cache-poisoning fault.
 RETIRED = (
     "REPRO_TRACE",
     "REPRO_METRICS",
@@ -29,6 +31,11 @@ RETIRED = (
     "REPRO_ALLOW_DEGRADED",
     "REPRO_LINT_GENERATED",
     "REPRO_LINT_SYNTHESIS",
+    "REPRO_CACHE_DIR",
+    "REPRO_SANITIZE",
+    "repro cache info",
+    "repro cache verify",
+    "poison-cache",
     "benchmarks/bench_observability.py",
     "capture.samples_per_second",
 )
@@ -91,8 +98,6 @@ def test_performance_doc_names_are_current():
         "capture_stream_batch",
         "PlacedDesignCache",
         "REPRO_JOBS",
-        "REPRO_CACHE_DIR",
-        "repro cache info",
         "BENCHMARK.json",
         "capture.batch",   # obs cross-reference
         "docs/observability.md",

@@ -72,25 +72,17 @@ class TestWorkerCountInvariance:
         pooled = characterize_multiplier(device, 8, 8, cfg, seed=seed, jobs=4)
         assert _grids_equal(serial, pooled)
 
-    def test_warm_cache_run_equals_cold(self, device, small_char_config, tmp_path):
+    def test_warm_cache_run_equals_cold(self, device, small_char_config):
         cfg = small_char_config()
-        cache = PlacedDesignCache(tmp_path / "placed")
+        cache = PlacedDesignCache()
         cold = characterize_multiplier(device, 8, 8, cfg, seed=7, cache=cache)
-        assert cache.stats().misses > 0
-        warm_cache = PlacedDesignCache(tmp_path / "placed")
-        warm = characterize_multiplier(device, 8, 8, cfg, seed=7, cache=warm_cache)
-        stats = warm_cache.stats()
-        assert stats.misses == 0
-        assert stats.disk_hits > 0
+        misses = cache.stats().misses
+        assert misses > 0
+        warm = characterize_multiplier(device, 8, 8, cfg, seed=7, cache=cache)
+        stats = cache.stats()
+        assert stats.misses == misses  # the rerun placed nothing anew
+        assert stats.memory_hits > 0
         assert _grids_equal(cold, warm)
-
-    @pytest.mark.slow
-    def test_pool_workers_share_disk_cache(self, device, small_char_config, tmp_path):
-        cfg = small_char_config()
-        cache = PlacedDesignCache(tmp_path / "placed")
-        characterize_multiplier(device, 8, 8, cfg, seed=1, jobs=2, cache=cache)
-        # Each probed location's placement landed in the shared store.
-        assert len(cache.disk_entries()) >= cfg.n_locations
 
     def test_empty_shard_list(self, device):
         from repro.parallel import SweepPlan

@@ -2,7 +2,8 @@
 
 Each test drives :mod:`repro.stages` the way a long-running host would:
 whole stages as jobs, several at once, on one shared cache, cancelled
-or faulted part way.
+or faulted part way.  The stages place through the process-wide default
+cache, so jobs run in one process share it.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ SERIAL = 1234
 SEED = 7
 
 
-def make_workspace(root, settings: TableISettings = TINY, cache=None) -> Workspace:
+def make_workspace(root, settings: TableISettings = TINY) -> Workspace:
     """Initialise a workspace with the suite's canonical tiny identity."""
-    ws = Workspace(root, cache=cache)
+    ws = Workspace(root)
     ws.initialize(make_device(SERIAL), settings, seed=SEED)
     return ws

@@ -5,7 +5,7 @@ story as ``repro-flow``: a chaos plan that degrades a batch run degrades
 the job to the same artefact bytes, and one that fails a batch run with
 exit 3 fails the job with the error the CLI maps to exit 3.
 Cancellation lands at artefact boundaries, so a cancelled job leaves
-workspace and cache fully valid.
+the workspace fully valid.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.characterization.results import CharacterizationResult
 from repro.cli_flow import main as flow_main
 from repro.config import ResilienceSettings
 from repro.errors import SweepFailedError
-from repro.parallel.cache import PlacedDesignCache
+from repro.parallel.cache import PlacedDesignCache, set_default_cache
 from repro.stages import characterize_workspace
 from repro.workspace import Workspace
 
@@ -79,14 +79,13 @@ class TestChaosParity:
 
 
 class TestCancellation:
-    def test_cancel_mid_run_leaves_workspace_and_cache_valid(self, tmp_path):
+    def test_cancel_mid_run_leaves_workspace_and_cache_valid(
+        self, tmp_path, cold_default_cache
+    ):
         """Cancel between word-length sweeps: whatever was archived is
         complete and loadable, no temp files linger, and re-running the
         same job on the same workspace converges to the clean result."""
-        cache_dir = tmp_path / "cache"
-        ws = make_workspace(
-            tmp_path / "ws", THREE_WORDLENGTHS, cache=PlacedDesignCache(cache_dir)
-        )
+        ws = make_workspace(tmp_path / "ws", THREE_WORDLENGTHS)
         starts = []
 
         def cancel_at_second_sweep(event):
@@ -98,19 +97,20 @@ class TestCancellation:
         with pytest.raises(Cancelled):
             characterize_workspace(ws, progress=cancel_at_second_sweep)
 
-        # No torn or in-flight files anywhere in the workspace or cache.
+        # No torn or in-flight files anywhere in the workspace.
         assert not list(ws.root.rglob(".*tmp*"))
-        assert not list(cache_dir.rglob("*.tmp*"))
-        assert PlacedDesignCache(cache_dir).verify() == []
         archived = sorted(ws.char_dir.glob("wl*.npz"))
         assert [p.name for p in archived] == ["wl03.npz"]
         assert CharacterizationResult.load(archived[0]).variance.size > 0
 
-        # The workspace and cache survived: the same job re-run in a new
-        # session completes and matches an untouched reference run.
-        characterize_workspace(
-            Workspace(ws.root, cache=PlacedDesignCache(cache_dir))
-        )
+        # The workspace and the warm cache survived: the same job re-run
+        # completes, served by the placements the cancelled run cached,
+        # and matches a reference run on a cold cache.
+        warm = cold_default_cache.stats()
+        assert warm.stores > 0
+        characterize_workspace(Workspace(ws.root))
+        assert cold_default_cache.stats().memory_hits > warm.memory_hits
+        set_default_cache(PlacedDesignCache())
         ref_ws = make_workspace(tmp_path / "ref", THREE_WORDLENGTHS)
         characterize_workspace(ref_ws)
         for wl in (3, 4, 5):

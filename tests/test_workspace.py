@@ -169,23 +169,55 @@ class TestStageContract:
             optimize_workspace(ws, "t", 4.0)
         assert ws.design_sets() == []
 
+    @pytest.fixture()
+    def archived_ws(self, ws, device):
+        """Every input of optimize and evaluate archived, plus design set
+        ``t`` and a copy of it at ``WS/x.json``, outside ``designs/``."""
+        cfg = CharacterizationConfig(
+            freqs_mhz=(400.0, 500.0), n_samples=60, n_locations=1
+        )
+        for wl in (3, 4):
+            ws.save_characterization(
+                wl, characterize_multiplier(device, 9, wl, cfg, seed=3)
+            )
+        samples = collect_area_samples(device, (3, 4), w_data=9, n_runs=3, seed=0)
+        ws.save_area_model(fit_area_model(samples, degree=1))
+        x = low_rank_gaussian(6, 3, 40, np.random.default_rng(0))
+        path = ws.save_design_set(
+            "t", [klt_reference_design(x, 3, 4, 9, 310.0, area_le=100.0)]
+        )
+        (ws.root / "x.json").write_bytes(path.read_bytes())
+        return ws
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["evaluate", "--name", "nope"],
+                "run `repro-flow optimize --name nope` first (design sets: ['t'])",
+            ),
+            (
+                ["evaluate", "--name", "../x"],
+                "invalid design-set name '../x'",
+            ),
+            (["optimize", "--beta", "0", "--name", "b"], "beta must be > 0, got 0.0"),
+            (["optimize", "--beta", "nan", "--name", "b"], "beta must be > 0, got nan"),
+        ],
+        ids=["unknown-name", "name-outside-designs", "beta-zero", "beta-nan"],
+    )
+    def test_bad_input_exits_2(self, archived_ws, capsys, argv, message):
+        from repro.cli_flow import main
+
+        stage, *flags = argv
+        assert main([stage, str(archived_ws.root), *flags]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert archived_ws.design_sets() == ["t"]
+
 
 class TestSharedWorkspace:
-    """Regressions for the sharing contract: one memoised cache handle
-    and atomic writes."""
-
-    def test_placed_cache_is_memoised(self, ws):
-        assert ws.placed_cache() is ws.placed_cache()
-
-    def test_injected_cache_wins(self, tmp_path, device):
-        from repro.parallel.cache import PlacedDesignCache
-
-        shared = PlacedDesignCache(tmp_path / "shared")
-        w = Workspace(tmp_path / "ws2", cache=shared)
-        w.initialize(device, SETTINGS, seed=3)
-        assert w.placed_cache() is shared
-        # The framework places through the injected cache too.
-        assert w.framework().cache is shared
+    """Regressions for the sharing contract: atomic writes."""
 
     def test_atomic_writes_leave_no_temp_files(self, ws, device):
         cfg = CharacterizationConfig(
