@@ -8,7 +8,6 @@ hot paths show up directly.
 import numpy as np
 
 from repro.core.bayesian import GibbsConfig, sample_projection_vector
-from repro.kernels import evaluate_tile
 from repro.models.prior import CoefficientPrior
 from repro.netlist.core import bits_from_ints
 from repro.netlist.multipliers import unsigned_array_multiplier
@@ -50,16 +49,6 @@ def test_transition_simulation_throughput(ctx, benchmark):
         placed.edge_delay,
     )
     assert res.settle.shape[1] == N_STREAM - 1
-
-
-def test_tile_sweep_throughput(ctx, benchmark):
-    cn = unsigned_array_multiplier(8, 8).compile()
-    ms = np.arange(64, dtype=np.int64)
-    samples = np.random.default_rng(0).integers(0, 256, 1024)
-    out = benchmark(
-        evaluate_tile, cn, fixed={"b": ms}, streamed={"a": samples}
-    )
-    assert out["p"].shape == (64, 1024)
 
 
 def test_capture_throughput(ctx, benchmark):

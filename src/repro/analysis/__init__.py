@@ -20,8 +20,6 @@ On top of the structural layer sits the word-level semantic layer:
 * :mod:`repro.analysis.dataflow` — known-bits/range abstract
   interpretation (:func:`analyze_dataflow`), feeding the ``WL0xx`` lint
   rules;
-* :mod:`repro.analysis.equivalence` — :func:`prove_multiplier`
-  certificates against golden integer arithmetic;
 * :mod:`repro.analysis.sensitization` — false-path-aware STA and the
   per-coefficient timing profiles consumed by
   :meth:`repro.models.prior.CoefficientPrior.from_static_profile`;
@@ -42,16 +40,9 @@ from .dataflow import (
     BIT_ZERO,
     DataflowResult,
     IntRange,
-    ProbeReport,
     analyze_dataflow,
-    probe_dataflow,
 )
 from .diagnostics import Diagnostic, LintReport, Severity
-from .equivalence import (
-    EquivalenceCertificate,
-    prove_multiplier,
-    prove_multiplier_family,
-)
 from .linter import LintConfig, LintWarning, check_netlist, lint_netlist
 from .passes import REGISTRY, Finding, LintRule, rule_table, rule_table_markdown
 from .sensitization import (
@@ -81,11 +72,6 @@ __all__ = [
     "IntRange",
     "DataflowResult",
     "analyze_dataflow",
-    "ProbeReport",
-    "probe_dataflow",
-    "EquivalenceCertificate",
-    "prove_multiplier",
-    "prove_multiplier_family",
     "CoefficientTimingProfile",
     "sensitized_sta",
     "coefficient_timing_profile",

@@ -40,7 +40,7 @@ from typing import Iterator, Mapping, Sequence, Union
 import numpy as np
 
 from ..errors import AnalysisError
-from ..netlist.core import MAX_LUT_ARITY, CompiledNetlist, Netlist, bits_from_ints
+from ..netlist.core import MAX_LUT_ARITY, CompiledNetlist, Netlist
 from .context import KIND_CONST, AnalysisContext
 
 __all__ = [
@@ -55,8 +55,6 @@ __all__ = [
     "normalize_assumptions",
     "assumption_problems",
     "cache_key",
-    "ProbeReport",
-    "probe_dataflow",
 ]
 
 # Known-bits lattice codes (uint8 in the per-node array).
@@ -336,9 +334,6 @@ class DataflowResult:
         return active
 
     # -- word-level queries ---------------------------------------------
-    def node_code(self, nid: int) -> int:
-        return int(self.bits[nid])
-
     def bus_codes(self, name: str) -> list[int]:
         """Known-bits codes of a named bus, LSB first."""
         buses = (
@@ -479,121 +474,3 @@ def analyze_dataflow(
     """
     ctx = AnalysisContext.build(netlist, assumptions=assumptions)
     return analyze_context(ctx, assumptions, clamp=clamp)
-
-
-# ----------------------------------------------------------------------
-# concrete sampling probe
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ProbeReport:
-    """Concrete cross-check of a :class:`DataflowResult`.
-
-    Attributes
-    ----------
-    n_samples:
-        Concrete input vectors drawn (within the run's assumptions).
-    sound:
-        True when no abstract fact was contradicted by any sample.
-    violations:
-        ``(node id, claimed code, observed value)`` triples where a node
-        the analysis called provably 0/1 read the opposite value on some
-        sample.  Non-empty means the abstract interpreter is broken.
-    n_top_constant:
-        Nodes the analysis left at ``⊤`` that never toggled across the
-        sample — a (non-binding) witness of over-approximation, useful
-        when tuning the transfer functions.
-    """
-
-    netlist: str
-    n_samples: int
-    seed: int
-    sound: bool
-    violations: tuple[tuple[int, int, int], ...]
-    n_top_constant: int
-
-    def require(self) -> "ProbeReport":
-        if not self.sound:
-            raise AnalysisError(
-                f"dataflow probe on {self.netlist!r} found "
-                f"{len(self.violations)} contradicted facts; first: "
-                f"node {self.violations[0][0]} claimed "
-                f"{self.violations[0][1]} observed {self.violations[0][2]}"
-            )
-        return self
-
-
-def probe_dataflow(
-    netlist: Netlist | CompiledNetlist,
-    result: DataflowResult,
-    n_samples: int = 256,
-    seed: int = 0,
-) -> ProbeReport:
-    """Cross-check abstract facts against concrete kernel evaluations.
-
-    Draws ``n_samples`` random input vectors uniformly within the
-    result's assumption ranges and evaluates the full node-value plane
-    through the bit-sliced kernel
-    (:func:`repro.kernels.stream_values` — one packed pass covers the
-    whole sample).  Every bit the analysis claims provably 0/1 must read
-    that value on every sample; any contradiction is a soundness bug in
-    the abstract interpreter, reported per node.
-
-    ``netlist`` must be the netlist ``result`` was computed on (node ids
-    are matched positionally).
-    """
-    from ..kernels.execute import stream_values
-
-    cn = netlist.compile() if isinstance(netlist, Netlist) else netlist
-    ctx = result.ctx
-    if cn.n_nodes != ctx.n_nodes:
-        raise AnalysisError(
-            f"netlist {cn.name!r} has {cn.n_nodes} nodes but the dataflow "
-            f"result describes {ctx.n_nodes}"
-        )
-    if n_samples < 1:
-        raise AnalysisError("probe needs at least one sample")
-
-    rng = np.random.default_rng(seed)
-    inputs: dict[str, np.ndarray] = {}
-    for name, ids in cn.input_buses.items():
-        width = int(ids.shape[0])
-        signed = ctx.bus_signed(name)
-        rng_bounds = result.assumptions.get(
-            name, representable_range(width, signed)
-        )
-        draws = rng.integers(
-            rng_bounds.lo, rng_bounds.hi + 1, size=n_samples, dtype=np.int64
-        )
-        inputs[name] = bits_from_ints(draws, width)
-
-    plane = stream_values(cn, inputs)  # (n_nodes, n_samples) uint8
-
-    claimed = result.bits
-    violations: list[tuple[int, int, int]] = []
-    for code in (BIT_ZERO, BIT_ONE):
-        rows = np.nonzero(claimed == code)[0]
-        if rows.size == 0:
-            continue
-        disagree = plane[rows] != np.uint8(code)
-        bad_rows = np.nonzero(disagree.any(axis=1))[0]
-        for r in bad_rows:
-            nid = int(rows[r])
-            observed = int(plane[nid, int(np.nonzero(disagree[r])[0][0])])
-            violations.append((nid, code, observed))
-
-    top_rows = np.nonzero(claimed == BIT_TOP)[0]
-    n_top_constant = 0
-    if top_rows.size:
-        top_plane = plane[top_rows]
-        constant = (top_plane == top_plane[:, :1]).all(axis=1)
-        n_top_constant = int(constant.sum())
-
-    return ProbeReport(
-        netlist=cn.name,
-        n_samples=int(n_samples),
-        seed=int(seed),
-        sound=not violations,
-        violations=tuple(violations),
-        n_top_constant=n_top_constant,
-    )
-

@@ -19,7 +19,7 @@ Examples
     repro-experiment runtime
     repro-experiment lint ccm 93 8
     repro-experiment lint unsigned_multiplier 8 8 --format json
-    repro-experiment analyze ccm 93 8 --prove
+    repro-experiment analyze ccm 93 8
     repro-experiment analyze unsigned_multiplier 8 8 --assume b=222 --sta
     repro-experiment faults describe --plan '{"seed": 7, "specs": [...]}'
     repro-experiment faults validate --plan @plan.json
@@ -42,7 +42,7 @@ from .analysis import LintConfig, lint_netlist, rule_table
 from .eval import figures, tables
 from .eval.context import ExperimentContext
 from .eval.report import render_table
-from .errors import ReproError
+from .errors import ConfigError, ReproError
 from .netlist.generators import GENERATORS, generate
 
 __all__ = ["main"]
@@ -234,15 +234,14 @@ def _parse_assumption(spec: str) -> tuple[str, "int | tuple[int, int]"]:
 
 
 def _analyze_main(argv: list[str]) -> int:
-    """``analyze`` subcommand: word-level dataflow / proof / timing report."""
-    from .analysis import Severity, analyze_dataflow, lint_netlist, prove_multiplier
+    """``analyze`` subcommand: word-level dataflow / lint / timing report."""
+    from .analysis import Severity, analyze_dataflow, lint_netlist
     from .analysis.sensitization import sensitized_sta
 
     parser = argparse.ArgumentParser(
         prog="repro-experiment analyze",
         description="Word-level static analysis of a generated netlist: "
-        "known-bits/range dataflow, equivalence proof against golden "
-        "integer arithmetic, and false-path-aware STA.",
+        "known-bits/range dataflow, its lint rules, and false-path-aware STA.",
         epilog="Assumptions pin input buses, e.g. --assume b=222 (the "
         "characterised multiplicand) or --assume a=0:15 (a range).",
     )
@@ -263,12 +262,6 @@ def _analyze_main(argv: list[str]) -> int:
         default=[],
         metavar="BUS=V|BUS=LO:HI",
         help="input-bus value or range assumption (repeatable)",
-    )
-    parser.add_argument(
-        "--prove",
-        action="store_true",
-        help="run the multiplier equivalence proof (exhaustive when the "
-        "free input space allows, stratified otherwise); exit 1 on failure",
     )
     parser.add_argument(
         "--sta",
@@ -300,16 +293,6 @@ def _analyze_main(argv: list[str]) -> int:
 
     payload: dict = {"dataflow": flow_result.as_dict(), "lint": report.to_dict()}
     failed = not report.ok(Severity.ERROR)
-
-    if args.prove:
-        try:
-            m = assumptions.get("b") if isinstance(assumptions.get("b"), int) else None
-            cert = prove_multiplier(netlist, m=m, seed=args.seed)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        payload["proof"] = cert.as_dict()
-        failed = failed or not cert.passed
 
     if args.sta:
         try:
@@ -349,13 +332,6 @@ def _analyze_main(argv: list[str]) -> int:
             print(f"  output {bus!r}: range [{rng[0]}, {rng[1]}]"
                   + (f", fixed bits {known}" if known else ""))
         print(report.to_text())
-        if "proof" in payload:
-            proof = payload["proof"]
-            verdict = "PROVED" if proof["passed"] else "FAILED"
-            print(f"proof [{proof['kind']}/{proof['method']}] {verdict} over "
-                  f"{proof['n_vectors']} vector(s)"
-                  + (f"; counterexample {proof['counterexample']}"
-                     if proof["counterexample"] else ""))
         if "sta" in payload:
             sta = payload["sta"]
             print(f"sta: worst-case fmax {sta['worst_fmax_mhz']} MHz, "
@@ -596,7 +572,11 @@ def main(argv: list[str] | None = None) -> int:
         _print_result("table1", tables.table1())
         return 0
 
-    ctx = ExperimentContext.get(seed=args.seed, scale=args.scale)
+    try:
+        ctx = ExperimentContext.get(seed=args.seed, scale=args.scale)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.experiment == "runtime":
         _print_result("runtime", tables.runtime_model_table(ctx))
         return 0

@@ -16,6 +16,7 @@ making the paper's 310 MHz target 1.85x the tool report (paper Sec. VI-D).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -191,8 +192,10 @@ class TableISettings:
         fraction of the paper's sample counts.  Counts are floored at small
         positive minima so the pipeline stays exercised end to end.
         """
-        if factor <= 0:
-            raise ConfigError("scale factor must be positive")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ConfigError(
+                f"scale factor must be finite and positive, got {factor}"
+            )
 
         def s(n: int, lo: int) -> int:
             return max(lo, int(round(n * factor)))

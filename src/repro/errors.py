@@ -40,20 +40,6 @@ class LintError(AnalysisError):
         self.report = report
 
 
-class ProofError(AnalysisError):
-    """An equivalence proof failed: the netlist computes something other
-    than its golden specification.
-
-    Raised by :meth:`repro.analysis.equivalence.EquivalenceCertificate.require`;
-    the failing certificate (with its counterexample vector) is attached
-    as ``certificate``.
-    """
-
-    def __init__(self, message: str, certificate: object | None = None) -> None:
-        super().__init__(message)
-        self.certificate = certificate
-
-
 class KernelError(ReproError):
     """The bit-sliced kernel compiler failed an internal contract.
 

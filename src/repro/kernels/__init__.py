@@ -14,7 +14,7 @@ interpreter, its oracle (``tests/kernels/oracle.py``).  See
 docs/performance.md, "The kernel compiler".
 """
 
-from .execute import evaluate_packed, evaluate_tile, pack_bits, stream_values, unpack_plane
+from .execute import evaluate_packed, pack_bits, stream_values, unpack_plane
 from .lower import LoweredLUT, lower_tt
 from .plan import (
     ExecutionPlan,
@@ -29,7 +29,6 @@ __all__ = [
     "LoweredLUT",
     "clear_plan_cache",
     "evaluate_packed",
-    "evaluate_tile",
     "lower_tt",
     "netlist_fingerprint",
     "pack_bits",

@@ -19,10 +19,6 @@ Entry points
   :meth:`CompiledNetlist.evaluate`.
 * :func:`stream_values` — full node-value plane for the transition
   simulator (which also needs intermediate nodes, not just outputs).
-* :func:`evaluate_tile` — an ``(M multiplicands × S samples)`` sweep
-  that pins one bus per row as packed constants and shares the streamed
-  buses across rows; used by characterisation-style sweeps and the
-  equivalence family prover instead of per-row python loops.
 
 All user-facing validation (unknown bus, bad shape, missing buses)
 raises :class:`~repro.errors.NetlistError`.  The test suite proves
@@ -35,18 +31,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NetlistError
-from ..netlist.core import (
-    CompiledNetlist,
-    EvalScratch,
-    bits_from_ints,
-    ints_from_bits,
-)
+from ..netlist.core import CompiledNetlist, EvalScratch
 from ..obs import runtime as obs
 from .plan import ExecutionPlan, OpGroup, plan_for
 
 __all__ = [
     "evaluate_packed",
-    "evaluate_tile",
     "pack_bits",
     "stream_values",
     "unpack_plane",
@@ -194,107 +184,3 @@ def stream_values(
     with obs.span("kernel.eval", netlist=cn.name, consumer="stream"):
         vals, batch = _packed_plane(cn, plan, inputs, scratch)
         return unpack_plane(vals, batch)
-
-
-#: Target samples per chunked tile evaluation: large enough to amortise
-#: the per-level python overhead, small enough to keep the word plane in
-#: cache-friendly territory (~64k samples ≈ 1k words per node row).
-_TILE_CHUNK_SAMPLES = 65536
-
-
-def evaluate_tile(
-    cn: CompiledNetlist,
-    fixed: dict[str, np.ndarray],
-    streamed: dict[str, np.ndarray],
-    signed_out: bool = False,
-    scratch: EvalScratch | None = None,
-) -> dict[str, np.ndarray]:
-    """Evaluate an ``(M, S)`` tile of (fixed value × streamed sample) pairs.
-
-    Parameters
-    ----------
-    fixed:
-        Bus name → ``(M,)`` integers.  Row ``m`` of the tile pins these
-        buses to their ``m``-th value.
-    streamed:
-        Bus name → ``(S,)`` integers, shared by every row.
-    signed_out:
-        Interpret output buses as two's complement.
-    scratch:
-        Optional buffer pool reused across the tile's chunks.
-
-    Returns
-    -------
-    dict
-        Output bus name → ``(M, S)`` int64 values.
-
-    Together ``fixed`` and ``streamed`` must cover the input buses
-    exactly.  Rows are processed in chunks whose combined batch is
-    ~:data:`_TILE_CHUNK_SAMPLES`, each chunk evaluated as one broadcast
-    batch (fixed values repeated across the sample axis, streamed
-    samples tiled across rows).  One plan execution then covers many
-    rows, which is what replaces per-multiplicand python loops over
-    :meth:`CompiledNetlist.evaluate_ints` in characterisation-style
-    sweeps.  Evaluation goes through :meth:`CompiledNetlist.evaluate`,
-    so the tile gives the same bits as that per-row loop.
-    """
-    for name in list(fixed) + list(streamed):
-        if name not in cn.input_buses:
-            raise NetlistError(f"unknown input bus {name!r}")
-    overlap = set(fixed) & set(streamed)
-    if overlap:
-        raise NetlistError(f"buses both fixed and streamed: {sorted(overlap)}")
-    missing = set(cn.input_buses) - set(fixed) - set(streamed)
-    if missing:
-        raise NetlistError(f"missing input buses: {sorted(missing)}")
-    if not fixed:
-        raise NetlistError("evaluate_tile needs at least one fixed bus")
-    if not streamed:
-        raise NetlistError("evaluate_tile needs at least one streamed bus")
-
-    fixed_vals = {k: np.atleast_1d(np.asarray(v)) for k, v in fixed.items()}
-    n_rows = {int(v.shape[0]) for v in fixed_vals.values()}
-    if len(n_rows) != 1:
-        raise NetlistError(f"fixed buses disagree on row count: {sorted(n_rows)}")
-    m_count = n_rows.pop()
-    stream_vals = {k: np.atleast_1d(np.asarray(v)) for k, v in streamed.items()}
-    s_counts = {int(v.shape[0]) for v in stream_vals.values()}
-    if len(s_counts) != 1:
-        raise NetlistError(
-            f"streamed buses disagree on sample count: {sorted(s_counts)}"
-        )
-    s_count = s_counts.pop()
-
-    # Pre-expand each bus to bits once; chunks slice the row axis.
-    fixed_bits = {
-        name: bits_from_ints(ints, cn.input_buses[name].shape[0])
-        for name, ints in fixed_vals.items()
-    }  # (M, width)
-    stream_bits = {
-        name: bits_from_ints(ints, cn.input_buses[name].shape[0])
-        for name, ints in stream_vals.items()
-    }  # (S, width)
-
-    rows_per_chunk = max(1, _TILE_CHUNK_SAMPLES // max(1, s_count))
-    out = {
-        name: np.empty((m_count, s_count), dtype=np.int64)
-        for name in cn.output_buses
-    }
-    with obs.span(
-        "kernel.eval", netlist=cn.name, consumer="tile", rows=m_count
-    ):
-        for lo in range(0, m_count, rows_per_chunk):
-            hi = min(m_count, lo + rows_per_chunk)
-            rows = hi - lo
-            batch_inputs = {}
-            for name, bits in fixed_bits.items():
-                # Row values repeat across the sample axis.
-                batch_inputs[name] = np.repeat(bits[lo:hi], s_count, axis=0)
-            for name, bits in stream_bits.items():
-                # Samples tile across the chunk's rows.
-                batch_inputs[name] = np.tile(bits, (rows, 1))
-            res = cn.evaluate(batch_inputs, scratch=scratch)
-            for name, obits in res.items():
-                ints = ints_from_bits(obits, signed=signed_out)
-                out[name][lo:hi] = ints.reshape(rows, s_count)
-    return out

@@ -103,17 +103,20 @@ def ints_from_bits(bits: np.ndarray, signed: bool = False) -> np.ndarray:
 class EvalScratch:
     """Reusable buffer pool for repeated same-shape evaluations.
 
-    Hot sweeps (segment-chunked characterisation, equivalence sweeps)
-    evaluate the same netlist at the same batch size thousands of times;
-    without a scratch every call re-allocates the node-value plane and
-    one output array per bus.  Passing one ``EvalScratch`` to
+    The segment-chunked characterisation sweep evaluates the same
+    netlist at the same batch size thousands of times; without a
+    scratch every call re-allocates the node-value plane and one output
+    array per bus.  Passing one ``EvalScratch`` to
     :meth:`CompiledNetlist.evaluate` / :func:`simulate_transitions`
     reuses those buffers across calls.
 
     Contract: arrays handed out for a given key are **overwritten by the
-    next call** that uses the same scratch — callers that keep results
-    across calls must copy them.  A scratch is single-threaded state;
-    use one per worker, never share across threads.
+    next call** that uses the same scratch — the output buses
+    :meth:`CompiledNetlist.evaluate` returns included, so callers that
+    keep them across calls must copy them.  :func:`simulate_transitions`
+    pools only its temporaries; its ``values`` and ``settle`` stay
+    valid.  A scratch is single-threaded state; use one per worker,
+    never share across threads.
     """
 
     __slots__ = ("_buffers",)
@@ -166,8 +169,9 @@ class Netlist:
         self.input_buses: dict[str, list[int]] = {}
         self.output_buses: dict[str, list[int]] = {}
         #: Per-bus two's-complement flags; unsigned when absent (the
-        #: default).  Word-level analyses (range lattice, equivalence
-        #: proofs) read these to interpret bus values as integers.
+        #: default).  The word-level range lattice of
+        #: :mod:`repro.analysis.dataflow` reads these to interpret bus
+        #: values as integers.
         self.input_bus_signed: dict[str, bool] = {}
         self.output_bus_signed: dict[str, bool] = {}
         #: Free-form generator metadata (e.g. a CCM's declared

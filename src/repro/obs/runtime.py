@@ -13,8 +13,11 @@ preserves bit-identical pipeline results with telemetry on.
 Scope: the observer is **per process**.  Pool workers spawned by the
 sweep engine run with observability disabled; the parent still traces
 the dispatch/harvest of every shard and derives the shard-level counters
-from the sweep outcome, so sweep telemetry is complete at any worker
-count (see ``docs/observability.md``).
+from the sweep outcome, so the deterministic counters are equal at any
+worker count.  The spans and counters of a shard attempt's own work
+(placement, synthesis, kernels, capture) come only from attempts that
+run inline, so a pooled sweep's trace lacks them (see
+``docs/observability.md``).
 """
 
 from __future__ import annotations

@@ -131,7 +131,8 @@ SPAN_CATALOG: tuple[SpanSpec, ...] = (
     SpanSpec(
         "kernel.eval",
         "repro.kernels.execute",
-        "One bit-sliced plan execution; the consumer attribute tells evaluate / stream / tile apart.",
+        "One bit-sliced plan execution; the consumer attribute tells its two callers apart: "
+        "evaluate (output buses) and stream (the simulator's full node-value plane).",
     ),
     SpanSpec(
         "optimize.dimension",

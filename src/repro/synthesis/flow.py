@@ -65,17 +65,6 @@ class PlacedDesign:
             setup_ns=self.device.family.timing.register_setup_ns,
         )
 
-    def sensitized_sta(self, assumptions: dict | None = None) -> StaticTimingResult:
-        """Device-true STA with false paths pruned under input assumptions.
-
-        Convenience wrapper over
-        :func:`repro.analysis.sensitization.sensitized_sta` (lazy import:
-        the analysis package imports this module for the lint gate).
-        """
-        from ..analysis.sensitization import sensitized_sta as _sensitized_sta
-
-        return _sensitized_sta(self, assumptions)
-
     @property
     def setup_ns(self) -> float:
         return self.device.family.timing.register_setup_ns

@@ -25,15 +25,18 @@ from __future__ import annotations
 import json
 import os
 import threading
+import zipfile
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .characterization.results import CharacterizationResult
 from .config import TableISettings
 from .core.design import LinearProjectionDesign
-from .errors import ConfigError
+from .errors import ConfigError, DesignError
 from .fabric.device import FPGADevice, make_device
 from .framework import OptimizationFramework
 from .io import load_designs, save_designs
@@ -44,6 +47,34 @@ __all__ = ["Workspace"]
 
 _META_VERSION = 1
 
+#: What reading a damaged artefact raises: ``OSError`` for an unreadable
+#: file; ``ValueError`` for text that is not JSON or an ``.npz`` that is
+#: not an archive; ``EOFError``/``BadZipFile`` for a truncated ``.npz``;
+#: ``KeyError``/``TypeError``/``IndexError``/``AttributeError`` for a
+#: payload of the wrong shape (a missing field, a list where an object
+#: belongs); ``DesignError`` for a design file of another format version.
+_DAMAGED = (
+    OSError,
+    ValueError,
+    EOFError,
+    zipfile.BadZipFile,
+    KeyError,
+    TypeError,
+    IndexError,
+    AttributeError,
+    DesignError,
+)
+
+
+@contextmanager
+def _reading(path: Path, remedy: str) -> Iterator[None]:
+    """Re-raise a damaged artefact as a :class:`ConfigError` naming the
+    file and how to rewrite it."""
+    try:
+        yield
+    except _DAMAGED as exc:
+        raise ConfigError(f"cannot read {path} ({exc}); {remedy}") from exc
+
 
 class Workspace:
     """A directory of per-device flow artefacts.
@@ -51,7 +82,9 @@ class Workspace:
     Safe to share: every artefact write is atomic (write-to-temp +
     ``os.replace`` in the same directory), so concurrent readers — other
     processes or threads — never observe a torn file, and a stage
-    interrupted mid-run leaves only complete artefacts behind.
+    interrupted mid-run leaves only complete artefacts behind.  An
+    artefact damaged outside the library raises :class:`ConfigError`
+    naming the file and the ``repro-flow`` stage that rewrites it.
 
     Parameters
     ----------
@@ -123,25 +156,30 @@ class Workspace:
         self.designs_dir.mkdir(exist_ok=True)
         self._write_atomic(self.meta_path, json.dumps(meta, indent=2))
 
-    def _meta(self) -> dict:
+    def _meta(self) -> tuple[int, TableISettings, int]:
+        """The device serial, settings and seed ``workspace.json`` records."""
         if not self.exists():
             raise ConfigError(f"no workspace at {self.root}; initialise first")
-        meta = json.loads(self.meta_path.read_text())
-        if meta.get("version") != _META_VERSION:
-            raise ConfigError("unsupported workspace version")
-        return meta
+        with _reading(self.meta_path, "remove it and run `repro-flow init` again"):
+            meta = json.loads(self.meta_path.read_text())
+            if meta.get("version") != _META_VERSION:
+                raise ConfigError(f"unsupported workspace version in {self.meta_path}")
+            settings = dict(meta["settings"])
+            settings["betas"] = tuple(settings["betas"])
+            return int(meta["device_serial"]), TableISettings(**settings), int(meta["seed"])
 
     def device(self) -> FPGADevice:
         """Rehydrate the workspace's device (the serial is the identity)."""
-        return make_device(self._meta()["device_serial"])
+        serial, _, _ = self._meta()
+        return make_device(serial)
 
     def settings(self) -> TableISettings:
-        s = dict(self._meta()["settings"])
-        s["betas"] = tuple(s["betas"])
-        return TableISettings(**s)
+        _, settings, _ = self._meta()
+        return settings
 
     def seed(self) -> int:
-        return int(self._meta()["seed"])
+        _, _, seed = self._meta()
+        return seed
 
     # ------------------------------------------------------------------
     def save_characterization(self, wl: int, result: CharacterizationResult) -> Path:
@@ -184,14 +222,15 @@ class Workspace:
         for wl in self.characterized_wordlengths():
             path = self.outcome_path(wl)
             if path.exists():
-                data = json.loads(path.read_text())
-                health[wl] = {
-                    "status": data.get("status", "complete"),
-                    "n_shards": data.get("n_shards"),
-                    "n_quarantined": data.get("n_quarantined", 0),
-                    "quarantined": data.get("quarantined", []),
-                    "total_attempts": data.get("total_attempts"),
-                }
+                with _reading(path, "re-run `repro-flow characterize`"):
+                    data = json.loads(path.read_text())
+                    health[wl] = {
+                        "status": data.get("status", "complete"),
+                        "n_shards": data.get("n_shards"),
+                        "n_quarantined": data.get("n_quarantined", 0),
+                        "quarantined": data.get("quarantined", []),
+                        "total_attempts": data.get("total_attempts"),
+                    }
             else:
                 health[wl] = {"status": "complete", "n_quarantined": 0}
         return health
@@ -210,7 +249,9 @@ class Workspace:
             raise ConfigError(f"no characterisation archives in {self.char_dir}")
         models: dict[int, ErrorModel] = {}
         for wl in wls:
-            result = CharacterizationResult.load(self.char_dir / f"wl{wl:02d}.npz")
+            path = self.char_dir / f"wl{wl:02d}.npz"
+            with _reading(path, "re-run `repro-flow characterize`"):
+                result = CharacterizationResult.load(path)
             models[wl] = build_error_model(result)
         return ErrorModelSet(models)
 
@@ -228,13 +269,14 @@ class Workspace:
     def load_area_model(self) -> AreaModel:
         if not self.area_model_path.exists():
             raise ConfigError(f"no area model at {self.area_model_path}")
-        p = json.loads(self.area_model_path.read_text())
-        return AreaModel(
-            coeffs=np.asarray(p["coeffs"]),
-            residual_sigma=float(p["residual_sigma"]),
-            wl_range=(int(p["wl_range"][0]), int(p["wl_range"][1])),
-            n_samples=int(p["n_samples"]),
-        )
+        with _reading(self.area_model_path, "re-run `repro-flow fit-area`"):
+            p = json.loads(self.area_model_path.read_text())
+            return AreaModel(
+                coeffs=np.asarray(p["coeffs"]),
+                residual_sigma=float(p["residual_sigma"]),
+                wl_range=(int(p["wl_range"][0]), int(p["wl_range"][1])),
+                n_samples=int(p["n_samples"]),
+            )
 
     # ------------------------------------------------------------------
     def _design_set_path(self, name: str) -> Path:
@@ -262,7 +304,8 @@ class Workspace:
                 f"`repro-flow optimize --name {name}` first "
                 f"(design sets: {self.design_sets() or 'none'})"
             )
-        return load_designs(path)
+        with _reading(path, f"re-run `repro-flow optimize --name {name}`"):
+            return load_designs(path)
 
     def design_sets(self) -> list[str]:
         if not self.designs_dir.exists():

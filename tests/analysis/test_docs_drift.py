@@ -38,7 +38,6 @@ def test_doc_mentions_wl_layer():
     text = DOC.read_text()
     for needle in (
         "analyze_dataflow",
-        "prove_multiplier",
         "sensitized_sta",
         "agreement_report",
         "from_static_profile",

@@ -1,16 +1,13 @@
-"""Execution-plan cache: memoisation, counters, fingerprints, tiling."""
+"""Execution-plan cache: memoisation, counters, fingerprints."""
 
-import numpy as np
 import pytest
 
 from repro.kernels import (
     clear_plan_cache,
-    evaluate_tile,
     netlist_fingerprint,
     plan_cache_size,
     plan_for,
 )
-from repro.netlist.core import EvalScratch
 from repro.netlist.generators import generate
 from repro.obs import runtime as obs
 
@@ -58,41 +55,3 @@ class TestPlanCache:
         assert plan.n_groups >= 1
         assert len(plan.levels) == len(mult5.level_groups)
         assert len(plan.timing_levels) == len(mult5.level_groups)
-
-
-class TestEvaluateTile:
-    def test_matches_evaluate_ints_loop(self, mult5):
-        ms = np.arange(16)
-        samples = np.arange(32)
-        tile = evaluate_tile(mult5, fixed={"b": ms}, streamed={"a": samples})
-        assert tile["p"].shape == (16, 32)
-        for mi, m in enumerate(ms):
-            ref = mult5.evaluate_ints(
-                a=samples, b=np.full(samples.shape, m)
-            )["p"]
-            np.testing.assert_array_equal(tile["p"][mi], ref)
-
-    def test_scratch_reuse(self, mult5):
-        scratch = EvalScratch()
-        ms = np.arange(8)
-        samples = np.arange(32)
-        t1 = evaluate_tile(
-            mult5, fixed={"b": ms}, streamed={"a": samples}, scratch=scratch
-        )
-        t2 = evaluate_tile(
-            mult5, fixed={"b": ms}, streamed={"a": samples}, scratch=scratch
-        )
-        np.testing.assert_array_equal(t1["p"], t2["p"])
-        assert len(scratch) > 0
-
-    def test_validation(self, mult5):
-        from repro.errors import NetlistError
-
-        with pytest.raises(NetlistError, match="unknown input bus"):
-            evaluate_tile(mult5, fixed={"z": [1]}, streamed={"a": [1]})
-        with pytest.raises(NetlistError, match="missing input buses"):
-            evaluate_tile(mult5, fixed={"b": [1]}, streamed={})
-        with pytest.raises(NetlistError, match="both fixed and streamed"):
-            evaluate_tile(
-                mult5, fixed={"a": [1], "b": [1]}, streamed={"a": [1]}
-            )

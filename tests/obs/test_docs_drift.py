@@ -22,7 +22,10 @@ END = "<!-- telemetry-reference:end -->"
 #: The resilience and lint switches became arguments (ResilienceSettings,
 #: ``SynthesisFlow.run(lint=...)``); the placed-design cache lost its
 #: disk tier, and with it the cache CLI, the runtime race sanitizer and
-#: the cache-poisoning fault.
+#: the cache-poisoning fault.  The multiplier equivalence prover, the
+#: tiled evaluator, the dataflow probe, ``repro analyze``'s proof flag
+#: and the dataflow micro-benchmark went once the generator tests
+#: compared against integer products.
 RETIRED = (
     "REPRO_TRACE",
     "REPRO_METRICS",
@@ -38,6 +41,12 @@ RETIRED = (
     "poison-cache",
     "benchmarks/bench_observability.py",
     "capture.samples_per_second",
+    "prove_multiplier",
+    "evaluate_tile",
+    "probe_dataflow",
+    "BENCH_dataflow",
+    "bench_dataflow.py",
+    "--prove",
 )
 
 

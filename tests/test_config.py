@@ -104,3 +104,8 @@ class TestTableISettings:
     def test_scaled_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
             TableISettings().scaled(0.0)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_scaled_rejects_nonfinite(self, factor):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            TableISettings().scaled(factor)

@@ -215,6 +215,55 @@ class TestStageContract:
         assert "Traceback" not in captured.err + captured.out
         assert archived_ws.design_sets() == ["t"]
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_bad_scale_exits_2(self, tmp_path, capsys, scale):
+        from repro.cli_flow import main
+
+        ws = tmp_path / "ws"
+        assert main(["init", str(ws), "--scale", scale]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: scale factor must be finite and positive, got {scale}\n"
+        )
+        assert not ws.exists()
+
+    @pytest.mark.parametrize(
+        "artefact, content, argv, remedy",
+        [
+            ("designs/t.json", "garbage", ["evaluate", "--name", "t"],
+             "re-run `repro-flow optimize --name t`"),
+            ("designs/t.json", '{"format_version": 2, "designs": []}',
+             ["evaluate", "--name", "t"], "re-run `repro-flow optimize --name t`"),
+            ("area_model.json", "garbage", ["optimize", "--name", "b"],
+             "re-run `repro-flow fit-area`"),
+            ("workspace.json", "garbage", ["status"],
+             "remove it and run `repro-flow init` again"),
+            ("workspace.json", '{"version": 1}', ["status"],
+             "remove it and run `repro-flow init` again"),
+            ("characterization/wl03.npz", "garbage", ["optimize", "--name", "b"],
+             "re-run `repro-flow characterize`"),
+            ("characterization/wl03.outcome.json", "[]", ["status"],
+             "re-run `repro-flow characterize`"),
+        ],
+        ids=["design-set", "design-format-version", "area-model", "workspace-meta",
+             "workspace-meta-fields", "sweep-archive", "sweep-outcome"],
+    )
+    def test_damaged_artefact_exits_2(
+        self, archived_ws, capsys, artefact, content, argv, remedy
+    ):
+        from repro.cli_flow import main
+
+        path = archived_ws.root / artefact
+        assert path.exists()
+        path.write_text(content)
+        stage, *flags = argv
+        assert main([stage, str(archived_ws.root), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {path} (")
+        assert captured.err.endswith(f"; {remedy}\n")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
+
 
 class TestSharedWorkspace:
     """Regressions for the sharing contract: atomic writes."""

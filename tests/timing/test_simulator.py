@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TimingError
-from repro.netlist.core import Netlist, bits_from_ints
+from repro.netlist.core import EvalScratch, Netlist, bits_from_ints
 from repro.netlist.multipliers import unsigned_array_multiplier
 from repro.timing.simulator import simulate_transitions
 
@@ -118,6 +118,40 @@ class TestSettleSemantics:
             res = simulate_transitions(c, ins, nd, ed)
             worst[m] = float(res.output_settle("p").max())
         assert worst[2] < worst[255]
+
+
+class TestScratchReuse:
+    """The two documented ``EvalScratch`` contracts."""
+
+    @staticmethod
+    def _stream(seed):
+        rng = np.random.default_rng(seed)
+        return {
+            "a": bits_from_ints(rng.integers(0, 32, 100), 5),
+            "b": bits_from_ints(rng.integers(0, 32, 100), 5),
+        }
+
+    def test_simulation_results_survive_the_next_call(self):
+        c = unsigned_array_multiplier(5, 5).compile()
+        nd, ed = _uniform(c, lut=0.2, edge=0.05)
+        scratch = EvalScratch()
+        first = simulate_transitions(c, self._stream(0), nd, ed, scratch=scratch)
+        second = simulate_transitions(c, self._stream(1), nd, ed, scratch=scratch)
+        fresh = simulate_transitions(c, self._stream(0), nd, ed)
+        assert len(scratch) > 0
+        assert not np.array_equal(fresh.settle, second.settle)  # streams differ
+        assert first.values.tobytes() == fresh.values.tobytes()
+        assert first.settle.tobytes() == fresh.settle.tobytes()
+
+    def test_evaluate_output_is_overwritten_by_the_next_call(self):
+        c = unsigned_array_multiplier(5, 5).compile()
+        scratch = EvalScratch()
+        first_in, second_in = self._stream(0), self._stream(1)
+        first = c.evaluate(first_in, scratch=scratch)["p"]
+        assert np.array_equal(first, c.evaluate(first_in)["p"])
+        second = c.evaluate(second_in, scratch=scratch)["p"]
+        assert second is first
+        assert np.array_equal(first, c.evaluate(second_in)["p"])
 
 
 class TestValidation:
