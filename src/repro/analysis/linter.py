@@ -11,7 +11,7 @@ warnings through :mod:`warnings` so sweeps stay observable but quiet.
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..errors import AnalysisError, LintError
@@ -37,9 +37,8 @@ class LintConfig:
     Attributes
     ----------
     disabled:
-        Rule IDs to skip entirely (e.g. ``{"NL006"}``).
-    severity_overrides:
-        Rule ID -> severity replacing the rule's default.
+        Rule IDs to skip entirely (e.g. ``{"NL006"}``).  Every other
+        rule reports at its registered default severity.
     max_fanout / max_depth:
         Budgets for NL009 / NL010.
     fail_on:
@@ -48,13 +47,12 @@ class LintConfig:
     """
 
     disabled: frozenset[str] = frozenset()
-    severity_overrides: Mapping[str, Severity] = field(default_factory=dict)
     max_fanout: int = 32
     max_depth: int = 128
     fail_on: Severity = Severity.ERROR
 
     def __post_init__(self) -> None:
-        for rule_id in list(self.disabled) + list(self.severity_overrides):
+        for rule_id in sorted(self.disabled):
             if rule_id not in REGISTRY:
                 raise AnalysisError(
                     f"unknown rule ID {rule_id!r}; known rules: "
@@ -67,28 +65,18 @@ class LintConfig:
     def build(
         cls,
         disabled: Iterable[str] = (),
-        severity_overrides: Mapping[str, "Severity | str"] | None = None,
         max_fanout: int | None = None,
         max_depth: int | None = None,
         fail_on: "Severity | str" = Severity.ERROR,
     ) -> "LintConfig":
-        """Lenient constructor accepting severity names (CLI-facing); a
-        budget left at ``None`` keeps the field default."""
+        """Lenient constructor accepting a severity name for ``fail_on``
+        (CLI-facing); a budget left at ``None`` keeps the field default."""
         return cls(
             disabled=frozenset(disabled),
-            severity_overrides={
-                k: Severity.parse(v) for k, v in (severity_overrides or {}).items()
-            },
             max_fanout=cls.max_fanout if max_fanout is None else max_fanout,
             max_depth=cls.max_depth if max_depth is None else max_depth,
             fail_on=Severity.parse(fail_on),
         )
-
-    def severity_for(self, rule_id: str) -> Severity:
-        override = self.severity_overrides.get(rule_id)
-        if override is not None:
-            return Severity.parse(override)
-        return REGISTRY[rule_id].default_severity
 
 
 def lint_netlist(
@@ -115,13 +103,12 @@ def lint_netlist(
             continue
         if rule.needs_sound_structure and not ctx.sound:
             continue
-        severity = cfg.severity_for(rule_id)
         for finding in rule.fn(ctx, cfg):
             diagnostics.append(
                 Diagnostic(
                     rule=rule_id,
                     name=rule.name,
-                    severity=severity,
+                    severity=rule.default_severity,
                     message=finding.message,
                     nodes=finding.nodes,
                     bus=finding.bus,

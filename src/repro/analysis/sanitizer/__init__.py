@@ -2,14 +2,15 @@
 
 The static half of the reproducibility story.  ``tests/parallel`` proves
 the determinism invariant *empirically* (bitwise comparisons at several
-worker counts); this package proves it *structurally*: an AST +
-call-graph pass over the repository's own source verifies that no code
-reachable from a shard entry point performs an uncatalogued ambient
-effect (RNG, clocks, environment, hash-order iteration, non-atomic
-shared writes, ...).
+worker counts); this package proves it *structurally*: an AST pass over
+the repository's own source verifies that no function performs an
+uncatalogued ambient effect (RNG, clocks, environment, hash-order
+iteration, non-atomic shared writes, ...).  Every rule applies to every
+scanned function; only the allowance policy and justified inline
+pragmas accept an occurrence.
 
 * :mod:`~repro.analysis.sanitizer.effects` — the closed-world effect
-  catalogue, entry points, and allowance policy;
+  catalogue and allowance policy;
 * :mod:`~repro.analysis.sanitizer.rules` — the stable ``DTnnn`` rule
   registry and the generated docs table;
 * :mod:`~repro.analysis.sanitizer.auditor` — the analysis engine
@@ -20,11 +21,10 @@ Exposed on the command line as ``repro audit`` and gated to zero
 findings in ``scripts/check.sh``.
 """
 
-from .auditor import ModuleIndex, audit_paths, build_module_index, discover_files
+from .auditor import audit_paths, discover_files
 from .effects import (
     ALLOWANCES,
     EFFECT_CATALOG,
-    ENTRY_POINTS,
     Allowance,
     EffectSpec,
     effect_catalogue_markdown,
@@ -46,12 +46,9 @@ __all__ = [
     "DTRule",
     "DT_REGISTRY",
     "EFFECT_CATALOG",
-    "ENTRY_POINTS",
     "EffectSpec",
-    "ModuleIndex",
     "Suppression",
     "audit_paths",
-    "build_module_index",
     "discover_files",
     "dt_rule_table",
     "dt_rule_table_markdown",

@@ -1,29 +1,23 @@
-"""AST + call-graph determinism audit over the repository's own source.
+"""AST determinism audit over the repository's own source.
 
 The auditor parses every Python file under the given roots, builds a
-name-resolution map per module (imports, local definitions, ``self``
-methods), extracts *effect occurrences* (ambient RNG, clock reads,
-environment reads, unordered iteration, ...) per function, links a
-conservative call graph, and computes the set of functions transitively
-reachable from the catalogue's shard entry points
-(:data:`repro.analysis.sanitizer.effects.ENTRY_POINTS`).
+name-resolution map per module (imports, local definitions), and
+extracts *effect occurrences* (ambient RNG, clock reads, environment
+reads, unordered iteration, ...) per function.  Every occurrence in
+every scanned function is then judged against the closed-world policy:
 
-Each occurrence is then judged against the closed-world policy:
-
-* out of the rule's scope (e.g. a clock read in unreachable report
-  code) — ignored;
 * covered by a catalogue :class:`~repro.analysis.sanitizer.effects.Allowance`
   — sanctioned library-wide;
 * covered by an inline ``# repro: allow[DTnnn] -- reason`` pragma —
   suppressed, and the justification is recorded in the report;
 * otherwise — an :class:`~repro.analysis.sanitizer.report.AuditFinding`.
 
-Call-graph conservatism: method calls that cannot be resolved
-statically (``obj.foo()``) link to *every* scanned function named
-``foo`` (minus a blocklist of ubiquitous builtin-shadowing names), so
-reachability over-approximates — a hazard is never missed because the
-receiver's type was unknown, at the cost of occasionally auditing a
-function that a precise analysis would skip.
+No call graph decides which functions count: a clock read entered
+through a ``with`` block or a function handed to ``map`` is judged like
+any other, so the policy table is the one place an effect is accepted.
+A path that names nothing to read (missing, not Python, or a file that
+does not parse) raises :class:`~repro.errors.AnalysisError` rather than
+passing unread.
 """
 
 from __future__ import annotations
@@ -36,11 +30,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ...errors import AnalysisError
 from .effects import (
     ALLOWANCES,
     EFFECT_AMBIENT_RNG,
     EFFECT_BUILTIN_HASH,
-    EFFECT_CATALOG,
     EFFECT_ENTROPY,
     EFFECT_ENV_READ,
     EFFECT_FORK_UNSAFE,
@@ -48,17 +42,13 @@ from .effects import (
     EFFECT_NONATOMIC_WRITE,
     EFFECT_UNORDERED_ITER,
     EFFECT_WALL_CLOCK,
-    ENTRY_POINTS,
-    SCOPE_EVERYWHERE,
-    SCOPE_REACHABLE,
-    SCOPE_SHARED_DISK,
     SHARED_DISK_MODULES,
     Allowance,
 )
 from .report import AuditFinding, AuditReport, Suppression
 from .rules import DT_REGISTRY, PRAGMA_RULE_ID, rule_for_effect
 
-__all__ = ["ModuleIndex", "audit_paths", "build_module_index", "discover_files"]
+__all__ = ["audit_paths", "discover_files"]
 
 #: Pseudo-qualname for module-level code.
 MODULE_UNIT = "<module>"
@@ -102,49 +92,6 @@ _NP_RANDOM_SEEDED_OK = frozenset(
     {"default_rng", "Generator", "SeedSequence", "BitGenerator", "PCG64", "Philox"}
 )
 
-#: Bare method names never resolved through the global name-match pass:
-#: they shadow builtin/stdlib container methods and would link half the
-#: call graph to unrelated helpers.
-_BARE_NAME_BLOCKLIST = frozenset(
-    {
-        "add",
-        "append",
-        "clear",
-        "close",
-        "copy",
-        "count",
-        "decode",
-        "encode",
-        "exists",
-        "extend",
-        "format",
-        "get",
-        "glob",
-        "index",
-        "insert",
-        "items",
-        "join",
-        "keys",
-        "lower",
-        "mkdir",
-        "open",
-        "pop",
-        "read",
-        "remove",
-        "replace",
-        "sort",
-        "split",
-        "startswith",
-        "stat",
-        "strip",
-        "unlink",
-        "update",
-        "upper",
-        "values",
-        "write",
-    }
-)
-
 #: Mutable-container constructors recognised by DT005.
 _MUTABLE_FACTORIES = frozenset({"dict", "list", "set", "defaultdict", "OrderedDict"})
 
@@ -174,17 +121,10 @@ class _Occurrence:
 class _Unit:
     """One analysed code unit: a function, method or the module body."""
 
-    module: str
     qualname: str
     lineno: int
     calls_dotted: set[str] = field(default_factory=set)
-    calls_bare: set[str] = field(default_factory=set)
-    calls_internal: set[str] = field(default_factory=set)
     occurrences: list[_Occurrence] = field(default_factory=list)
-
-    @property
-    def key(self) -> str:
-        return f"{self.module}:{self.qualname}"
 
 
 @dataclass
@@ -194,19 +134,30 @@ class _Module:
     units: dict[str, _Unit] = field(default_factory=dict)
     pragmas: dict[int, _Pragma] = field(default_factory=dict)
     imports: dict[str, str] = field(default_factory=dict)
-    imported_modules: set[str] = field(default_factory=set)
     comment_lines: set[int] = field(default_factory=set)
 
 
 def discover_files(paths: Iterable[str | Path]) -> list[Path]:
-    """All ``.py`` files under ``paths`` (files pass through), sorted."""
+    """All ``.py`` files under ``paths`` (files pass through), sorted.
+
+    Raises :class:`~repro.errors.AnalysisError` for a path that is
+    missing, is neither a directory nor a ``.py`` file, or is a
+    directory holding no ``.py`` file: an audit of nothing is no audit.
+    """
     found: set[Path] = set()
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            found.update(p.rglob("*.py"))
-        elif p.suffix == ".py":
+            below = set(p.rglob("*.py"))
+            if not below:
+                raise AnalysisError(f"cannot audit {p}: no Python files under it")
+            found.update(below)
+        elif p.is_file() and p.suffix == ".py":
             found.add(p)
+        elif p.exists():
+            raise AnalysisError(f"cannot audit {p}: not a Python file or directory")
+        else:
+            raise AnalysisError(f"cannot audit {p}: no such file or directory")
     return sorted(found)
 
 
@@ -257,15 +208,14 @@ def _scan_pragmas(module: _Module, source: str) -> None:
 
 
 class _Scanner(ast.NodeVisitor):
-    """Extracts units, imports, call edges and effect occurrences."""
+    """Extracts units, imports and effect occurrences."""
 
     def __init__(self, module: _Module) -> None:
         self.module = module
         self._class_stack: list[str] = []
         self._unit_stack: list[_Unit] = []
-        self._class_methods: dict[str, set[str]] = {}
         self._local_functions: dict[str, set[str]] = {MODULE_UNIT: set()}
-        root = _Unit(module.name, MODULE_UNIT, 1)
+        root = _Unit(MODULE_UNIT, 1)
         module.units[MODULE_UNIT] = root
         self._unit_stack.append(root)
 
@@ -301,7 +251,6 @@ class _Scanner(ast.NodeVisitor):
             self.module.imports[alias.asname or alias.name.split(".")[0]] = (
                 alias.name if alias.asname else alias.name.split(".")[0]
             )
-            self.module.imported_modules.add(alias.name)
         self.generic_visit(node)
 
     def _import_base(self, level: int) -> str:
@@ -322,22 +271,11 @@ class _Scanner(ast.NodeVisitor):
                 continue
             qualified = f"{source}.{alias.name}" if source else alias.name
             self.module.imports[alias.asname or alias.name] = qualified
-            # `from pkg import mod` imports a module too; recording the
-            # candidate is safe — reachability only follows scanned names.
-            self.module.imported_modules.add(qualified)
-        if source:
-            self.module.imported_modules.add(source)
         self.generic_visit(node)
 
     # -- definitions ---------------------------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._class_stack.append(node.name)
-        methods = {
-            item.name
-            for item in node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        self._class_methods[node.name] = methods
         for item in node.body:
             self.visit(item)
         self._class_stack.pop()
@@ -348,12 +286,10 @@ class _Scanner(ast.NodeVisitor):
             parent = f"{self.unit.qualname}.<locals>"
             qualname = f"{parent}.{node.name}"
             self._local_functions.setdefault(self.unit.qualname, set()).add(node.name)
-            # A nested def runs (at most) when its parent runs.
-            self.unit.calls_internal.add(qualname)
         else:
             qualname = f"{prefix}.{node.name}" if prefix else node.name
             self._local_functions[MODULE_UNIT].add(node.name)
-        unit = _Unit(self.module.name, qualname, node.lineno)
+        unit = _Unit(qualname, node.lineno)
         self.module.units[qualname] = unit
         self._unit_stack.append(unit)
         for item in node.body:
@@ -453,7 +389,7 @@ class _Scanner(ast.NodeVisitor):
             self._record(EFFECT_ENV_READ, node, "reads os.environ")
         self.generic_visit(node)
 
-    # -- calls: effects + graph edges ----------------------------------
+    # -- calls -----------------------------------------------------------
     def _check_rng_call(self, dotted: str, node: ast.Call) -> bool:
         if dotted.startswith("numpy.random."):
             attr = dotted.removeprefix("numpy.random.")
@@ -530,29 +466,13 @@ class _Scanner(ast.NodeVisitor):
                 self._record(
                     EFFECT_BUILTIN_HASH, node, "built-in hash() is salted per process"
                 )
-            resolved = self.module.imports.get(name)
-            if resolved is not None:
-                dotted = resolved
-                self.unit.calls_dotted.add(resolved)
-            elif name in self._local_functions[MODULE_UNIT]:
-                self.unit.calls_internal.add(self._qualify_local(name))
-            elif name not in _MUTABLE_FACTORIES:
-                self.unit.calls_bare.add(name)
+            dotted = self.module.imports.get(name)
         elif isinstance(func, ast.Attribute):
             dotted = self._dotted(func)
             if dotted is not None and dotted.split(".", 1)[0] in ("self", "cls"):
-                method = func.attr
-                cls = self._class_stack[-1] if self._class_stack else None
-                if cls is not None and method in self._class_methods.get(cls, set()):
-                    self.unit.calls_internal.add(f"{cls}.{method}")
-                else:
-                    self.unit.calls_bare.add(method)
                 dotted = None
-            elif dotted is not None:
-                self.unit.calls_dotted.add(dotted)
-            else:
-                self.unit.calls_bare.add(func.attr)
         if dotted is not None:
+            self.unit.calls_dotted.add(dotted)
             if not self._check_rng_call(dotted, node):
                 if dotted in _WALL_CLOCK_CALLS:
                     self._record(EFFECT_WALL_CLOCK, node, f"reads `{dotted}`")
@@ -575,14 +495,6 @@ class _Scanner(ast.NodeVisitor):
         self._check_shared_disk_write(dotted, node)
         self._check_submit(node)
         self.generic_visit(node)
-
-    def _qualify_local(self, name: str) -> str:
-        """Qualname of a top-level function/class method named ``name``."""
-        if self._class_stack and name in self._class_methods.get(
-            self._class_stack[-1], set()
-        ):
-            return f"{self._class_stack[-1]}.{name}"
-        return name
 
 
 def _write_mode(node: ast.Call, dotted: str | None) -> str | None:
@@ -609,144 +521,19 @@ def _write_mode(node: ast.Call, dotted: str | None) -> str | None:
 
 
 # ----------------------------------------------------------------------
-# Graph construction and policy evaluation.
+# Scanning and policy evaluation.
 
 
-def _scan_module(path: Path) -> _Module | None:
-    source = path.read_text(encoding="utf-8")
+def _scan_module(path: Path) -> _Module:
     module = _Module(_module_name(path), path)
     try:
+        source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=str(path))
-    except SyntaxError:
-        return None
+    except (OSError, SyntaxError, ValueError) as exc:
+        raise AnalysisError(f"cannot audit {path}: {exc}") from exc
     _scan_pragmas(module, source)
     _Scanner(module).visit(tree)
     return module
-
-
-@dataclass(frozen=True)
-class ModuleIndex:
-    """One parsed view of a source tree: scanned modules plus call graph.
-
-    Building the index is the expensive part of an audit (file IO,
-    ``ast.parse``, the scanner walk, call-graph linking);
-    :func:`audit_paths` then judges every occurrence against it.
-    """
-
-    files: tuple[Path, ...]
-    modules: dict[str, _Module]
-    edges: dict[str, set[str]]
-
-    def reachable_units(self, entry_points: Sequence[str]) -> set[str]:
-        """Unit keys transitively reachable from ``module:qualname`` roots."""
-        return _reachable_units(self.modules, self.edges, entry_points)
-
-    def reachable_modules(self, reachable: set[str]) -> set[str]:
-        """Modules whose import-time code runs for ``reachable`` units."""
-        return _reachable_modules(self.modules, reachable)
-
-
-def build_module_index(paths: Iterable[str | Path]) -> ModuleIndex:
-    """Parse every Python file under ``paths`` into an index."""
-    files = discover_files(paths)
-    modules: dict[str, _Module] = {}
-    for path in files:
-        scanned = _scan_module(path)
-        if scanned is not None:
-            modules[scanned.name] = scanned
-    edges = _build_edges(modules, _function_index(modules))
-    return ModuleIndex(files=tuple(files), modules=modules, edges=edges)
-
-
-def _function_index(modules: dict[str, _Module]) -> dict[str, list[str]]:
-    """Final-name-component -> unit keys, for bare-name resolution."""
-    index: dict[str, list[str]] = {}
-    for module in modules.values():
-        for qualname, unit in module.units.items():
-            if qualname == MODULE_UNIT:
-                continue
-            leaf = qualname.split(".")[-1]
-            index.setdefault(leaf, []).append(unit.key)
-    return index
-
-
-def _resolve_dotted(dotted: str, modules: dict[str, _Module]) -> list[str]:
-    """Resolve an import-rooted dotted call to scanned unit keys."""
-    parts = dotted.split(".")
-    for i in range(len(parts) - 1, 0, -1):
-        mod_name = ".".join(parts[:i])
-        module = modules.get(mod_name)
-        if module is None:
-            continue
-        rest = ".".join(parts[i:])
-        if rest in module.units:
-            return [module.units[rest].key]
-        init = f"{rest}.__init__"
-        if init in module.units:
-            return [module.units[init].key]
-        # A class whose methods are linked lazily via bare names.
-        return []
-    return []
-
-
-def _build_edges(
-    modules: dict[str, _Module], index: dict[str, list[str]]
-) -> dict[str, set[str]]:
-    edges: dict[str, set[str]] = {}
-    for module in modules.values():
-        for unit in module.units.values():
-            out: set[str] = set()
-            for qualname in unit.calls_internal:
-                if qualname in module.units:
-                    out.add(module.units[qualname].key)
-            for dotted in unit.calls_dotted:
-                out.update(_resolve_dotted(dotted, modules))
-            for bare in unit.calls_bare:
-                if bare in _BARE_NAME_BLOCKLIST:
-                    continue
-                out.update(index.get(bare, ()))
-            edges[unit.key] = out
-    return edges
-
-
-def _reachable_units(
-    modules: dict[str, _Module],
-    edges: dict[str, set[str]],
-    entry_points: Sequence[str],
-) -> set[str]:
-    queue: list[str] = []
-    for entry in entry_points:
-        mod_name, _, qualname = entry.partition(":")
-        module = modules.get(mod_name)
-        if module is not None and qualname in module.units:
-            queue.append(module.units[qualname].key)
-    seen: set[str] = set(queue)
-    while queue:
-        key = queue.pop()
-        for nxt in edges.get(key, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
-def _reachable_modules(
-    modules: dict[str, _Module], reachable: set[str]
-) -> set[str]:
-    """Modules whose import-time code runs in a worker: those defining a
-    reachable function, closed over their scanned imports."""
-    seen = {key.split(":", 1)[0] for key in reachable}
-    queue = list(seen)
-    while queue:
-        name = queue.pop()
-        module = modules.get(name)
-        if module is None:
-            continue
-        for imported in module.imported_modules:
-            if imported in modules and imported not in seen:
-                seen.add(imported)
-                queue.append(imported)
-    return seen
 
 
 def _allowed(
@@ -778,53 +565,28 @@ def _pragma_for_line(module: _Module, lineno: int) -> _Pragma | None:
 
 def audit_paths(
     paths: Iterable[str | Path],
-    entry_points: Sequence[str] | None = None,
     allowances: Sequence[Allowance] | None = None,
-    disabled: frozenset[str] = frozenset(),
 ) -> AuditReport:
     """Audit every Python file under ``paths`` and return the report.
 
-    Parameters
-    ----------
-    entry_points:
-        ``module:qualname`` reachability roots; defaults to the
-        catalogue's :data:`~repro.analysis.sanitizer.effects.ENTRY_POINTS`.
-    allowances:
-        The allowance policy; defaults to the catalogue's
-        :data:`~repro.analysis.sanitizer.effects.ALLOWANCES`.
-    disabled:
-        Rule IDs to skip entirely (CLI ``--disable``).
+    ``allowances`` is the allowance policy; it defaults to the
+    catalogue's :data:`~repro.analysis.sanitizer.effects.ALLOWANCES`.
+    Raises :class:`~repro.errors.AnalysisError` when a path cannot be
+    read (see :func:`discover_files`) or a file does not parse.
     """
-    roots = ENTRY_POINTS if entry_points is None else tuple(entry_points)
     policy = ALLOWANCES if allowances is None else tuple(allowances)
-    index = build_module_index(paths)
-    files = index.files
-    modules = index.modules
-    reachable = index.reachable_units(roots)
-    reachable_mods = index.reachable_modules(reachable)
-    scope_by_effect = {spec.effect: spec.scope for spec in EFFECT_CATALOG}
-
+    files = discover_files(paths)
     findings: list[AuditFinding] = []
     suppressions: list[Suppression] = []
     n_functions = 0
-    for module in modules.values():
-        findings.extend(_pragma_findings(module, disabled))
+    for path in files:
+        module = _scan_module(path)
+        findings.extend(_pragma_findings(module))
         for unit in module.units.values():
             if unit.qualname != MODULE_UNIT:
                 n_functions += 1
             for occ in unit.occurrences:
-                _judge(
-                    occ,
-                    module,
-                    unit,
-                    scope_by_effect,
-                    reachable,
-                    reachable_mods,
-                    policy,
-                    disabled,
-                    findings,
-                    suppressions,
-                )
+                _judge(occ, module, unit, policy, findings, suppressions)
     findings.sort(key=lambda f: (f.rule, f.path, f.lineno))
     suppressions.sort(key=lambda s: (s.rule, s.path, s.lineno))
     return AuditReport(
@@ -832,16 +594,10 @@ def audit_paths(
         suppressions=tuple(suppressions),
         n_files=len(files),
         n_functions=n_functions,
-        n_reachable=len(reachable),
-        entry_points=tuple(roots),
     )
 
 
-def _pragma_findings(
-    module: _Module, disabled: frozenset[str]
-) -> list[AuditFinding]:
-    if PRAGMA_RULE_ID in disabled:
-        return []
+def _pragma_findings(module: _Module) -> list[AuditFinding]:
     rule = DT_REGISTRY[PRAGMA_RULE_ID]
     return [
         AuditFinding(
@@ -858,44 +614,16 @@ def _pragma_findings(
     ]
 
 
-def _in_scope(
-    occ: _Occurrence,
-    module: _Module,
-    unit: _Unit,
-    scope: str,
-    reachable: set[str],
-    reachable_mods: set[str],
-) -> bool:
-    if scope == SCOPE_EVERYWHERE:
-        return True
-    if scope == SCOPE_SHARED_DISK:
-        return module.name in SHARED_DISK_MODULES
-    if scope == SCOPE_REACHABLE:
-        if unit.qualname == MODULE_UNIT:
-            return module.name in reachable_mods
-        return unit.key in reachable
-    raise AssertionError(f"unknown scope {scope!r}")
-
-
 def _judge(
     occ: _Occurrence,
     module: _Module,
     unit: _Unit,
-    scope_by_effect: dict[str, str],
-    reachable: set[str],
-    reachable_mods: set[str],
     policy: Sequence[Allowance],
-    disabled: frozenset[str],
     findings: list[AuditFinding],
     suppressions: list[Suppression],
 ) -> None:
     rule = rule_for_effect(occ.effect)
-    if rule.rule_id in disabled:
-        return
     if occ.effect == EFFECT_NONATOMIC_WRITE and "os.replace" in unit.calls_dotted:
-        return
-    scope = scope_by_effect[occ.effect]
-    if not _in_scope(occ, module, unit, scope, reachable, reachable_mods):
         return
     if _allowed(occ, module.name, policy):
         return

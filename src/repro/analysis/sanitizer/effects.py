@@ -1,10 +1,10 @@
 """The determinism effect catalogue: every ambient effect the audit polices.
 
 The sanitizer is **closed-world** in the same sense as the telemetry
-catalogue (:mod:`repro.obs.spec`): the set of effects it recognises, the
-shard entry points it roots reachability at, and the places allowed to
-perform each effect are all declared *here*, in one reviewable table.
-Code anywhere else that performs a catalogued effect is a finding — the
+catalogue (:mod:`repro.obs.spec`): the set of effects it recognises and
+the places allowed to perform each effect are both declared *here*, in
+one reviewable table.  Every audited function is held to every rule, so
+code anywhere else that performs a catalogued effect is a finding — the
 auditor does not guess intent, and a new legitimate use must either be
 added to :data:`ALLOWANCES` (library-wide policy) or carry an inline
 ``# repro: allow[DTnnn] -- reason`` pragma (one-off, justified in place).
@@ -35,10 +35,6 @@ __all__ = [
     "EFFECT_UNORDERED_ITER",
     "EFFECT_WALL_CLOCK",
     "EffectSpec",
-    "ENTRY_POINTS",
-    "SCOPE_EVERYWHERE",
-    "SCOPE_REACHABLE",
-    "SCOPE_SHARED_DISK",
     "SHARED_DISK_MODULES",
     "effect_catalogue_markdown",
 ]
@@ -54,15 +50,6 @@ EFFECT_FORK_UNSAFE = "pool.fork_unsafe"
 EFFECT_BUILTIN_HASH = "hash.builtin"
 EFFECT_ENTROPY = "entropy.read"
 
-#: Enforcement scopes.  ``reachable``: only code transitively reachable
-#: from :data:`ENTRY_POINTS` is held to the rule (a wall-clock read in a
-#: report renderer is fine; one in a shard is not).  ``shared_disk``:
-#: only modules in :data:`SHARED_DISK_MODULES` (the workspace).
-#: ``everywhere``: the whole audited tree.
-SCOPE_REACHABLE = "reachable"
-SCOPE_SHARED_DISK = "shared_disk"
-SCOPE_EVERYWHERE = "everywhere"
-
 
 @dataclass(frozen=True)
 class EffectSpec:
@@ -72,14 +59,11 @@ class EffectSpec:
     ----------
     effect:
         Stable dotted effect name (``category.kind``).
-    scope:
-        Where occurrences count as findings (see the scope constants).
     description:
         What the effect is and why it endangers shard determinism.
     """
 
     effect: str
-    scope: str
     description: str
 
 
@@ -87,7 +71,6 @@ class EffectSpec:
 EFFECT_CATALOG: tuple[EffectSpec, ...] = (
     EffectSpec(
         EFFECT_AMBIENT_RNG,
-        SCOPE_REACHABLE,
         "Randomness drawn from global generator state (`random.*`, "
         "`numpy.random.*` module functions, argument-less `default_rng()`) "
         "instead of a seed derived via `repro.rng.derive_seed`: results "
@@ -95,20 +78,16 @@ EFFECT_CATALOG: tuple[EffectSpec, ...] = (
     ),
     EffectSpec(
         EFFECT_BUILTIN_HASH,
-        SCOPE_REACHABLE,
-        "Built-in `hash()` on shard-reachable paths: string hashes vary "
-        "with PYTHONHASHSEED, so any value derived from them differs "
-        "between worker processes.",
+        "Built-in `hash()`: string hashes vary with PYTHONHASHSEED, so "
+        "any value derived from them differs between worker processes.",
     ),
     EffectSpec(
         EFFECT_ENTROPY,
-        SCOPE_REACHABLE,
         "OS entropy reads (`os.urandom`, `uuid.uuid1/uuid4`, `secrets.*`, "
         "`random.SystemRandom`): irreproducible by construction.",
     ),
     EffectSpec(
         EFFECT_ENV_READ,
-        SCOPE_EVERYWHERE,
         "Ambient `os.environ`/`os.getenv` reads outside the declared "
         "configuration entry points: behaviour then varies with inherited "
         "environment instead of explicit arguments, and pool workers may "
@@ -116,7 +95,6 @@ EFFECT_CATALOG: tuple[EffectSpec, ...] = (
     ),
     EffectSpec(
         EFFECT_FORK_UNSAFE,
-        SCOPE_EVERYWHERE,
         "Work shipped to a `ProcessPoolExecutor` as a lambda, nested "
         "closure or bound method: such callables capture parent-process "
         "state (open handles, RNG objects) that does not survive "
@@ -124,14 +102,12 @@ EFFECT_CATALOG: tuple[EffectSpec, ...] = (
     ),
     EffectSpec(
         EFFECT_MODULE_STATE,
-        SCOPE_REACHABLE,
-        "Mutable module-level containers in shard-reachable modules: "
-        "state mutated in one pool worker silently diverges from the "
-        "others and from the inline path.",
+        "Mutable module-level containers: state mutated in one pool "
+        "worker silently diverges from the others and from the inline "
+        "path.",
     ),
     EffectSpec(
         EFFECT_NONATOMIC_WRITE,
-        SCOPE_SHARED_DISK,
         "A write-mode file open in a shared-disk module whose enclosing "
         "function lacks the write-to-temp + `os.replace` discipline: "
         "concurrent writers can interleave and readers can observe torn "
@@ -139,39 +115,22 @@ EFFECT_CATALOG: tuple[EffectSpec, ...] = (
     ),
     EffectSpec(
         EFFECT_UNORDERED_ITER,
-        SCOPE_EVERYWHERE,
         "Iteration over a set/frozenset expression (or materialising one "
         "with `list`/`tuple`) without `sorted()`: iteration order follows "
         "hash order, which for strings varies with PYTHONHASHSEED.",
     ),
     EffectSpec(
         EFFECT_WALL_CLOCK,
-        SCOPE_REACHABLE,
         "Wall-clock or monotonic-clock reads (`time.time`, "
-        "`time.perf_counter`, `datetime.now`, ...) on shard-reachable "
-        "paths outside the observability layer and its declared "
-        "latency-bookkeeping call sites.",
+        "`time.perf_counter`, `datetime.now`, ...) outside the "
+        "observability layer and its declared latency-bookkeeping call "
+        "sites.",
     ),
 )
 
 
-#: Shard entry points (``module:qualname``): reachability roots for the
-#: ``reachable``-scoped rules.  Everything a pool worker or the inline
-#: fallback can execute hangs off these.
-ENTRY_POINTS: tuple[str, ...] = (
-    "repro.characterization.harness:characterize_multiplier",
-    "repro.core.optimizer:optimize_designs",
-    "repro.faults.injector:FaultInjector.fire_pre",
-    "repro.faults.injector:FaultInjector.mutate_result",
-    "repro.parallel.cache:PlacedDesignCache.get_or_place",
-    "repro.parallel.engine:_init_worker",
-    "repro.parallel.engine:_run_shard_in_worker",
-    "repro.parallel.engine:run_shard",
-    "repro.parallel.engine:run_sweep",
-)
-
 #: Modules whose on-disk artefacts are shared between concurrent
-#: processes; the ``shared_disk`` rule applies only here.
+#: processes; the auditor records non-atomic writes (DT006) only here.
 SHARED_DISK_MODULES: tuple[str, ...] = ("repro.workspace",)
 
 
@@ -233,6 +192,15 @@ ALLOWANCES: tuple[Allowance, ...] = (
         "sampling_times records built from them; they ride alongside "
         "results without feeding any numeric path.",
     ),
+    Allowance(
+        EFFECT_WALL_CLOCK,
+        "repro.obs.trace",
+        None,
+        "The observability layer: perf_counter reads time spans and the "
+        "tracer's epoch for trace export only; no result reads them, and "
+        "tests/obs/test_noop_identity.py holds results bit-identical with "
+        "tracing on or off.",
+    ),
     # --- module state: deliberate, documented singletons ----------------
     Allowance(
         EFFECT_MODULE_STATE,
@@ -243,11 +211,49 @@ ALLOWANCES: tuple[Allowance, ...] = (
     ),
     Allowance(
         EFFECT_MODULE_STATE,
+        "repro.analysis.sanitizer.rules",
+        "DT_REGISTRY",
+        "DT rule registry filled by this module's _register calls at "
+        "import time and only read thereafter; no shard runs the audit.",
+    ),
+    Allowance(
+        EFFECT_MODULE_STATE,
+        "repro.analysis.sanitizer.rules",
+        "_RULE_BY_EFFECT",
+        "Effect-to-rule index built from DT_REGISTRY at import time; "
+        "never mutated.",
+    ),
+    Allowance(
+        EFFECT_MODULE_STATE,
+        "repro.cli",
+        "_FIGURES",
+        "Experiment-name to figure-driver table of the experiment CLI, "
+        "written once at import and only read.",
+    ),
+    Allowance(
+        EFFECT_MODULE_STATE,
+        "repro.eval.context",
+        "_CONTEXT_CACHE",
+        "Per-process memo of ExperimentContext.get, keyed by every "
+        "argument that shapes a context, so a hit returns what a miss "
+        "would build; only the figure drivers read it, never a shard.",
+    ),
+    Allowance(
+        EFFECT_MODULE_STATE,
         "repro.kernels.plan",
         "_PLAN_CACHE",
         "Execution-plan memo keyed by netlist content hash; entries are "
         "immutable once built and installs go through _PLAN_CACHE_LOCK "
         "with setdefault, so concurrent compilers converge on one plan.",
+    ),
+    Allowance(
+        EFFECT_MODULE_STATE,
+        "repro.netlist.generators",
+        "GENERATORS",
+        "Name to netlist-generator table behind generate(), which only "
+        "the lint and analyze CLIs call; register_generator adds names "
+        "and refuses to replace one, and no shard looks a generator up "
+        "by name.",
     ),
     Allowance(
         EFFECT_MODULE_STATE,
@@ -278,13 +284,11 @@ def effect_catalogue_markdown() -> str:
     they diverge.
     """
     lines = [
-        "| Effect | Scope | Hazard |",
-        "|---|---|---|",
+        "| Effect | Hazard |",
+        "|---|---|",
     ]
     for spec in sorted(EFFECT_CATALOG, key=lambda s: s.effect):
-        lines.append(
-            f"| `{spec.effect}` | {spec.scope} | {_escape(spec.description)} |"
-        )
+        lines.append(f"| `{spec.effect}` | {_escape(spec.description)} |")
     lines += [
         "",
         "Sanctioned occurrences (the allowance policy):",

@@ -85,8 +85,6 @@ class AuditReport:
     suppressions: tuple[Suppression, ...]
     n_files: int
     n_functions: int
-    n_reachable: int
-    entry_points: tuple[str, ...]
 
     @property
     def clean(self) -> bool:
@@ -108,7 +106,7 @@ class AuditReport:
             status = f"{len(self.findings)} finding(s): {per_rule}"
         return (
             f"audit over {self.n_files} file(s), {self.n_functions} "
-            f"function(s) ({self.n_reachable} shard-reachable): {status}; "
+            f"function(s): {status}; "
             f"{len(self.suppressions)} justified suppression(s)"
         )
 
@@ -129,8 +127,6 @@ class AuditReport:
             "clean": self.clean,
             "n_files": self.n_files,
             "n_functions": self.n_functions,
-            "n_reachable": self.n_reachable,
-            "entry_points": list(self.entry_points),
             "counts_by_rule": self.counts_by_rule(),
             "findings": [f.as_dict() for f in self.findings],
             "suppressions": [s.as_dict() for s in self.suppressions],

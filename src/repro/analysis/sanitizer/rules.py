@@ -87,10 +87,10 @@ _register(
         "DT001",
         "ambient-rng",
         EFFECT_AMBIENT_RNG,
-        "Shard-reachable code draws randomness from global generator "
-        "state (`random.*`, `numpy.random.*` module functions, or an "
-        "argument-less `default_rng()`) instead of a generator seeded "
-        "through `repro.rng.derive_seed`/`SeedTree`.",
+        "Code draws randomness from global generator state (`random.*`, "
+        "`numpy.random.*` module functions, or an argument-less "
+        "`default_rng()`) instead of a generator seeded through "
+        "`repro.rng.derive_seed`/`SeedTree`.",
     )
 )
 _register(
@@ -98,9 +98,9 @@ _register(
         "DT002",
         "wall-clock",
         EFFECT_WALL_CLOCK,
-        "Shard-reachable code reads a clock (`time.time`, "
-        "`time.perf_counter`, `datetime.now`, ...) outside the "
-        "observability layer and the catalogued latency call sites.",
+        "Code reads a clock (`time.time`, `time.perf_counter`, "
+        "`datetime.now`, ...) outside the observability layer and the "
+        "catalogued latency call sites.",
     )
 )
 _register(
@@ -129,9 +129,9 @@ _register(
         "DT005",
         "mutable-module-state",
         EFFECT_MODULE_STATE,
-        "A shard-reachable module declares a mutable module-level "
-        "container (dict/list/set): mutations diverge silently between "
-        "pool workers and the inline path.",
+        "A module declares a mutable module-level container "
+        "(dict/list/set): mutations diverge silently between pool "
+        "workers and the inline path.",
     )
 )
 _register(
@@ -159,9 +159,9 @@ _register(
         "DT009",
         "builtin-hash",
         EFFECT_BUILTIN_HASH,
-        "Shard-reachable code calls built-in `hash()`: string hashes are "
-        "salted per process (PYTHONHASHSEED), so derived values differ "
-        "between workers. Use `hashlib` or `repro.rng.derive_seed`.",
+        "Code calls built-in `hash()`: string hashes are salted per "
+        "process (PYTHONHASHSEED), so derived values differ between "
+        "workers. Use `hashlib` or `repro.rng.derive_seed`.",
     )
 )
 _register(
@@ -169,8 +169,8 @@ _register(
         "DT010",
         "entropy-read",
         EFFECT_ENTROPY,
-        "Shard-reachable code reads OS entropy (`os.urandom`, "
-        "`uuid.uuid4`, `secrets.*`): irreproducible by construction.",
+        "Code reads OS entropy (`os.urandom`, `uuid.uuid4`, `secrets.*`): "
+        "irreproducible by construction.",
     )
 )
 

@@ -402,14 +402,18 @@ def _audit_main(argv: list[str]) -> int:
     """``audit`` subcommand: determinism/concurrency audit of repro source."""
     from .analysis.sanitizer import audit_paths, dt_rule_table_markdown
     from .cli_flow import export_telemetry, resolve_telemetry_paths
+    from .errors import AnalysisError
     from .obs import runtime as obs
 
     parser = argparse.ArgumentParser(
         prog="repro-experiment audit",
         description="Audit Python source for determinism and concurrency "
         "hazards (DT rules): ambient RNG, clock/env reads, hash-order "
-        "iteration, non-atomic shared-disk writes. Reachability is rooted "
-        "at the shard entry points (see docs/static_analysis.md).",
+        "iteration, non-atomic shared-disk writes. Every rule applies to "
+        "every function; only the allowance policy and justified "
+        "`# repro: allow[DTnnn]` pragmas accept an occurrence (see "
+        "docs/static_analysis.md). Exit 0 clean, 1 findings, 2 when a "
+        "path cannot be read or parsed.",
     )
     parser.add_argument(
         "paths",
@@ -422,13 +426,6 @@ def _audit_main(argv: list[str]) -> int:
         choices=["text", "json"],
         default="text",
         help="report rendering (default: text)",
-    )
-    parser.add_argument(
-        "--disable",
-        action="append",
-        default=[],
-        metavar="DTnnn",
-        help="skip a rule entirely (repeatable)",
     )
     parser.add_argument(
         "--rules",
@@ -454,9 +451,10 @@ def _audit_main(argv: list[str]) -> int:
         )
     try:
         with obs.span("audit.run"):
-            report = audit_paths(
-                args.paths or ["src/repro"], disabled=frozenset(args.disable)
-            )
+            report = audit_paths(args.paths or ["src/repro"])
+    except AnalysisError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if trace_path or metrics_path:
             export_telemetry(trace_path, metrics_path)

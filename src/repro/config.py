@@ -100,16 +100,17 @@ class ResilienceSettings:
     ----------
     shard_timeout_s:
         Wall-clock bound on waiting for one shard's result from a pool
-        worker; ``None`` waits forever.  A timeout abandons the pool
-        (hung workers cannot be preempted individually) and falls back to
-        inline execution.  Timeouts are only enforceable on the pool
-        path; inline shards run to completion.
+        worker: finite and positive, or ``None`` to wait forever.  A
+        timeout abandons the pool (hung workers cannot be preempted
+        individually) and falls back to inline execution.  Timeouts are
+        only enforceable on the pool path; inline shards run to
+        completion.
     max_retries:
         Extra attempts granted to a failing shard after its first try.
         ``0`` restores the pre-resilience fail-fast behaviour.
-    backoff_base_s / backoff_factor / backoff_max_s:
+    backoff_base_s:
         Exponential-backoff schedule between attempts:
-        ``min(max, base * factor**k)`` seconds before retry ``k``.
+        ``min(2.0, base * 2.0**k)`` seconds before retry ``k``.
     backoff_jitter:
         Fraction of the delay spread deterministically (seeded off the
         sweep's seed tree) around the nominal schedule, so chaos runs are
@@ -123,20 +124,19 @@ class ResilienceSettings:
     shard_timeout_s: float | None = None
     max_retries: int = 2
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 2.0
     backoff_jitter: float = 0.5
     allow_degraded: bool = False
 
     def __post_init__(self) -> None:
-        if self.shard_timeout_s is not None and self.shard_timeout_s <= 0:
-            raise ConfigError("shard_timeout_s must be positive (or None)")
+        timeout = self.shard_timeout_s
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            raise ConfigError(
+                f"shard timeout must be finite and positive (or None), got {timeout}"
+            )
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
+        if self.backoff_base_s < 0:
             raise ConfigError("backoff delays must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ConfigError("backoff_factor must be >= 1.0")
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise ConfigError("backoff_jitter must be in [0, 1]")
 

@@ -81,8 +81,8 @@ SPAN_CATALOG: tuple[SpanSpec, ...] = (
     SpanSpec(
         "audit.run",
         "repro.cli",
-        "One `repro audit` invocation: source parse, call-graph reachability and the "
-        "DT rule pass.",
+        "One `repro audit` invocation: source parse and the DT rule pass over every "
+        "function.",
     ),
     SpanSpec(
         "cache.synthesize",

@@ -37,6 +37,10 @@ ATTEMPT_ERROR = "error"
 ATTEMPT_TIMEOUT = "timeout"
 ATTEMPT_INVALID = "invalid"
 
+#: Growth factor and cap (seconds) of the backoff schedule.
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 2.0
+
 #: Shard dispositions after the sweep finished.
 DISPOSITION_COMPLETED = "completed"
 DISPOSITION_RECOVERED = "recovered"
@@ -48,15 +52,13 @@ def backoff_delay(
 ) -> float:
     """Delay in seconds before retry ``retry`` (0-based) of one shard.
 
-    Exponential schedule capped at ``backoff_max_s``, spread by a
-    deterministic jitter factor in ``[1 - j, 1 + j]`` hashed from
-    ``(seed, path, retry)`` — reproducible, yet decorrelated across
-    shards so a pool of retries does not stampede.
+    Exponential schedule ``base * BACKOFF_FACTOR**retry`` capped at
+    :data:`BACKOFF_MAX_S`, spread by a deterministic jitter factor in
+    ``[1 - j, 1 + j]`` hashed from ``(seed, path, retry)`` —
+    reproducible, yet decorrelated across shards so a pool of retries
+    does not stampede.
     """
-    delay = min(
-        settings.backoff_max_s,
-        settings.backoff_base_s * settings.backoff_factor**retry,
-    )
+    delay = min(BACKOFF_MAX_S, settings.backoff_base_s * BACKOFF_FACTOR**retry)
     if settings.backoff_jitter > 0.0 and delay > 0.0:
         u = derive_seed(seed, "backoff", *path, str(retry)) / float(2**63)
         delay *= 1.0 + settings.backoff_jitter * (2.0 * u - 1.0)

@@ -236,10 +236,15 @@ class Workspace:
         return health
 
     def characterized_wordlengths(self) -> list[int]:
+        """Word-lengths with an archived sweep.
+
+        Only the names :meth:`save_characterization` writes (``wl`` and
+        two digits) count; any other file in the directory is ignored.
+        """
         if not self.char_dir.exists():
             return []
         return sorted(
-            int(p.stem[2:]) for p in self.char_dir.glob("wl*.npz")
+            int(p.stem[2:]) for p in self.char_dir.glob("wl[0-9][0-9].npz")
         )
 
     def load_error_models(self) -> ErrorModelSet:

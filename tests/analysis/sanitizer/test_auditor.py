@@ -1,10 +1,10 @@
-"""Behaviour of the AST/call-graph auditor on seeded hazard fixtures.
+"""Behaviour of the AST auditor on seeded hazard fixtures.
 
 Each test writes a small package tree to ``tmp_path``, seeds it with a
 known determinism/concurrency hazard, and asserts the corresponding DT
 rule fires (or, for the negative cases, stays silent): the acceptance
 check that a real regression — e.g. an un-derived ``random.random()`` in
-a shard-reachable function — cannot land unnoticed.
+any function, however the shard reaches it — cannot land unnoticed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.analysis.sanitizer import Allowance, audit_paths
 from repro.analysis.sanitizer.effects import EFFECT_ENV_READ
 
 
-def run_audit(tmp_path: Path, files: dict[str, str], entry_points, allowances=()):
+def run_audit(tmp_path: Path, files: dict[str, str], allowances=()):
     """Write ``files`` into a ``pkg`` package under ``tmp_path`` and audit it."""
     pkg = tmp_path / "pkg"
     pkg.mkdir(exist_ok=True)
@@ -24,13 +24,8 @@ def run_audit(tmp_path: Path, files: dict[str, str], entry_points, allowances=()
     for name, text in files.items():
         target = pkg / name
         target.parent.mkdir(parents=True, exist_ok=True)
-        if name.endswith("/__init__.py") or name == "__init__.py":
-            target.write_text(textwrap.dedent(text))
-        else:
-            target.write_text(textwrap.dedent(text))
-    return audit_paths(
-        [pkg], entry_points=tuple(entry_points), allowances=tuple(allowances)
-    )
+        target.write_text(textwrap.dedent(text))
+    return audit_paths([pkg], allowances=tuple(allowances))
 
 
 def rules_fired(report):
@@ -52,7 +47,6 @@ def test_ambient_random_in_reachable_function_is_caught(tmp_path):
                 return random.random()
             """
         },
-        ["pkg.shard:run"],
     )
     assert rules_fired(report) == {"DT001"}
     (finding,) = report.findings
@@ -60,7 +54,9 @@ def test_ambient_random_in_reachable_function_is_caught(tmp_path):
     assert "global stdlib generator" in finding.message
 
 
-def test_ambient_random_in_unreachable_function_is_ignored(tmp_path):
+def test_ambient_random_in_any_function_is_caught(tmp_path):
+    # No entry point scopes the audit: a function no shard calls is
+    # held to the rule all the same.
     report = run_audit(
         tmp_path,
         {
@@ -74,9 +70,82 @@ def test_ambient_random_in_unreachable_function_is_ignored(tmp_path):
                 return random.random()
             """
         },
-        ["pkg.shard:run"],
     )
-    assert report.clean
+    assert [(f.rule, f.qualname) for f in report.findings] == [
+        ("DT001", "report_only")
+    ]
+
+
+def test_ambient_random_in_context_manager_enter_is_caught(tmp_path):
+    report = run_audit(
+        tmp_path,
+        {
+            "guard.py": """
+            import random
+
+            class Guard:
+                def __enter__(self):
+                    self.token = random.random()
+                    return self
+
+                def __exit__(self, *exc):
+                    return None
+            """,
+            "shard.py": """
+            from .guard import Guard
+
+            def run():
+                with Guard() as guard:
+                    return guard.token
+            """,
+        },
+    )
+    assert [(f.rule, f.qualname) for f in report.findings] == [
+        ("DT001", "Guard.__enter__")
+    ]
+
+
+def test_clock_read_in_context_manager_exit_is_caught(tmp_path):
+    report = run_audit(
+        tmp_path,
+        {
+            "shard.py": """
+            import time
+
+            class Stopwatch:
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self.stopped = time.perf_counter()
+
+            def run(x):
+                with Stopwatch():
+                    return x + 1
+            """
+        },
+    )
+    assert [(f.rule, f.qualname) for f in report.findings] == [
+        ("DT002", "Stopwatch.__exit__")
+    ]
+
+
+def test_ambient_random_in_function_passed_to_map_is_caught(tmp_path):
+    report = run_audit(
+        tmp_path,
+        {
+            "shard.py": """
+            import random
+
+            def draw(x):
+                return x + random.random()
+
+            def run(xs):
+                return list(map(draw, xs))
+            """
+        },
+    )
+    assert [(f.rule, f.qualname) for f in report.findings] == [("DT001", "draw")]
 
 
 def test_hazard_found_through_transitive_calls(tmp_path):
@@ -99,7 +168,6 @@ def test_hazard_found_through_transitive_calls(tmp_path):
                 return middle()
             """,
         },
-        ["pkg.shard:run"],
     )
     assert rules_fired(report) == {"DT001"}
     (finding,) = report.findings
@@ -122,7 +190,6 @@ def test_unseeded_default_rng_flagged_seeded_ok(tmp_path):
                 return good, also_good, bad
             """
         },
-        ["pkg.shard:run"],
     )
     assert [f.rule for f in report.findings] == ["DT001"]
     assert "without a seed" in report.findings[0].message
@@ -139,13 +206,12 @@ def test_numpy_global_draw_flagged(tmp_path):
                 return np.random.rand(4)
             """
         },
-        ["pkg.shard:run"],
     )
     assert rules_fired(report) == {"DT001"}
 
 
 # ----------------------------------------------------------------------
-# DT002 wall clock / DT009 hash / DT010 entropy (reachable scope)
+# DT002 wall clock / DT009 hash / DT010 entropy
 
 
 def test_clock_hash_and_entropy_reads_caught(tmp_path):
@@ -163,7 +229,6 @@ def test_clock_hash_and_entropy_reads_caught(tmp_path):
                 return t, h, u
             """
         },
-        ["pkg.shard:run"],
     )
     assert rules_fired(report) == {"DT002", "DT009", "DT010"}
 
@@ -179,13 +244,12 @@ def test_datetime_now_caught_via_from_import(tmp_path):
                 return datetime.now()
             """
         },
-        ["pkg.shard:run"],
     )
     assert rules_fired(report) == {"DT002"}
 
 
 # ----------------------------------------------------------------------
-# DT003 ambient environment (everywhere scope)
+# DT003 ambient environment
 
 
 def test_environ_read_flagged_even_unreachable(tmp_path):
@@ -199,7 +263,6 @@ def test_environ_read_flagged_even_unreachable(tmp_path):
                 return os.environ.get("X"), os.getenv("Y")
             """
         },
-        [],
     )
     assert [f.rule for f in report.findings] == ["DT003", "DT003"]
 
@@ -215,7 +278,6 @@ def test_environ_read_sanctioned_by_allowance(tmp_path):
                 return os.environ.get("X")
             """
         },
-        [],
         allowances=[
             Allowance(
                 EFFECT_ENV_READ, "pkg.config", None, "designated env boundary"
@@ -240,7 +302,6 @@ def test_allowance_qualname_scoping(tmp_path):
     scoped = run_audit(
         tmp_path,
         files,
-        [],
         allowances=[
             Allowance(EFFECT_ENV_READ, "pkg.config", "load", "the one front door")
         ],
@@ -266,7 +327,6 @@ def test_set_iteration_flagged_sorted_ok(tmp_path):
                 return bad, also_bad, fine
             """
         },
-        ["pkg.shard:run"],
     )
     assert [f.rule for f in report.findings] == ["DT004", "DT004"]
 
@@ -284,13 +344,13 @@ def test_module_level_mutable_state_in_reachable_module(tmp_path):
                 return CACHE
             """
         },
-        ["pkg.shard:run"],
     )
     # __all__ is exempt; CACHE is not.
     assert [(f.rule, f.qualname) for f in report.findings] == [("DT005", "CACHE")]
 
 
-def test_module_state_in_unreachable_module_ignored(tmp_path):
+def test_module_state_in_any_module_is_flagged(tmp_path):
+    # A module no shard imports is held to DT005 all the same.
     report = run_audit(
         tmp_path,
         {
@@ -305,9 +365,10 @@ def test_module_state_in_unreachable_module_ignored(tmp_path):
                 return 1
             """,
         },
-        ["pkg.shard:run"],
     )
-    assert report.clean
+    assert [(f.rule, f.module, f.qualname) for f in report.findings] == [
+        ("DT005", "pkg.reports", "CACHE")
+    ]
 
 
 def test_module_state_found_via_import_closure(tmp_path):
@@ -324,7 +385,6 @@ def test_module_state_found_via_import_closure(tmp_path):
                 return 1
             """,
         },
-        ["pkg.shard:run"],
     )
     assert [f.rule for f in report.findings] == ["DT005"]
     assert report.findings[0].module == "pkg.state"
@@ -348,7 +408,7 @@ def run_shared_disk_audit(tmp_path: Path, body: str):
         target = root / name
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(text))
-    return audit_paths([root], entry_points=(), allowances=())
+    return audit_paths([root], allowances=())
 
 
 def test_nonatomic_write_in_shared_disk_module(tmp_path):
@@ -392,13 +452,12 @@ def test_write_outside_shared_disk_module_ignored(tmp_path):
                     fh.write(text)
             """
         },
-        [],
     )
     assert report.clean
 
 
 # ----------------------------------------------------------------------
-# DT008 fork-unsafe submission (everywhere scope)
+# DT008 fork-unsafe submission
 
 
 def test_lambda_and_closure_submissions_flagged(tmp_path):
@@ -425,7 +484,6 @@ def test_lambda_and_closure_submissions_flagged(tmp_path):
                     return 1
             """
         },
-        [],
     )
     kinds = sorted(f.message for f in report.findings)
     assert [f.rule for f in report.findings] == ["DT008"] * 3
@@ -449,7 +507,6 @@ def test_justified_pragma_suppresses_and_is_recorded(tmp_path):
                 return random.random()  # repro: allow[DT001] -- test fixture exercising suppression
             """
         },
-        ["pkg.shard:run"],
     )
     assert report.clean
     (supp,) = report.suppressions
@@ -469,7 +526,6 @@ def test_pragma_on_preceding_comment_line(tmp_path):
                 return random.random()
             """
         },
-        ["pkg.shard:run"],
     )
     assert report.clean
     assert len(report.suppressions) == 1
@@ -486,7 +542,6 @@ def test_unjustified_pragma_is_a_finding_and_does_not_suppress(tmp_path):
                 return random.random()  # repro: allow[DT001]
             """
         },
-        ["pkg.shard:run"],
     )
     assert sorted(rules_fired(report)) == ["DT000", "DT001"]
     assert not report.suppressions
@@ -501,7 +556,6 @@ def test_pragma_naming_unknown_rule_is_a_finding(tmp_path):
                 return 1  # repro: allow[DT999] -- no such rule
             """
         },
-        ["pkg.shard:run"],
     )
     assert rules_fired(report) == {"DT000"}
     assert "DT999" in report.findings[0].message
@@ -518,7 +572,6 @@ def test_pragma_for_wrong_rule_does_not_suppress(tmp_path):
                 return random.random()  # repro: allow[DT002] -- wrong rule named
             """
         },
-        ["pkg.shard:run"],
     )
     assert rules_fired(report) == {"DT001"}
 
@@ -533,7 +586,6 @@ def test_pragma_mention_inside_docstring_is_not_parsed(tmp_path):
                 return 1
             '''
         },
-        ["pkg.shard:run"],
     )
     assert report.clean
 
@@ -555,7 +607,6 @@ def test_report_counts_and_json_roundtrip(tmp_path):
                 return a, b
             """
         },
-        ["pkg.shard:run"],
     )
     assert report.counts_by_rule() == {"DT001": 2}
     assert not report.clean
@@ -564,25 +615,3 @@ def test_report_counts_and_json_roundtrip(tmp_path):
     assert len(payload["findings"]) == 2
     assert "DT001" in report.to_text()
 
-
-def test_disabled_rules_are_skipped(tmp_path):
-    report = run_audit(
-        tmp_path,
-        {
-            "shard.py": """
-            import random
-
-            def run():
-                return random.random()
-            """
-        },
-        ["pkg.shard:run"],
-    )
-    assert not report.clean
-    quiet = audit_paths(
-        [tmp_path / "pkg"],
-        entry_points=("pkg.shard:run",),
-        allowances=(),
-        disabled=frozenset({"DT001"}),
-    )
-    assert quiet.clean

@@ -26,7 +26,6 @@ def test_pragma_on_hazard_line_inside_multiline_call(tmp_path):
                 ))
             """
         },
-        ["pkg.shard:run"],
     )
     assert report.clean
     (supp,) = report.suppressions
@@ -49,7 +48,6 @@ def test_pragma_on_closing_paren_of_multiline_call_does_not_suppress(tmp_path):
                 )  # repro: allow[DT001] -- fixture: anchored to the wrong line
             """
         },
-        ["pkg.shard:run"],
     )
     assert rules_fired(report) == {"DT001"}
     assert not report.suppressions
@@ -69,7 +67,6 @@ def test_pragma_comment_line_above_hazard_in_decorated_function(tmp_path):
                 return random.random()
             """
         },
-        ["pkg.shard:run"],
     )
     assert report.clean
     assert len(report.suppressions) == 1
@@ -88,7 +85,6 @@ def test_pragma_on_decorator_line_does_not_reach_the_body(tmp_path):
                 return random.random()
             """
         },
-        ["pkg.shard:run"],
     )
     assert rules_fired(report) == {"DT001"}
     assert not report.suppressions
@@ -116,7 +112,6 @@ def test_pragma_naming_retired_dx_rule_is_dt000(tmp_path):
                 return random.random()  # repro: allow[{RETIRED_DX_RULE}] -- fixture: retired rule
             """
         },
-        ["pkg.shard:run"],
     )
     assert rules_fired(report) == {"DT000", "DT001"}
     assert not report.suppressions
@@ -133,7 +128,6 @@ def test_pragma_naming_unknown_dx_rule_is_dt000(tmp_path):
                 return 1  # repro: allow[DX999] -- no such rule
             """
         },
-        ["pkg.shard:run"],
     )
     assert rules_fired(report) == {"DT000"}
     assert "DX999" in report.findings[0].message
@@ -148,6 +142,5 @@ def test_pragma_with_foreign_family_prefix_is_dt000(tmp_path):
                 return 1  # repro: allow[NL001] -- wrong family for source audits
             """
         },
-        ["pkg.shard:run"],
     )
     assert rules_fired(report) == {"DT000"}

@@ -39,14 +39,6 @@ def test_rule_for_unknown_effect_raises():
         rule_for_effect("no.such.effect")
 
 
-def test_catalogue_scopes_are_valid():
-    assert {spec.scope for spec in EFFECT_CATALOG} <= {
-        "reachable",
-        "shared_disk",
-        "everywhere",
-    }
-
-
 def test_allowances_reference_catalogued_effects_with_reasons():
     effects = {spec.effect for spec in EFFECT_CATALOG}
     for allow in ALLOWANCES:

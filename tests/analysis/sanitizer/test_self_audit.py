@@ -12,7 +12,9 @@ from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 
-from repro.analysis.sanitizer import ALLOWANCES, DT_REGISTRY, ENTRY_POINTS, audit_paths
+import pytest
+
+from repro.analysis.sanitizer import ALLOWANCES, DT_REGISTRY, audit_paths
 from repro.analysis.sanitizer.auditor import _allowed
 
 SRC = Path(__file__).resolve().parents[3] / "src" / "repro"
@@ -63,17 +65,6 @@ def test_every_allowance_suppresses_something():
         )
 
 
-def test_entry_points_all_resolve():
-    # A renamed shard entry point must fail loudly here, not silently
-    # shrink the reachable set to nothing.
-    report = _report()
-    assert report.entry_points == ENTRY_POINTS
-    assert report.n_reachable >= len(ENTRY_POINTS), (
-        f"only {report.n_reachable} reachable functions from "
-        f"{len(ENTRY_POINTS)} entry points: an entry point no longer resolves"
-    )
-
-
 def test_audit_scales_sanely():
     report = _report()
     assert report.n_files > 80
@@ -120,3 +111,34 @@ def test_cli_trace_records_the_audit_span_without_changing_the_report(
     assert capsys.readouterr().out == plain
     lines = (base.parent / f"{base.name}.jsonl").read_text().splitlines()
     assert "audit.run" in {json.loads(line)["name"] for line in lines}
+
+
+@pytest.mark.parametrize(
+    "case, problem",
+    [
+        ("missing", "no such file or directory"),
+        ("not-python", "not a Python file or directory"),
+        ("no-python-files", "no Python files under it"),
+        ("syntax-error", "invalid syntax"),
+    ],
+    ids=["missing", "not-python", "no-python-files", "syntax-error"],
+)
+def test_cli_refuses_a_tree_it_cannot_read(tmp_path, capsys, case, problem):
+    # A typo, a README or an unparsable file must not pass for a clean
+    # tree: the audit names what it could not read and exits 2.
+    target = named = tmp_path / "tree"
+    if case == "not-python":
+        target = named = tmp_path / "README.md"
+        target.write_text("# not python\n")
+    elif case == "no-python-files":
+        target.mkdir()
+        (target / "notes.txt").write_text("no code here\n")
+    elif case == "syntax-error":
+        target.mkdir()
+        named = target / "broken.py"
+        named.write_text("def run(:\n    return 1\n")
+    assert _run_cli([str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot audit {named}: {problem}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""

@@ -35,22 +35,15 @@ class TestLintConfig:
         with pytest.raises(AnalysisError, match="unknown rule"):
             LintConfig(disabled=frozenset({"NL999"}))
 
-    def test_unknown_override_rule_rejected(self):
-        with pytest.raises(AnalysisError, match="unknown rule"):
-            LintConfig(severity_overrides={"NOPE": Severity.ERROR})
-
     @pytest.mark.parametrize("kwargs", [{"max_fanout": 0}, {"max_depth": -3}])
     def test_budgets_must_be_positive(self, kwargs):
         with pytest.raises(AnalysisError, match="budgets"):
             LintConfig(**kwargs)
 
     def test_build_parses_severity_names(self):
-        cfg = LintConfig.build(
-            severity_overrides={"NL006": "error"}, fail_on="warning"
-        )
-        assert cfg.fail_on is Severity.WARNING
-        assert cfg.severity_for("NL006") is Severity.ERROR
-        assert cfg.severity_for("NL002") is Severity.ERROR  # default kept
+        assert LintConfig.build(fail_on="warning").fail_on is Severity.WARNING
+        assert LintConfig.build(fail_on="info").fail_on is Severity.INFO
+        assert LintConfig.build().fail_on is Severity.ERROR
 
     def test_build_reads_budget_settings(self):
         cfg = LintConfig.build(max_fanout=7, max_depth=9)
@@ -67,12 +60,6 @@ class TestLintNetlist:
             _dead_lut_netlist(), LintConfig(disabled=frozenset({"NL001", "NL002"}))
         )
         assert rep.clean
-
-    def test_severity_override_applied(self):
-        cfg = LintConfig(severity_overrides={"NL011": Severity.ERROR})
-        rep = lint_netlist(_warning_only_netlist(), cfg)
-        assert rep.by_rule("NL011")[0].severity is Severity.ERROR
-        assert not rep.ok()
 
     def test_diagnostics_sorted_most_severe_first(self):
         rep = lint_netlist(_dead_lut_netlist())

@@ -25,7 +25,10 @@ END = "<!-- telemetry-reference:end -->"
 #: the cache-poisoning fault.  The multiplier equivalence prover, the
 #: tiled evaluator, the dataflow probe, ``repro analyze``'s proof flag
 #: and the dataflow micro-benchmark went once the generator tests
-#: compared against integer products.
+#: compared against integer products.  The determinism audit judges
+#: every function, so its entry points, call-graph index, reachability
+#: wording and ``--disable`` went; lint severities and the backoff
+#: schedule are constants.
 RETIRED = (
     "REPRO_TRACE",
     "REPRO_METRICS",
@@ -47,6 +50,13 @@ RETIRED = (
     "BENCH_dataflow",
     "bench_dataflow.py",
     "--prove",
+    "ENTRY_POINTS",
+    "build_module_index",
+    "shard-reachable",
+    "--disable DT",
+    "severity_overrides",
+    "backoff_factor",
+    "backoff_max_s",
 )
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import (
+    ResilienceSettings,
     TableISettings,
     TimingConfig,
     mhz_to_period_ns,
@@ -109,3 +110,20 @@ class TestTableISettings:
     def test_scaled_rejects_nonfinite(self, factor):
         with pytest.raises(ConfigError, match="finite and positive"):
             TableISettings().scaled(factor)
+
+
+class TestResilienceSettings:
+    @pytest.mark.parametrize(
+        "timeout", [0.0, -1.0, float("nan"), float("inf")],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_shard_timeout_must_be_finite_and_positive(self, timeout):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            ResilienceSettings(shard_timeout_s=timeout)
+
+    def test_backoff_schedule_doubles_up_to_two_seconds(self):
+        from repro.parallel.retry import backoff_delay
+
+        policy = ResilienceSettings(backoff_base_s=0.05, backoff_jitter=0.0)
+        delays = [backoff_delay(policy, 7, k, "shard") for k in range(7)]
+        assert delays == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0]

@@ -227,6 +227,34 @@ class TestStageContract:
         )
         assert not ws.exists()
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf"])
+    def test_bad_shard_timeout_exits_2(self, tmp_path, capsys, timeout):
+        from repro.cli_flow import main
+
+        ws = tmp_path / "ws"
+        assert main(["init", str(ws), "--serial", "7", "--scale", "0.012"]) == 0
+        capsys.readouterr()
+        argv = ["characterize", str(ws), "--jobs", "2", "--shard-timeout", timeout]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: shard timeout must be finite and positive (or None), "
+            f"got {timeout}\n"
+        )
+        assert captured.out == ""
+        assert list((ws / "characterization").iterdir()) == []
+
+    def test_stray_archive_name_is_ignored(self, archived_ws, capsys):
+        from repro.cli_flow import main
+
+        (archived_ws.char_dir / "wlxx.npz").write_text("stray")
+        (archived_ws.char_dir / "wl3.npz").write_text("stray")
+        assert archived_ws.characterized_wordlengths() == [3, 4]
+        assert main(["status", str(archived_ws.root)]) == 0
+        captured = capsys.readouterr()
+        assert "characterised word-lengths: [3, 4]" in captured.out
+        assert captured.err == ""
+
     @pytest.mark.parametrize(
         "artefact, content, argv, remedy",
         [
