@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repository quality gate: style lint, type check, tier-1 test suite, the
-# pipeline benchmark's self-test, chaos drills and the determinism audit.
+# Gibbs sampler's tests without AVX-512, the pipeline benchmark's
+# self-test, chaos drills and the determinism audit.
 # Bit identity across worker counts, against the interpreted oracle and
 # with telemetry on or off, and the audit's own determinism, are tier-1
 # tests (tests/kernels/, tests/characterization/, tests/obs/,
@@ -59,6 +60,14 @@ else
     echo "warning: pytest-cov not installed; running tier-1 without coverage gate" >&2
     run_gate "pytest (tier-1)" env PYTHONPATH=src python -m pytest -x -q
 fi
+
+# The Gibbs sampler's certified Gumbel-max on a host without AVX-512:
+# there NumPy's log is libm's bit for bit, so the serial-oracle and pinned
+# Algorithm 1 tests check the certified path on both kinds of host.
+# NumPy ignores the names it does not dispatch, so this runs anywhere.
+run_gate "pytest (Gibbs sampler, AVX-512 off)" env PYTHONPATH=src \
+    NPY_DISABLE_CPU_FEATURES="AVX512F AVX512_SKX X86_V4 AVX512_ICL AVX512_SPR" \
+    python -m pytest -x -q tests/core/test_bayesian.py tests/core/test_optimizer.py
 
 # The pipeline benchmark's self-test lies outside pyproject's testpaths:
 # it runs every workload at --smoke size and checks the runner, the

@@ -214,7 +214,8 @@ class _Scanner(ast.NodeVisitor):
         self.module = module
         self._class_stack: list[str] = []
         self._unit_stack: list[_Unit] = []
-        self._local_functions: dict[str, set[str]] = {MODULE_UNIT: set()}
+        # The functions defined inside each function, by its qualname.
+        self._local_functions: dict[str, set[str]] = {}
         root = _Unit(MODULE_UNIT, 1)
         module.units[MODULE_UNIT] = root
         self._unit_stack.append(root)
@@ -288,7 +289,6 @@ class _Scanner(ast.NodeVisitor):
             self._local_functions.setdefault(self.unit.qualname, set()).add(node.name)
         else:
             qualname = f"{prefix}.{node.name}" if prefix else node.name
-            self._local_functions[MODULE_UNIT].add(node.name)
         unit = _Unit(qualname, node.lineno)
         self.module.units[qualname] = unit
         self._unit_stack.append(unit)

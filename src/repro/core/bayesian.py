@@ -17,7 +17,8 @@ Gibbs sweep:
 
 1. ``f | lambda, psi, X`` — Gaussian, sampled for all N cases at once;
 2. ``lambda_p | f, psi, X`` — independent categorical per row ``p``
-   (Gumbel-max sampling over the grid);
+   (Gumbel-max sampling over the grid, certified against libm's log:
+   :func:`_gumbel_argmax`);
 3. ``psi_p | lambda, f, X`` — inverse gamma.
 
 After burn-in, thinned samples are scored with the local objective
@@ -33,6 +34,7 @@ bit-identical to running it alone.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -180,6 +182,76 @@ def _polish(
     return idx
 
 
+#: Certification margin of :func:`_gumbel_argmax`, relative to ``1 + |max|``.
+#: NumPy's SIMD log differs from libm's by a few ulp (a Gumbel by at most
+#: 8.9e-16 over 2 M draws on an AVX-512 host), far inside this margin.
+_TAU = 1e-9
+
+
+def _fill_uniforms(rngs: Sequence[np.random.Generator], out: np.ndarray) -> None:
+    """Fill ``out[j]`` with the doubles ``rngs[j].gumbel(size=out[j].shape)`` reads.
+
+    NumPy's Gumbel is ``-log(-log(1 - u))`` of the generator's next double
+    ``u`` and draws again when ``u`` is exactly 0.0.  So a block's zeros are
+    dropped and replacements drawn until none are left, and each generator
+    ends in the state ``gumbel`` leaves.
+    """
+    for rng, block in zip(rngs, out):
+        rng.random(out=block)
+    if out.all():
+        return
+    for rng, block in zip(rngs, out):
+        flat = block.reshape(-1)
+        while not flat.all():
+            kept = flat[flat != 0.0]
+            flat[: kept.size] = kept
+            rng.random(out=flat[kept.size :])
+
+
+def _gumbel_argmax(logits: np.ndarray, uniforms: np.ndarray, noisy: np.ndarray) -> np.ndarray:
+    """Last-axis argmax of ``logits`` plus the Gumbels of ``uniforms``, bit for bit.
+
+    The result equals ``np.argmax(logits + g, axis=-1)`` where ``g`` is what
+    ``rng.gumbel`` makes of ``uniforms``: ``-log(-log(1 - u))`` with libm's
+    ``log``.  The scores are formed in one pass with NumPy's SIMD log into
+    ``noisy`` (scratch of the same shape), which may differ from libm in
+    the last bits.  A row's argmax is therefore accepted only when every
+    other entry lies more than ``_TAU * (1 + |max|)`` below the maximum: a
+    SIMD score is within a few ulp of libm's, far less than that margin,
+    so no such entry can overtake the maximum under libm.  Otherwise the
+    row's entries within the margin are rescored with ``math.log`` (libm)
+    and the first maximum wins, as with ``np.argmax``; the entries outside
+    the margin stay below it by the same bound.
+    """
+    np.subtract(1.0, uniforms, out=noisy)
+    np.log(noisy, out=noisy)
+    np.negative(noisy, out=noisy)
+    np.log(noisy, out=noisy)
+    np.subtract(logits, noisy, out=noisy)
+    g = noisy.shape[-1]
+    scores = noisy.reshape(-1, g)
+    flat = noisy.reshape(-1)
+    starts = np.arange(0, flat.size, g)
+    idx = scores.argmax(axis=1)
+    at = starts + idx
+    top = flat[at]
+    flat[at] = -np.inf
+    runner_up = flat[starts + scores.argmax(axis=1)]
+    flat[at] = top
+    floor = top - _TAU * (1.0 + np.abs(top))
+    for r in (runner_up >= floor).nonzero()[0]:
+        near = np.flatnonzero(scores[r] >= floor[r])
+        exact = [
+            lg - math.log(-math.log(1.0 - u))
+            for lg, u in zip(
+                logits.reshape(-1, g)[r, near].tolist(),
+                uniforms.reshape(-1, g)[r, near].tolist(),
+            )
+        ]
+        idx[r] = near[exact.index(max(exact))]
+    return idx.reshape(noisy.shape[:-1])
+
+
 def _column_mse(lam: np.ndarray, x: np.ndarray) -> float:
     """Residual MSE after regressing ``x`` on the single column ``lam``."""
     denom = float(lam @ lam)
@@ -291,7 +363,8 @@ def sample_projection_vectors(
     stacked ``(C, P)``, ``(C, N)`` and ``(C, P, N)`` arrays (dot products
     and gemvs as stacked ``np.matmul``, which repeats the per-chain BLAS
     call), and the grid step once per group of chains sharing a prior.
-    Each chain keeps its draw order: ``normal``, ``gumbel``, ``gamma``.
+    Each chain keeps its draw order: ``normal``, the uniforms of its
+    Gumbels (the doubles ``gumbel`` would read), ``gamma``.
     Initialisation, thinned scoring and polish stay per chain.
 
     Each result's ``seconds`` is its share of this call's wall time: the
@@ -324,21 +397,26 @@ def sample_projection_vectors(
         raise OptimizationError(f"chains disagree on the residual shape: {shapes}")
     [(p, n)] = shapes
 
-    # Chains are reordered so each prior's group is a contiguous slice,
-    # with its own (C_g, P, G) logits buffer.
+    # Chains are reordered so each prior's group is a contiguous slice.
+    # Its (C_g, P, G) logits, uniforms and noisy scores are views of three
+    # scratch rows sized for the largest group.
     members: dict[int, list[int]] = {}
     for c, prior in enumerate(priors):
         members.setdefault(id(prior), []).append(c)
     order = [c for group in members.values() for c in group]
     chains = [given[c] for c in order]
-    groups: list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]] = []
+    scratch = np.empty(
+        (3, max(len(group) * p * priors[group[0]].n_values for group in members.values()))
+    )
+    groups: list[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     lo = 0
     for group in members.values():
         prior = priors[group[0]]
         rows = slice(lo, lo + len(group))
         lo = rows.stop
-        logits = np.empty((len(group), p, prior.n_values))
-        groups.append((rows, prior.values, prior.log_mass(), logits))
+        dims = (len(group), p, prior.n_values)
+        logits, uniforms, noisy = (row[: math.prod(dims)].reshape(dims) for row in scratch)
+        groups.append((rows, prior.values, prior.log_mass(), logits, uniforms, noisy))
     grid_s = [0.0] * len(groups)
 
     starts = [chain.start(config) for chain in chains]
@@ -347,7 +425,7 @@ def sample_projection_vectors(
     psi = np.stack([s[1] for s in starts])
     b0 = np.stack([s[2] for s in starts])
     lam = np.empty((len(chains), p))
-    for rows, grid, _, _ in groups:
+    for rows, grid, *_ in groups:
         lam[rows] = grid[lam_idx[rows]]
     noise = np.empty((len(chains), n))
     gammas = np.empty((len(chains), p))
@@ -369,16 +447,15 @@ def sample_projection_vectors(
         mu_rows = np.where(
             (sff > 0)[:, None], sxf / np.maximum(sff, 1e-300)[:, None], 0.0
         )
-        for g, (rows, grid, log_prior, logits) in enumerate(groups):
+        for g, (rows, grid, log_prior, logits, uniforms, noisy) in enumerate(groups):
             t0 = time.perf_counter()
             # log posterior over the grid, (C_g, P, G), then Gumbel-max.
             np.subtract(grid, mu_rows[rows, :, None], out=logits)
             np.square(logits, out=logits)
             np.multiply(half_prec[rows, :, None], logits, out=logits)
             np.subtract(log_prior, logits, out=logits)
-            for j, chain in enumerate(chains[rows]):
-                logits[j] += chain.rng.gumbel(size=logits.shape[1:])
-            lam_idx[rows] = logits.argmax(axis=2)
+            _fill_uniforms([chain.rng for chain in chains[rows]], uniforms)
+            lam_idx[rows] = _gumbel_argmax(logits, uniforms, noisy)
             lam[rows] = grid[lam_idx[rows]]
             grid_s[g] += time.perf_counter() - t0
 
@@ -398,7 +475,7 @@ def sample_projection_vectors(
     # Polish runs per chain; its time joins the shared part.
     finished = [chain.finish(config) for chain in chains]
     seconds = np.full(len(chains), (time.perf_counter() - t_call - sum(grid_s)) / len(chains))
-    for (rows, _, _, _), group_s in zip(groups, grid_s):
+    for (rows, *_), group_s in zip(groups, grid_s):
         seconds[rows] += group_s / (rows.stop - rows.start)
     return [replace(finished[k], seconds=float(seconds[k])) for k in np.argsort(order)]
 

@@ -492,6 +492,51 @@ def test_lambda_and_closure_submissions_flagged(tmp_path):
     assert any("bound method" in m for m in kinds)
 
 
+def test_module_level_submit_of_top_level_function_is_clean(tmp_path):
+    # A top-level function or a method name is no closure, wherever the
+    # submit sits.
+    report = run_audit(
+        tmp_path,
+        {
+            "shard.py": """
+            from concurrent.futures import ProcessPoolExecutor
+
+            def work(x):
+                return x
+
+            class Stage:
+                def step(self):
+                    return 1
+
+            pool = ProcessPoolExecutor()
+            pool.submit(work, 1)
+            pool.submit(step)
+            """
+        },
+    )
+    assert [(f.rule, f.message) for f in report.findings if f.rule == "DT008"] == []
+
+
+def test_closure_submitted_in_its_enclosing_function_is_flagged(tmp_path):
+    report = run_audit(
+        tmp_path,
+        {
+            "shard.py": """
+            def work(x):
+                return x
+
+            def dispatch(pool):
+                def work(x):
+                    return -x
+                return pool.submit(work, 1)
+            """
+        },
+    )
+    [finding] = report.findings
+    assert (finding.rule, finding.qualname) == ("DT008", "dispatch")
+    assert "nested closure (`work`)" in finding.message
+
+
 # ----------------------------------------------------------------------
 # Pragma suppression semantics (DT000)
 

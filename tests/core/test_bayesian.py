@@ -1,10 +1,14 @@
 """Tests for repro.core.bayesian — the Gibbs projection sampler."""
 
+import copy
+import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from repro.core import bayesian
 from repro.core.bayesian import (
     GibbsConfig,
     sample_projection_vector,
@@ -185,12 +189,17 @@ FIELDS = ("values", "magnitudes", "signs", "wordlength", "score", "mse", "oc_pen
           "n_scored")
 
 
-class _LogitsProbe(np.ndarray):
-    """A Gumbel draw that logs the logits it is added to.
+def _digest(logits: np.ndarray) -> tuple:
+    """Shape, dtype and a sha256 of the bytes of one chain's logits."""
+    digest = hashlib.sha256(np.ascontiguousarray(logits).tobytes()).hexdigest()
+    return logits.shape, logits.dtype.str, digest
 
-    The lockstep ``logits[j] += g`` and the oracle's ``logits + g`` both
-    dispatch here before adding, so ``log`` receives the chain's
-    pre-Gumbel logits exactly (shape, dtype and a digest of the bytes).
+
+class _LogitsProbe(np.ndarray):
+    """The oracle's Gumbel draw, logging the logits it is added to.
+
+    The oracle's ``logits + g`` dispatches here before adding, so ``log``
+    receives the chain's pre-Gumbel logits exactly.
     """
 
     log: list
@@ -198,34 +207,45 @@ class _LogitsProbe(np.ndarray):
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         assert (ufunc, method) == (np.add, "__call__")
         (logits,) = [x for x in inputs if x is not self]
-        digest = hashlib.sha256(np.ascontiguousarray(logits).tobytes()).hexdigest()
-        self.log.append((logits.shape, logits.dtype.str, digest))
+        self.log.append(_digest(logits))
         plain = [x.view(np.ndarray) if x is self else x for x in inputs]
         return ufunc(*plain, **kwargs)
 
 
 class _RecordingGenerator:
-    """A seeded generator that logs every draw with its arguments.
+    """A seeded generator that logs every draw, its arguments and the state after it.
 
     The normal's scale is ``(1 + lambda . lambda / psi) ** -0.5``, so the log
     pins the chain's continuous state (factors, residual, noise
     variances) every iteration, where the sampled designs would absorb a
-    last-bit difference.  The coefficient logits reach results only
-    through the Gumbel argmax, so each Gumbel draw is a
-    :class:`_LogitsProbe` that logs them into ``logits``.
+    last-bit difference.  The oracle draws ``gumbel(size=(P, G))``; the
+    lockstep sampler fills a ``(P, G)`` block with ``random(out=...)`` and
+    keeps it in ``uniforms``.  The coefficient logits reach results only
+    through the Gumbel argmax, so they are logged into ``logits``: by a
+    :class:`_LogitsProbe` in the oracle, by :func:`_probe_logits` in the
+    lockstep sampler.
     """
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, seed: int | np.random.Generator) -> None:
         self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
         self.calls: list[tuple] = []
         self.logits: list[tuple] = []
+        self.uniforms: np.ndarray | None = None
 
     def _draw(self, method: str, *args, **kwargs):
-        self.calls.append((method, args, sorted(kwargs.items())))
-        return getattr(self._rng, method)(*args, **kwargs)
+        draw = getattr(self._rng, method)(*args, **kwargs)
+        logged = sorted((k, v.shape if k == "out" else v) for k, v in kwargs.items())
+        self.calls.append((method, args, logged, self._rng.bit_generator.state))
+        return draw
 
     def normal(self, *args, **kwargs):
         return self._draw("normal", *args, **kwargs)
+
+    def random(self, *, out):
+        self._draw("random", out=out)
+        self.uniforms = out.copy()
+        return out
 
     def gumbel(self, *args, **kwargs):
         draw = self._draw("gumbel", *args, **kwargs).view(_LogitsProbe)
@@ -236,27 +256,85 @@ class _RecordingGenerator:
         return self._draw("gamma", *args, **kwargs)
 
 
+def _as_uniform_fill(call: tuple) -> tuple:
+    """An oracle ``gumbel(size=S)`` call as the ``random(out=...)`` of shape S
+    that consumes the same doubles; other calls unchanged."""
+    method, args, kwargs, state = call
+    if method != "gumbel":
+        return call
+    assert not args and [k for k, _ in kwargs] == ["size"]
+    return "random", (), [("out", kwargs[0][1])], state
+
+
+def _probe_logits(monkeypatch, recorders: list[_RecordingGenerator]) -> None:
+    """Log each chain's pre-Gumbel logits into its recorder.
+
+    The certified Gumbel-max step receives a group's ``(C_g, P, G)``
+    logits and uniforms; each chain's block is found by its uniforms,
+    which only its own recorder drew.
+    """
+    certified = bayesian._gumbel_argmax
+
+    def probe(logits, uniforms, noisy):
+        for chain_logits, block in zip(logits, uniforms):
+            [owner] = [
+                r for r in recorders
+                if r.uniforms is not None and np.array_equal(r.uniforms, block)
+            ]
+            owner.logits.append(_digest(chain_logits))
+        return certified(logits, uniforms, noisy)
+
+    monkeypatch.setattr(bayesian, "_gumbel_argmax", probe)
+
+
+def _assert_equals_oracle(xs, priors, ocs, rngs, fresh_rngs, got, config=FAST) -> list:
+    """Each lockstep result equals the serial oracle's, field for field, and
+    each generator ends where the oracle's does; returns the oracle's
+    generators."""
+    assert len(got) == len(xs)
+    serial_rngs = []
+    for k, (x, prior, oc, rng, lockstep) in enumerate(zip(xs, priors, ocs, rngs, got)):
+        serial_rngs.append(fresh_rngs(k))
+        serial = gibbs_oracle.sample_projection_vector(x, prior, oc, serial_rngs[-1], config)
+        for name in FIELDS:
+            a, b = getattr(serial, name), getattr(lockstep, name)
+            assert np.array_equal(a, b), (prior.wordlength, k, name, a, b)
+            assert np.asarray(a).dtype == np.asarray(b).dtype
+        assert rng.bit_generator.state == serial_rngs[-1].bit_generator.state, k
+    return serial_rngs
+
+
+def _stream(calls: list[tuple]) -> list[tuple]:
+    """``(method, state after)`` per draw: a Gumbel draw named as the uniform
+    fill it equals, and a fill's refills merged into it."""
+    stream: list[tuple] = []
+    for method, _, _, state in calls:
+        method = "random" if method == "gumbel" else method
+        if stream and method == stream[-1][0] == "random":
+            stream.pop()
+        stream.append((method, state))
+    return stream
+
+
 class TestLockstep:
-    def test_chains_match_the_serial_oracle_bit_for_bit(self):
+    def test_chains_match_the_serial_oracle_bit_for_bit(self, monkeypatch):
         xs, priors, ocs = _lockstep_case()
-        seeds = range(100, 100 + len(xs))
-        rngs = [_RecordingGenerator(s) for s in seeds]
+        rngs = [_RecordingGenerator(100 + c) for c in range(len(xs))]
+        _probe_logits(monkeypatch, rngs)
         got = sample_projection_vectors(xs, priors, ocs, rngs, FAST)
-        assert len(got) == len(xs)
-        for x, prior, oc, seed, rng, lockstep in zip(xs, priors, ocs, seeds, rngs, got):
-            serial_rng = _RecordingGenerator(seed)
-            serial = gibbs_oracle.sample_projection_vector(x, prior, oc, serial_rng, FAST)
-            for name in FIELDS:
-                a, b = getattr(serial, name), getattr(lockstep, name)
-                assert np.array_equal(a, b), (prior.wordlength, seed, name, a, b)
-                assert np.asarray(a).dtype == np.asarray(b).dtype
-            # Same draws, in the same order, with bit-equal arguments.
-            assert rng.calls == serial_rng.calls, (prior.wordlength, seed)
+        serial_rngs = _assert_equals_oracle(
+            xs, priors, ocs, rngs, lambda c: _RecordingGenerator(100 + c), got
+        )
+        for prior, rng, serial_rng in zip(priors, rngs, serial_rngs):
+            # The same stream: the same draws in the same order, with
+            # bit-equal arguments, each Gumbel draw matched by a uniform
+            # fill of its shape, and an equal generator state after each.
+            assert rng.calls == [_as_uniform_fill(c) for c in serial_rng.calls], prior.wordlength
             # Every Gumbel draw met bit-equal pre-Gumbel logits.
-            n_gumbel = sum(call[0] == "gumbel" for call in rng.calls)
+            n_gumbel = sum(call[0] == "gumbel" for call in serial_rng.calls)
             assert len(rng.logits) == n_gumbel > 0
-            assert rng.logits == serial_rng.logits, (prior.wordlength, seed)
-        assert [c[0] for c in rngs[0].calls[:3]] == ["normal", "gumbel", "gamma"]
+            assert rng.logits == serial_rng.logits, prior.wordlength
+        assert [c[0] for c in rngs[0].calls[:3]] == ["normal", "random", "gamma"]
         # The fixture must exercise distinct results, not nine copies of one.
         assert len({s.score for s in got}) > 3
 
@@ -294,3 +372,158 @@ class TestLockstep:
             sample_projection_vectors(
                 xs, priors, ocs, [np.random.default_rng(s) for s in range(9)], FAST
             )
+
+
+#: PCG64's 128-bit LCG multiplier: the state steps ``s <- s * MULT + inc``.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _zero_double_generator(hi: int, draws_before: int) -> np.random.Generator:
+    """A PCG64 generator whose double after ``draws_before`` 64-bit draws is 0.0.
+
+    PCG64 steps its state, then outputs XSL-RR ``rotr64(hi ^ lo, hi >> 58)``
+    of the new state's halves, which is 0 when the halves agree; its
+    double is the output's top 53 bits times 2**-53.  So the state
+    ``hi:hi`` is stepped back ``draws_before + 1`` times through the
+    inverted LCG step ``s <- (s - inc) / MULT``.
+    """
+    bitgen = np.random.PCG64(0)
+    state = bitgen.state
+    inc = state["state"]["inc"]
+    s = (hi << 64) | hi
+    inverse = pow(_PCG64_MULT, -1, 1 << 128)
+    for _ in range(draws_before + 1):
+        s = ((s - inc) * inverse) % (1 << 128)
+    state["state"]["state"] = s
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+def _zero_inside_first_gumbel(n: int, offset: int, hi0: int) -> int:
+    """The first ``hi >= hi0`` whose generator's ``normal(size=n)`` reads one
+    64-bit draw per value, so its first Gumbel block's uniform ``offset``
+    is the zero."""
+    for hi in range(hi0, hi0 + 100):
+        rng = _zero_double_generator(hi, n + offset)
+        step = copy.deepcopy(rng.bit_generator)
+        step.advance(n)
+        rng.normal(size=n)
+        if rng.bit_generator.state == step.state:
+            rng.random(offset)
+            assert rng.random() == 0.0
+            return hi
+    raise AssertionError("no state found")  # pragma: no cover
+
+
+class TestCertifiedGumbel:
+    """The certified Gumbel-max step's two rare branches and its bound."""
+
+    def test_fill_skips_a_zero_double_as_gumbel_does(self):
+        rng = _zero_double_generator(hi=12345, draws_before=0)
+        reference = _zero_double_generator(hi=12345, draws_before=0)
+        assert _zero_double_generator(12345, 0).random() == 0.0
+        uniforms = np.empty((1, 2, 3))
+        bayesian._fill_uniforms([rng], uniforms)
+        assert uniforms.all()
+        gumbel = reference.gumbel(size=(2, 3))
+        assert [-math.log(-math.log(1.0 - u)) for u in uniforms.ravel()] == gumbel.ravel().tolist()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_chain_meeting_a_zero_double_equals_the_oracle(self, where):
+        """``rng.gumbel`` skips a double of exactly 0.0; so does the fill.
+
+        Chain 0 (wl 3) and chain 2 (wl 9) meet a zero in their first Gumbel
+        block, at its first or its last uniform; the rest draw as seeded.
+        A zero chain's stream equals the oracle's draw by draw, with one
+        refill call beside the oracle's Gumbel draw.
+        """
+        xs, priors, ocs = _lockstep_case()
+        p, n = xs[0].shape
+        crafted = {}
+        for c in (0, 2):
+            offset = 0 if where == "first" else p * priors[c].n_values - 1
+            crafted[c] = (_zero_inside_first_gumbel(n, offset, hi0=1 + 1000 * c), n + offset)
+
+        def fresh(c):
+            if c in crafted:
+                return _RecordingGenerator(_zero_double_generator(*crafted[c]))
+            return np.random.default_rng(200 + c)
+
+        rngs = [fresh(c) for c in range(len(xs))]
+        got = sample_projection_vectors(xs, priors, ocs, rngs, FAST)
+        serial_rngs = _assert_equals_oracle(xs, priors, ocs, rngs, fresh, got)
+        for c in crafted:
+            assert len(rngs[c].calls) == len(serial_rngs[c].calls) + 1
+            assert _stream(rngs[c].calls) == _stream(serial_rngs[c].calls), c
+
+    def test_every_row_rescored_with_libm_still_equals_the_oracle(self, monkeypatch):
+        """With an infinite margin every row takes the ``math.log`` rescoring
+        over all its entries, including a chain whose prior puts no mass on
+        the negative coefficients (their logits are -inf)."""
+        xs, priors, ocs = _lockstep_case()
+        wl5 = priors[1]
+        mass = np.where(wl5.values < 0, 0.0, wl5.mass)
+        xs.append(xs[2])
+        priors.append(dataclasses.replace(wl5, mass=mass / mass.sum()))
+        ocs.append(ocs[1])
+        assert np.isneginf(priors[-1].log_mass()).any()
+        config = GibbsConfig(burn_in=10, n_samples=30, thin=6)
+
+        class CountingMath:
+            logs = 0
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def log(self, x):
+                CountingMath.logs += 1
+                return math.log(x)
+
+        monkeypatch.setattr(bayesian, "_TAU", math.inf)
+        monkeypatch.setattr(bayesian, "math", CountingMath())
+        rngs = [np.random.default_rng(300 + c) for c in range(len(xs))]
+        got = sample_projection_vectors(xs, priors, ocs, rngs, config)
+        entries = sum(x.shape[0] * prior.n_values for x, prior in zip(xs, priors))
+        iterations = config.burn_in + config.n_samples
+        assert CountingMath.logs == 2 * iterations * entries
+        monkeypatch.undo()
+        _assert_equals_oracle(
+            xs, priors, ocs, rngs, lambda c: np.random.default_rng(300 + c), got, config
+        )
+
+    def test_numpy_gumbels_lie_far_inside_the_margin(self):
+        """Over 10**6 uniforms and the extremes 2**-53, 0.5 and 1 - 2**-53,
+        NumPy's SIMD-log Gumbel stays far closer to libm's than ``_TAU``."""
+        extremes = [2.0**-53, 0.5, 1.0 - 2.0**-53]
+        uniforms = np.concatenate([np.random.default_rng(5).random(10**6), extremes])
+        libm = np.concatenate([
+            np.random.default_rng(5).gumbel(size=10**6),
+            [-math.log(-math.log(1.0 - u)) for u in extremes],
+        ])
+        numpy_gumbel = -np.log(-np.log(1.0 - uniforms))
+        assert np.isfinite(numpy_gumbel).all()
+        assert np.abs(numpy_gumbel - libm).max() < bayesian._TAU * 1e-3
+
+    def test_a_libm_tie_resolves_to_the_first_maximum(self):
+        """Two entries whose libm scores tie exactly: ``np.argmax`` over the
+        oracle's scores takes the first, and so must the certified step.
+        Where the host's SIMD log reads a Gumbel below libm's, the first
+        entry takes such a uniform, so the SIMD scores alone would pick the
+        second."""
+        uniforms = np.random.default_rng(8).random(10**5)
+        libm = np.random.default_rng(8).gumbel(size=10**5)
+        simd = -np.log(-np.log(1.0 - uniforms))
+        below = np.flatnonzero(simd < libm)
+        a = below[0] if below.size else 0
+        b = next(
+            k for k in range(1, 10**5)
+            if simd[k] == libm[k] and (libm[a] - libm[k]) + libm[k] == libm[a]
+        )
+        logits = np.array([[[0.0, libm[a] - libm[b], -5.0]]])
+        row = np.array([[[uniforms[a], uniforms[b], 0.5]]])
+        oracle = logits + np.array([libm[a], libm[b], -math.log(-math.log(0.5))])
+        assert oracle[0, 0, 0] == oracle[0, 0, 1] > oracle[0, 0, 2]
+        got = bayesian._gumbel_argmax(logits, row, np.empty_like(logits))
+        assert got.tolist() == [[0]] == oracle.argmax(axis=2).tolist()
+
