@@ -10,11 +10,13 @@ can be computed once per netlist instead of once per evaluation:
   is then a handful of whole-array bitwise ops over ``(g, W)`` uint64
   planes — no per-sample gathers, no ``astype(np.intp)`` temporaries.
 * **Timing gathers** — the settle-propagation loop of
-  :func:`repro.timing.simulator.simulate_transitions` reads per-level
-  ``(rows_k, ids_k, srcs_k)`` index triples that select exactly the
-  populated fanin slots, instead of re-deriving ``arity > k`` masks and
-  fanin columns per call, while preserving the float32 operation order
-  (bit-identity with the test suite's interpreted oracle).
+  :func:`repro.timing.simulator.simulate_transitions` reads each level's
+  nodes in descending arity, so the nodes with a fanin in slot ``k``
+  are a prefix and one precomputed source array per slot selects
+  exactly the populated fanins, instead of re-deriving ``arity > k``
+  masks and fanin columns per call, while preserving the float32
+  operation order (bit-identity with the test suite's interpreted
+  oracle).
 
 Plans are memoised in a module-level cache keyed by a **content hash**
 of the compiled arrays (:func:`netlist_fingerprint`), not by object
@@ -88,14 +90,18 @@ class OpGroup:
 class TimingLevel:
     """Precomputed index arrays for one level of settle propagation.
 
-    ``gathers`` holds one ``(k, rows_k, ids_k, srcs_k)`` quadruple per
-    populated fanin slot ``k``: ``rows_k`` are the positions within
-    ``ids`` whose arity exceeds ``k``, ``ids_k = ids[rows_k]`` and
-    ``srcs_k = fanin_idx[ids_k, k]``.
+    ``ids`` lists the level's nodes by descending arity (stable in node
+    id), so the nodes with a fanin in slot ``k`` are the prefix
+    ``ids[:len(srcs[k])]``, and ``srcs[k]`` holds those nodes' slot-``k``
+    fanins.  Slot 0 covers the whole level, since every LUT has 1 to 4
+    fanins.  The simulator gathers each slot's rows with
+    ``np.take(..., out=)`` into the leading rows of its two pooled
+    ``EvalScratch`` blocks, ``timing.best`` and ``timing.rows``, which
+    are as tall as the widest level.
     """
 
     ids: np.ndarray
-    gathers: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+    srcs: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -211,19 +217,15 @@ def _compile_plan(cn: CompiledNetlist, fingerprint: str) -> ExecutionPlan:
         levels.append(
             tuple(_build_group(cn, key, nids) for key, nids in buckets.items())
         )
-        # Timing gathers: positions per populated fanin slot.
-        a = cn.arity[ids]
-        gathers: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        for k in range(int(a.max()) if ids.size else 0):
-            rows_k = np.nonzero(a > k)[0]
-            if not rows_k.size:
-                break
-            ids_k = ids[rows_k].astype(np.intp)
-            srcs_k = cn.fanin_idx[ids_k, k].astype(np.intp)
-            gathers.append((k, rows_k, ids_k, srcs_k))
-        timing_levels.append(
-            TimingLevel(ids=ids.astype(np.intp), gathers=tuple(gathers))
+        # Timing gathers: descending arity makes each fanin slot's
+        # nodes a prefix of the level.
+        by_arity = ids[np.argsort(-cn.arity[ids], kind="stable")].astype(np.intp)
+        a = cn.arity[by_arity]
+        srcs = tuple(
+            cn.fanin_idx[by_arity[: np.count_nonzero(a > k)], k].astype(np.intp)
+            for k in range(int(a[0]))
         )
+        timing_levels.append(TimingLevel(ids=by_arity, srcs=srcs))
 
     return ExecutionPlan(
         fingerprint=fingerprint,

@@ -110,6 +110,19 @@ class EvalScratch:
     :meth:`CompiledNetlist.evaluate` / :func:`simulate_transitions`
     reuses those buffers across calls.
 
+    The pooled buffers, by key:
+
+    * ``kernel.vals`` — the packed ``(n_nodes, W)`` uint64 word plane of
+      every evaluation;
+    * ``kernel.out.<bus>`` — :meth:`CompiledNetlist.evaluate`'s
+      ``(batch, width)`` output bits;
+    * ``timing.unchanged`` — :func:`simulate_transitions`'s ``(n_nodes,
+      N - 1)`` bool mask, first of unchanged node-transitions, then of
+      the settle plane's -inf entries;
+    * ``timing.best`` and ``timing.rows`` — its two float32 level blocks,
+      as tall as the widest level, into which each fanin slot's rows are
+      gathered (:class:`~repro.kernels.plan.TimingLevel`).
+
     Contract: arrays handed out for a given key are **overwritten by the
     next call** that uses the same scratch — the output buses
     :meth:`CompiledNetlist.evaluate` returns included, so callers that

@@ -173,9 +173,11 @@ def capture_stream_batch(
     Per-frequency results are bit-identical to calling
     :func:`capture_stream` once per frequency with the matching rng: the
     jitter draws come from each frequency's own generator in order, and
-    the late/captured computation is the same comparison broadcast over a
-    leading frequency axis.  The transition simulation (the expensive
-    part) is shared across the whole frequency sweep.
+    each late bit is the same float comparison.  Only the (frequency,
+    cycle) pairs whose latest output bit settles after the window are
+    compared bit by bit; every other pair captures the ideal word.  The
+    transition simulation (the expensive part) is shared across the
+    whole frequency sweep.
 
     Parameters
     ----------
@@ -192,11 +194,10 @@ def capture_stream_batch(
         raise TimingError(
             f"{len(rngs)} jitter rngs supplied for {len(freqs_mhz)} frequencies"
         )
-    values = timing.output_values(bus)  # (N, width)
-    settle = timing.output_settle(bus)  # (N-1, width)
-    new_bits = values[1:]
-    old_bits = values[:-1]
-    n_cycles = settle.shape[0]
+    ids = timing.netlist.output_buses[bus]
+    values = timing.values[ids]  # (width, N)
+    settle = timing.settle[ids]  # (width, N-1)
+    n_cycles = settle.shape[1]
 
     # One period vector for the whole sweep, then one broadcast for the
     # no-jitter windows — not an np.full + subtract per frequency.
@@ -216,15 +217,29 @@ def capture_stream_batch(
             (periods - setup_ns)[:, None], (len(freqs_mhz), n_cycles)
         )
 
-    late = settle[None, :, :] > windows[:, :, None]  # (F, N-1, width)
-    captured_bits = np.where(late, old_bits[None], new_bits[None])
-    weights = 1 << np.arange(values.shape[1], dtype=np.int64)
-    captured = captured_bits.astype(np.int64) @ weights
-    ideal = new_bits.astype(np.int64) @ weights
+    weights = 1 << np.arange(values.shape[0], dtype=np.int64)
+    words = weights @ values  # functional output word of every vector
+    ideal = words[1:]
+    # A cycle whose latest output bit settles inside the window captures
+    # the ideal word.  Only the other (frequency, cycle) pairs compare bit
+    # by bit, and a late bit whose value changed keeps its old value.
+    f_idx, c_idx = np.divmod(
+        np.flatnonzero(settle.max(axis=0) > windows), n_cycles
+    )
+    late = np.take(settle.T.copy(), c_idx, axis=0) > windows[f_idx, c_idx, None]
+    late_u8 = late.view(np.uint8)  # (pairs, width) 0/1
+    captured = np.tile(ideal, (len(freqs_mhz), 1))
+    captured[f_idx, c_idx] ^= np.einsum("ij,j->i", late_u8, weights) & (
+        words[c_idx] ^ ideal[c_idx]
+    )
+    # A pair's late-bit count fits einsum's uint8 sum: words are <= 63 bits.
+    late_counts = np.bincount(
+        f_idx, weights=np.einsum("ij->i", late_u8), minlength=len(freqs_mhz)
+    )
     return BatchCaptureResult(
         bus=bus,
         freqs_mhz=np.asarray(freqs_mhz, dtype=float),
         captured=captured,
         ideal=ideal,
-        late_counts=late.sum(axis=(1, 2)).astype(np.int64),
+        late_counts=late_counts.astype(np.int64),
     )

@@ -29,6 +29,9 @@ from ..netlist.core import CompiledNetlist, EvalScratch
 
 __all__ = ["TransitionTimingResult", "simulate_transitions"]
 
+# The bit pattern of float32 -inf.
+_NEG_INF_BITS = np.float32(-np.inf).view(np.uint32)
+
 
 @dataclass(frozen=True)
 class TransitionTimingResult:
@@ -90,9 +93,10 @@ def simulate_transitions(
         Placed delay annotations as for :func:`repro.timing.sta.static_timing`.
     scratch:
         Optional :class:`~repro.netlist.core.EvalScratch` reusing
-        internal buffers across repeated same-shape calls.  The returned
-        ``values``/``settle`` arrays are always freshly owned — only
-        temporaries are pooled — so results stay valid across calls.
+        internal buffers across repeated same-shape calls (a call-local
+        one when omitted).  The returned ``values``/``settle`` arrays are
+        always freshly owned — only temporaries are pooled — so results
+        stay valid across calls.
 
     Returns
     -------
@@ -111,39 +115,50 @@ def simulate_transitions(
     from ..kernels.execute import stream_values
     from ..kernels.plan import plan_for
 
+    if scratch is None:
+        scratch = EvalScratch()
     values = stream_values(netlist, inputs, scratch=scratch)
     plan = plan_for(netlist)
 
     n_tr = stream_len - 1
-    if scratch is None:
-        changed = np.empty((n, n_tr), dtype=np.bool_)
-    else:
-        changed = scratch.array("timing.changed", (n, n_tr), np.bool_)
-    np.not_equal(values[:, 1:], values[:, :-1], out=changed)
-    # Unchanged node-transitions settle at -inf while levels propagate, so
-    # they drop out of every fanin max (max(-inf, x) = x, -inf + d = -inf)
-    # without a mask; one final pass maps them to t = 0.
-    settle = np.where(changed, np.float32(0.0), np.float32(-np.inf))
+    unchanged = scratch.array("timing.unchanged", (n, n_tr), np.bool_)
+    np.equal(values[:, 1:], values[:, :-1], out=unchanged)
+    n_unchanged = np.count_nonzero(unchanged)
+    # The settle plane starts as a pattern: -inf where a node keeps its
+    # value, +0.0 where it changes.  An unchanged fanin then drops out of
+    # every max without a mask (max(-inf, x) = x, -inf + d = -inf), and
+    # adding a level's pattern rows to its computed times keeps a changed
+    # node's time (x + 0.0 = x: delays are non-negative, so no -0.0 arises)
+    # and sends an unchanged node's to -inf.
+    settle = np.empty((n, n_tr), dtype=np.float32)
+    pattern = settle.view(np.uint32)
+    pattern[...] = unchanged
+    pattern *= _NEG_INF_BITS
 
-    for li, level in enumerate(plan.timing_levels):
+    widest = max((lv.ids.shape[0] for lv in plan.timing_levels), default=0)
+    best_buf = scratch.array("timing.best", (widest, n_tr), np.float32)
+    rows_buf = scratch.array("timing.rows", (widest, n_tr), np.float32)
+    for level in plan.timing_levels:
         ids = level.ids
-        if scratch is None:
-            best = np.empty((ids.shape[0], n_tr), dtype=np.float32)
-        else:
-            best = scratch.array(
-                f"timing.best.{li}", (int(ids.shape[0]), n_tr), np.float32
-            )
-        best.fill(-np.inf)
-        for k, rows_k, ids_k, srcs_k in level.gathers:
-            cand = settle[srcs_k] + edge_delay[ids_k, k, None].astype(np.float32)
-            np.maximum(best[rows_k], cand, out=cand)
-            best[rows_k] = cand
-        node_settle = node_delay[ids, None].astype(np.float32) + best
-        changed_ids = changed[ids]
-        settle[ids] = np.where(changed_ids, node_settle, -np.inf)
-        bad = changed_ids & ~np.isfinite(node_settle)
-        if bad.any():
-            raise TimingError("changed node with no changed fanin (internal error)")
-    np.maximum(settle, 0, out=settle)
+        best = best_buf[: ids.shape[0]]
+        # Slot 0 covers every node of the level and lands in ``best``
+        # directly (max(-inf, x) = x); slot k's nodes are a prefix.  The
+        # plan's indices are in range, and mode="clip" lets np.take write
+        # straight into ``out``, where mode="raise" would buffer.
+        for k, srcs in enumerate(level.srcs):
+            m = srcs.shape[0]
+            cand = best if k == 0 else rows_buf[:m]
+            np.take(settle, srcs, axis=0, out=cand, mode="clip")
+            cand += edge_delay[ids[:m], k, None].astype(np.float32)
+            if k:
+                np.maximum(best[:m], cand, out=best[:m])
+        best += node_delay[ids, None].astype(np.float32)
+        best += np.take(settle, ids, axis=0, out=rows_buf[: ids.shape[0]], mode="clip")
+        settle[ids] = best
+    # A changed node with no changed fanin would also sit at -inf now.
+    np.equal(settle, -np.inf, out=unchanged)
+    if np.count_nonzero(unchanged) != n_unchanged:
+        raise TimingError("changed node with no changed fanin (internal error)")
+    np.maximum(settle, 0, out=settle)  # unchanged nodes settle at t = 0
 
     return TransitionTimingResult(netlist=netlist, values=values, settle=settle)

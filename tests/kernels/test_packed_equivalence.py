@@ -12,8 +12,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import evaluate_packed, pack_bits, stream_values, unpack_plane
-from repro.netlist.core import Netlist
+from repro.kernels import evaluate_packed, pack_bits, plan_for, stream_values, unpack_plane
+from repro.netlist.core import _KIND_CONST, EvalScratch, Netlist
 from repro.netlist.generators import generate
 from repro.timing.simulator import simulate_transitions
 from tests.kernels import oracle
@@ -168,4 +168,44 @@ class TestTimingEquivalence:
         np.testing.assert_array_equal(got.values, ref.values)
         np.testing.assert_array_equal(
             got.settle.view(np.uint32), ref.settle.view(np.uint32)
+        )
+
+    # One pool for every example: shapes change from call to call.
+    _sweep_scratch = EvalScratch()
+
+    @given(
+        st.integers(0, 2**31),
+        st.integers(1, 8),
+        st.integers(1, 120),
+        st.integers(2, 200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_synthetic_delays_mixed_arity_sweep(self, seed, width, n_luts, stream_len):
+        cn = _random_netlist(seed, width, n_luts).compile()
+        rng = np.random.default_rng(seed)
+        node_delay = rng.uniform(0.1, 0.9, cn.n_nodes)
+        edge_delay = rng.uniform(0.05, 0.4, (cn.n_nodes, 4))
+        inputs = _random_inputs(cn, stream_len, seed ^ 0x5EED)
+        ref = oracle.simulate_transitions(cn, inputs, node_delay, edge_delay)
+        got = simulate_transitions(
+            cn, inputs, node_delay, edge_delay, scratch=self._sweep_scratch
+        )
+        np.testing.assert_array_equal(got.values, ref.values)
+        np.testing.assert_array_equal(
+            got.settle.view(np.uint32), ref.settle.view(np.uint32)
+        )
+
+    def test_sweep_netlists_mix_arities_within_a_level(self):
+        """The sweep's DAGs reach levels holding NOT, 2- and 3-input LUTs
+        side by side, some reading a constant: the cases in which a fanin
+        slot covers only a prefix of the level."""
+        cn = _random_netlist(5, 4, 120).compile()
+
+        def reads_const(nid):
+            return (cn.kinds[cn.fanin_idx[nid, : cn.arity[nid]]] == _KIND_CONST).any()
+
+        assert any(
+            {1, 2, 3} <= set(cn.arity[lv.ids].tolist())
+            and any(reads_const(nid) for nid in lv.ids)
+            for lv in plan_for(cn).timing_levels
         )

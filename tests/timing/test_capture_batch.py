@@ -68,6 +68,56 @@ class TestBatchEquivalence:
         assert list(batch.late_counts) == sorted(batch.late_counts)
 
 
+class TestBatchEdgeCases:
+    """Capture compares bit by bit only the (frequency, cycle) pairs whose
+    latest output bit misses the window; these pin its corners."""
+
+    @staticmethod
+    def _assert_matches_serial(t, freqs, setup_ns=0.0, jitter=None, seeds=None):
+        rngs = None if seeds is None else [np.random.default_rng(s) for s in seeds]
+        batch = capture_stream_batch(
+            t, "p", freqs, setup_ns=setup_ns, jitter=jitter, rngs=rngs
+        )
+        for fi, f in enumerate(freqs):
+            rng = None if seeds is None else np.random.default_rng(seeds[fi])
+            single = capture_stream(
+                t, "p", f, setup_ns=setup_ns, jitter=jitter, rng=rng
+            )
+            assert np.array_equal(batch.captured[fi], single.captured_ints())
+            assert np.array_equal(batch.ideal, single.ideal_ints())
+            assert batch.late_counts[fi] == int(single.late_mask.sum())
+        assert batch.captured.dtype == batch.ideal.dtype == np.int64
+        assert batch.late_counts.dtype == np.int64
+        return batch
+
+    def test_slow_clock_has_no_candidate_cycle(self):
+        t = _multiplier_timing()
+        batch = self._assert_matches_serial(t, (5.0, 10.0), setup_ns=0.2)
+        assert not batch.late_counts.any()
+        assert np.array_equal(batch.captured, np.tile(batch.ideal, (2, 1)))
+
+    @pytest.mark.parametrize("setup_ns", [2.5, 3.0])
+    def test_window_at_or_below_zero(self, setup_ns):
+        """400 MHz is a 2.5 ns period: the window is 0 or -0.5 ns."""
+        t = _multiplier_timing()
+        batch = self._assert_matches_serial(t, (400.0, 220.0), setup_ns=setup_ns)
+        settle = t.output_settle("p")
+        if setup_ns > 2.5:  # bits that settle at 0 are late too
+            assert batch.late_counts[0] == settle.size
+        else:
+            assert batch.late_counts[0] == int((settle > 0).sum())
+
+    def test_jitter_with_unsorted_repeated_frequencies(self):
+        t = _multiplier_timing(seed=2)
+        jitter = JitterModel(sigma_ns=0.05, bound_ns=0.15)
+        freqs = (340.0, 220.0, 420.0, 220.0, 280.0)
+        batch = self._assert_matches_serial(
+            t, freqs, setup_ns=0.2, jitter=jitter, seeds=[7, 8, 9, 10, 11]
+        )
+        # Bits are late, and more of them at 420 than at 340 MHz.
+        assert batch.late_counts[2] > batch.late_counts[0] > 0
+
+
 class TestBatchValidation:
     def test_jitter_requires_rngs(self):
         t = _multiplier_timing()

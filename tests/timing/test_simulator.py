@@ -1,9 +1,13 @@
 """Tests for repro.timing.simulator — the transition-aware settle model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import TimingError
+from repro.kernels import execute as kernels_execute
+from repro.kernels.plan import plan_for
 from repro.netlist.core import EvalScratch, Netlist, bits_from_ints
 from repro.netlist.multipliers import unsigned_array_multiplier
 from repro.timing.simulator import simulate_transitions
@@ -143,6 +147,30 @@ class TestScratchReuse:
         assert first.values.tobytes() == fresh.values.tobytes()
         assert first.settle.tobytes() == fresh.settle.tobytes()
 
+    def test_warm_call_allocates_little_beyond_its_results(self):
+        """A warm same-shape call pools every (nodes x transitions) temporary."""
+        c = unsigned_array_multiplier(8, 8).compile()
+        nd, ed = _uniform(c, lut=0.2, edge=0.05)
+        rng = np.random.default_rng(3)
+        ins = {
+            "a": bits_from_ints(rng.integers(0, 256, 2000), 8),
+            "b": bits_from_ints(rng.integers(0, 256, 2000), 8),
+        }
+        scratch = EvalScratch()
+        simulate_transitions(c, ins, nd, ed, scratch=scratch)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            res = simulate_transitions(c, ins, nd, ed, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        excess = peak - res.values.nbytes - res.settle.nbytes
+        assert excess <= 64 * 1024
+
     def test_evaluate_output_is_overwritten_by_the_next_call(self):
         c = unsigned_array_multiplier(5, 5).compile()
         scratch = EvalScratch()
@@ -152,6 +180,44 @@ class TestScratchReuse:
         second = c.evaluate(second_in, scratch=scratch)["p"]
         assert second is first
         assert np.array_equal(first, c.evaluate(second_in)["p"])
+
+
+class TestInternalError:
+    """A value plane in which a LUT output toggles while none of its
+    fanins do is inconsistent; the simulator must refuse it wherever the
+    node sits in the settle propagation."""
+
+    @staticmethod
+    def _netlist():
+        nl = Netlist()
+        a = nl.add_input_bus("a", 2)
+        b = nl.add_input_bus("b", 2)
+        wide = nl.XOR3(a[0], a[1], b[0])
+        narrow = nl.NOT(b[1])
+        last = nl.AND(wide, narrow)
+        nl.set_output_bus("o", [last])
+        return nl.compile(), {"first": wide, "narrow": narrow, "last": last}
+
+    @pytest.mark.parametrize("placement", ["first", "last", "narrow"])
+    def test_toggle_without_changed_fanin_raises(self, monkeypatch, placement):
+        c, nodes = self._netlist()
+        levels = plan_for(c).timing_levels
+        assert nodes["first"] in levels[0].ids and nodes["narrow"] in levels[0].ids
+        assert nodes["last"] in levels[-1].ids and len(levels) == 2
+        assert c.arity[nodes["narrow"]] < c.arity[levels[0].ids].max()
+        real = kernels_execute.stream_values
+
+        def inconsistent(cn, inputs, scratch=None):
+            plane = real(cn, inputs, scratch=scratch)
+            plane[nodes[placement], 1] ^= 1
+            return plane
+
+        monkeypatch.setattr(kernels_execute, "stream_values", inconsistent)
+        # Constant inputs: no node changes except the one flipped above.
+        ins = {"a": bits_from_ints([1, 1, 1], 2), "b": bits_from_ints([2, 2, 2], 2)}
+        nd, ed = _uniform(c)
+        with pytest.raises(TimingError, match="no changed fanin"):
+            simulate_transitions(c, ins, nd, ed)
 
 
 class TestValidation:
