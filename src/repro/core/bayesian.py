@@ -17,8 +17,8 @@ Gibbs sweep:
 
 1. ``f | lambda, psi, X`` — Gaussian, sampled for all N cases at once;
 2. ``lambda_p | f, psi, X`` — independent categorical per row ``p``
-   (Gumbel-max sampling over the grid, certified against libm's log:
-   :func:`_gumbel_argmax`);
+   (Gumbel-max sampling over the grid points that can win, certified
+   against libm's log: :class:`_GridStep`, :func:`_gumbel_argmax`);
 3. ``psi_p | lambda, f, X`` — inverse gamma.
 
 After burn-in, thinned samples are scored with the local objective
@@ -187,6 +187,20 @@ def _polish(
 #: 8.9e-16 over 2 M draws on an AVX-512 host), far inside this margin.
 _TAU = 1e-9
 
+#: The Gumbel ``-log(-log(1 - u))`` of a generator double ``u`` in
+#: [2**-53, 1 - 2**-53] lies in [-3.60378, 36.73681]; rounded outwards.
+_GUMBEL_LOW, _GUMBEL_HIGH = -3.604, 36.737
+
+#: How far (nats) below its anchor's logit a window reaches: past the
+#: 40.341 that separates the Gumbel's bounds, so the edges can certify.
+_REACH = 41.0
+
+#: Window entries scored per pass (more when one grid is larger).
+_RUN = 1 << 13
+
+#: From a window ``[lo, hi)`` to the grid points just beyond it.
+_BEYOND = np.array([[1], [0]])
+
 
 def _fill_uniforms(rngs: Sequence[np.random.Generator], out: np.ndarray) -> None:
     """Fill ``out[j]`` with the doubles ``rngs[j].gumbel(size=out[j].shape)`` reads.
@@ -198,7 +212,7 @@ def _fill_uniforms(rngs: Sequence[np.random.Generator], out: np.ndarray) -> None
     """
     for rng, block in zip(rngs, out):
         rng.random(out=block)
-    if out.all():
+    if out.min() > 0.0:
         return
     for rng, block in zip(rngs, out):
         flat = block.reshape(-1)
@@ -208,48 +222,189 @@ def _fill_uniforms(rngs: Sequence[np.random.Generator], out: np.ndarray) -> None
             rng.random(out=flat[kept.size :])
 
 
-def _gumbel_argmax(logits: np.ndarray, uniforms: np.ndarray, noisy: np.ndarray) -> np.ndarray:
-    """Last-axis argmax of ``logits`` plus the Gumbels of ``uniforms``, bit for bit.
+def _gumbel_argmax(
+    logits: np.ndarray,
+    uniforms: np.ndarray,
+    scores: np.ndarray,
+    sizes: np.ndarray | None = None,
+) -> np.ndarray:
+    """Each row's argmax of ``logits`` plus the Gumbels of ``uniforms``, bit for bit.
 
-    The result equals ``np.argmax(logits + g, axis=-1)`` where ``g`` is what
-    ``rng.gumbel`` makes of ``uniforms``: ``-log(-log(1 - u))`` with libm's
-    ``log``.  The scores are formed in one pass with NumPy's SIMD log into
-    ``noisy`` (scratch of the same shape), which may differ from libm in
-    the last bits.  A row's argmax is therefore accepted only when every
-    other entry lies more than ``_TAU * (1 + |max|)`` below the maximum: a
-    SIMD score is within a few ulp of libm's, far less than that margin,
-    so no such entry can overtake the maximum under libm.  Otherwise the
-    row's entries within the margin are rescored with ``math.log`` (libm)
-    and the first maximum wins, as with ``np.argmax``; the entries outside
-    the margin stay below it by the same bound.
+    A row is the last axis or, given ``sizes``, one of the consecutive
+    segments of those lengths of the flat arrays; the result is each row's
+    index within the row.  It equals ``np.argmax`` of the row's
+    ``logits + g`` where ``g`` is what ``rng.gumbel`` makes of ``uniforms``:
+    ``-log(-log(1 - u))`` with libm's ``log``.  The scores are formed in
+    one pass with NumPy's SIMD log into ``scores`` (scratch of the same
+    shape), which may differ from libm in the last bits.  A row's argmax is
+    therefore accepted only when every other entry lies more than
+    ``_TAU * (1 + |max|)`` below the maximum: a SIMD score is within a few
+    ulp of libm's, far less than that margin, so no such entry can
+    overtake the maximum under libm.  Otherwise the row's entries within
+    the margin are rescored with ``math.log`` (libm) and the first maximum
+    wins, as with ``np.argmax``; the entries outside the margin stay below
+    it by the same bound.
     """
-    np.subtract(1.0, uniforms, out=noisy)
-    np.log(noisy, out=noisy)
-    np.negative(noisy, out=noisy)
-    np.log(noisy, out=noisy)
-    np.subtract(logits, noisy, out=noisy)
-    g = noisy.shape[-1]
-    scores = noisy.reshape(-1, g)
-    flat = noisy.reshape(-1)
-    starts = np.arange(0, flat.size, g)
-    idx = scores.argmax(axis=1)
-    at = starts + idx
-    top = flat[at]
-    flat[at] = -np.inf
-    runner_up = flat[starts + scores.argmax(axis=1)]
-    flat[at] = top
-    floor = top - _TAU * (1.0 + np.abs(top))
-    for r in (runner_up >= floor).nonzero()[0]:
-        near = np.flatnonzero(scores[r] >= floor[r])
-        exact = [
-            lg - math.log(-math.log(1.0 - u))
-            for lg, u in zip(
-                logits.reshape(-1, g)[r, near].tolist(),
-                uniforms.reshape(-1, g)[r, near].tolist(),
-            )
-        ]
-        idx[r] = near[exact.index(max(exact))]
-    return idx.reshape(noisy.shape[:-1])
+    np.subtract(1.0, uniforms, out=scores)
+    np.log(scores, out=scores)
+    np.negative(scores, out=scores)
+    np.log(scores, out=scores)
+    np.subtract(logits, scores, out=scores)
+    flat = scores.reshape(-1)
+    dense = sizes is None
+    if sizes is None:
+        sizes = np.full(flat.size // scores.shape[-1], scores.shape[-1])
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    top = np.maximum.reduceat(flat, starts)
+    floor = top - _TAU * (1.0 + abs(top))
+    # A row's maximum is always near it, so each row owns at least one
+    # entry here; when each owns just one, every argmax stands.
+    near = (flat >= floor.repeat(sizes)).nonzero()[0]
+    if near.size == sizes.size:
+        idx = near - starts
+    else:
+        first, stop = near.searchsorted(starts), near.searchsorted(ends)
+        idx = near[first] - starts
+        for r in (stop - first > 1).nonzero()[0]:
+            tied = near[first[r] : stop[r]]
+            exact = [
+                lg - math.log(-math.log(1.0 - u))
+                for lg, u in zip(
+                    logits.reshape(-1)[tied].tolist(), uniforms.reshape(-1)[tied].tolist()
+                )
+            ]
+            idx[r] = tied[exact.index(max(exact))] - starts[r]
+    return idx.reshape(scores.shape[:-1]) if dense else idx
+
+
+class _GridStep:
+    """The coefficient step of one lockstep call, over every chain's rows at once.
+
+    The chains come grouped by prior.  The groups' grids and log masses are
+    concatenated once, and each row (chain-major) knows its group's span
+    ``[start, stop)`` of them.  Each iteration the chains fill their
+    ``(P, G)`` uniform blocks into one flat buffer (:attr:`fills` holds each
+    group's view), and :meth:`draw` scores only each row's window: the grid
+    points that may still win its Gumbel-max.
+    """
+
+    def __init__(self, priors: Sequence[CoefficientPrior], chains: Sequence[int], p: int) -> None:
+        sizes = np.array([prior.n_values for prior in priors])
+        group_of_chain = np.repeat(np.arange(len(priors)), chains)
+        group_of_row = np.repeat(group_of_chain, p)
+        self.grid = np.concatenate([prior.values for prior in priors])
+        log_mass = [prior.log_mass() for prior in priors]
+        self.log_mass = np.concatenate(log_mass)
+        # Every grid is a subset of the grids' union, so a value's place in
+        # its row's grid is looked up from its place in the union.
+        firsts = np.cumsum(sizes) - sizes
+        union = np.sort(self.grid)
+        self.union = union[np.append(True, union[1:] > union[:-1])]
+        self.places = np.concatenate([
+            first + np.searchsorted(prior.values, np.append(self.union, np.inf))
+            for first, prior in zip(firsts.tolist(), priors)
+        ])
+        self.place_of_row = group_of_row * (self.union.size + 1)
+        self.query = np.empty((2, group_of_row.size))
+        self.start = firsts[group_of_row]
+        self.stop = self.start + sizes[group_of_row]
+        self.span = np.stack([self.start, self.stop])
+        self.top = np.array([lm.max() for lm in log_mass])[group_of_row]
+        # Uniforms chain after chain, each a (P, G) block; ``shift`` takes a
+        # row's grid position to its uniform's position.
+        block = p * sizes[group_of_chain]
+        base = np.repeat(np.cumsum(block) - block, p)
+        base += np.tile(np.arange(p), len(group_of_chain)) * sizes[group_of_row]
+        self.shift = base - self.start
+        self.uniforms = np.empty(int(block.sum()))
+        self.fills = []
+        lo = 0
+        for n_chains, g in zip(chains, sizes.tolist()):
+            self.fills.append(self.uniforms[lo : lo + n_chains * p * g].reshape(n_chains, p, g))
+            lo += n_chains * p * g
+        # The window buffers, shared by the stages of every iteration.  An
+        # iteration's windows can cover most of its grids (the first sweeps
+        # of a call), so they pass through in runs of at most ``_RUN`` entries.
+        run = min(self.uniforms.size, max(_RUN, int(sizes.max())))
+        self.pos = np.empty(run, np.int64)
+        self.logits, self.window, self.scores = (np.empty(run) for _ in range(3))
+
+    def _logit(
+        self, log_mass: np.ndarray, at: np.ndarray, mu: np.ndarray, hp: np.ndarray
+    ) -> np.ndarray:
+        """``log_mass - hp * (grid[at] - mu) ** 2`` by the logits' own operations."""
+        t = np.subtract(self.grid.take(at, mode="clip"), mu)
+        np.square(t, out=t)
+        np.multiply(hp, t, out=t)
+        return np.subtract(log_mass, t, out=t)
+
+    def _windows(self, mu: np.ndarray, hp: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Each row's window ``[lo, hi)`` of grid positions, certified, as ``(2, R)``.
+
+        The anchor is the row's grid position ``at``; a point can beat its
+        logit ``L`` only within ``|g - mu| <= sqrt((max log mass - L + 41) / hp)``.
+        The point just beyond each edge is scored with the max log mass: by
+        monotone rounding that bounds every logit further out.  A row runs
+        full width unless that bound plus the largest Gumbel lies below
+        ``L`` plus the smallest, less ``_TAU * (1 + |.|)``; so it does when
+        ``L`` is -inf or NaN (a zero-mass anchor, a non-finite ``mu`` or
+        ``hp``), and ``hp = 0`` reaches the whole grid.
+        """
+        anchor = self._logit(self.log_mass.take(at), at, mu, hp)
+        reach = np.sqrt((self.top - anchor + _REACH) / hp)
+        np.subtract(mu, reach, out=self.query[0])
+        np.add(mu, reach, out=self.query[1])
+        window = self.places.take(self.union.searchsorted(self.query) + self.place_of_row)
+        # The points just beyond the window's edges, lo - 1 and hi, if any.
+        beyond = self._logit(self.top, window - _BEYOND, mu, hp)
+        np.putmask(beyond, window == self.span, -np.inf)
+        low = anchor + _GUMBEL_LOW
+        fits = np.maximum(beyond[0], beyond[1]) + _GUMBEL_HIGH < low - _TAU * (1.0 + abs(low))
+        np.copyto(window, self.span, where=~fits)
+        return window
+
+    def _draw_rows(
+        self, rows: slice, lo: np.ndarray, counts: np.ndarray, mu: np.ndarray, hp: np.ndarray
+    ) -> np.ndarray:
+        """Gumbel-max over the windows of a run of rows that fits the buffers."""
+        lo, counts, mu, hp = lo[rows], counts[rows], mu[rows], hp[rows]
+        ends = counts.cumsum()
+        size = int(ends[-1])
+        pos, logits, window, scores = (
+            buf[:size] for buf in (self.pos, self.logits, self.window, self.scores)
+        )
+        np.add((lo - ends + counts).repeat(counts), np.arange(size), out=pos)
+        self.grid.take(pos, out=logits, mode="clip")
+        np.subtract(logits, mu.repeat(counts), out=logits)
+        np.square(logits, out=logits)
+        np.multiply(hp.repeat(counts), logits, out=logits)
+        self.log_mass.take(pos, out=scores, mode="clip")
+        np.subtract(scores, logits, out=logits)
+        pos += self.shift[rows].repeat(counts)
+        self.uniforms.take(pos, out=window, mode="clip")
+        return lo + _gumbel_argmax(logits, window, scores, counts)
+
+    def draw(
+        self, mu: np.ndarray, hp: np.ndarray, at: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's drawn grid position, anchored at ``at``, and its window's size.
+
+        Row ``r`` draws from ``log_mass - hp[r] * (grid - mu[r]) ** 2`` over
+        its group's grid by Gumbel-max with its uniforms, bit for bit.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo, hi = self._windows(mu, hp, at)
+        counts = hi - lo
+        ends = counts.cumsum()
+        chosen = np.empty_like(lo)
+        r = 0
+        while r < ends.size:
+            # The longest run of rows from ``r`` whose windows fit the buffers.
+            stop = int(ends.searchsorted(ends[r] - counts[r] + self.pos.size, "right"))
+            chosen[r:stop] = self._draw_rows(slice(r, stop), lo, counts, mu, hp)
+            r = stop
+        return chosen, counts
 
 
 def _column_mse(lam: np.ndarray, x: np.ndarray) -> float:
@@ -277,11 +432,15 @@ class _Chain:
             raise OptimizationError(f"residual data must be (P, N), got {x.shape}")
         if x.shape[1] < 2:
             raise OptimizationError("need at least 2 training cases")
+        if not np.isfinite(x).all():
+            raise OptimizationError("residual data must be finite")
         oc_var = np.asarray(oc_variance_per_value, dtype=float)
         if oc_var.shape != prior.values.shape:
             raise OptimizationError(
                 "oc_variance_per_value must align with the prior grid"
             )
+        if not np.isfinite(oc_var).all():
+            raise OptimizationError("oc_variance_per_value must be finite")
         self.x = x
         self.prior = prior
         self.oc_var = oc_var
@@ -362,14 +521,17 @@ def sample_projection_vectors(
     it by itself.  Each iteration runs the grid-independent algebra once on
     stacked ``(C, P)``, ``(C, N)`` and ``(C, P, N)`` arrays (dot products
     and gemvs as stacked ``np.matmul``, which repeats the per-chain BLAS
-    call), and the grid step once per group of chains sharing a prior.
+    call), and the grid step once over all ``C * P`` rows (:class:`_GridStep`),
+    scoring only the grid points that can still win each row's Gumbel-max.
     Each chain keeps its draw order: ``normal``, the uniforms of its
     Gumbels (the doubles ``gumbel`` would read), ``gamma``.
     Initialisation, thinned scoring and polish stay per chain.
 
     Each result's ``seconds`` is its share of this call's wall time: the
     grid-independent time split evenly over the chains, plus its prior
-    group's grid-step time split over the group.  They sum to the call.
+    group's share of the grid step split over the group.  A group's share
+    is its measured uniform fill plus the one grid step's time split by
+    the group's window entries.  They sum to the call.
 
     Parameters
     ----------
@@ -398,35 +560,29 @@ def sample_projection_vectors(
     [(p, n)] = shapes
 
     # Chains are reordered so each prior's group is a contiguous slice.
-    # Its (C_g, P, G) logits, uniforms and noisy scores are views of three
-    # scratch rows sized for the largest group.
     members: dict[int, list[int]] = {}
     for c, prior in enumerate(priors):
         members.setdefault(id(prior), []).append(c)
     order = [c for group in members.values() for c in group]
     chains = [given[c] for c in order]
-    scratch = np.empty(
-        (3, max(len(group) * p * priors[group[0]].n_values for group in members.values()))
-    )
-    groups: list[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    lo = 0
-    for group in members.values():
-        prior = priors[group[0]]
-        rows = slice(lo, lo + len(group))
-        lo = rows.stop
-        dims = (len(group), p, prior.n_values)
-        logits, uniforms, noisy = (row[: math.prod(dims)].reshape(dims) for row in scratch)
-        groups.append((rows, prior.values, prior.log_mass(), logits, uniforms, noisy))
-    grid_s = [0.0] * len(groups)
+    sizes = [len(group) for group in members.values()]
+    step = _GridStep([priors[group[0]] for group in members.values()], sizes, p)
+    bounds = np.cumsum([0, *sizes])
+    fills = [
+        ([chain.rng for chain in chains[lo:hi]], block)
+        for lo, hi, block in zip(bounds[:-1], bounds[1:], step.fills)
+    ]
+    fill_s = np.zeros(len(fills))
+    step_s = 0.0
+    entries = np.zeros(len(chains) * p, np.int64)
 
     starts = [chain.start(config) for chain in chains]
     x = np.stack([chain.x for chain in chains])  # (C, P, N)
     lam_idx = np.stack([s[0] for s in starts])  # (C, P)
     psi = np.stack([s[1] for s in starts])
     b0 = np.stack([s[2] for s in starts])
-    lam = np.empty((len(chains), p))
-    for rows, grid, *_ in groups:
-        lam[rows] = grid[lam_idx[rows]]
+    chosen = step.start + lam_idx.reshape(-1)
+    lam = step.grid[chosen].reshape(lam_idx.shape)
     noise = np.empty((len(chains), n))
     gammas = np.empty((len(chains), p))
     shape = config.a0 + 0.5 * n
@@ -447,17 +603,18 @@ def sample_projection_vectors(
         mu_rows = np.where(
             (sff > 0)[:, None], sxf / np.maximum(sff, 1e-300)[:, None], 0.0
         )
-        for g, (rows, grid, log_prior, logits, uniforms, noisy) in enumerate(groups):
-            t0 = time.perf_counter()
-            # log posterior over the grid, (C_g, P, G), then Gumbel-max.
-            np.subtract(grid, mu_rows[rows, :, None], out=logits)
-            np.square(logits, out=logits)
-            np.multiply(half_prec[rows, :, None], logits, out=logits)
-            np.subtract(log_prior, logits, out=logits)
-            _fill_uniforms([chain.rng for chain in chains[rows]], uniforms)
-            lam_idx[rows] = _gumbel_argmax(logits, uniforms, noisy)
-            lam[rows] = grid[lam_idx[rows]]
-            grid_s[g] += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        for g, (rngs, block) in enumerate(fills):
+            _fill_uniforms(rngs, block)
+            t1 = time.perf_counter()
+            fill_s[g] += t1 - t0
+            t0 = t1
+        # Gumbel-max over each row's log posterior on its grid.
+        chosen, counts = step.draw(mu_rows.reshape(-1), half_prec.reshape(-1), chosen)
+        lam_idx = (chosen - step.start).reshape(lam_idx.shape)
+        lam = step.grid.take(chosen).reshape(lam_idx.shape)
+        entries += counts
+        step_s += time.perf_counter() - t0
 
         # --- 3. noise ----------------------------------------------------
         resid = x - lam[:, :, None] * f[:, None, :]
@@ -472,11 +629,16 @@ def sample_projection_vectors(
             for c, chain in enumerate(chains):
                 chain.score(lam[c], lam_idx[c])
 
-    # Polish runs per chain; its time joins the shared part.
+    # Polish runs per chain; its time joins the shared part.  The ragged
+    # step's time is split by each group's window entries.
     finished = [chain.finish(config) for chain in chains]
-    seconds = np.full(len(chains), (time.perf_counter() - t_call - sum(grid_s)) / len(chains))
-    for (rows, *_), group_s in zip(groups, grid_s):
-        seconds[rows] += group_s / (rows.stop - rows.start)
+    group_entries = np.add.reduceat(entries, bounds[:-1] * p)
+    group_s = fill_s + step_s * group_entries / group_entries.sum()
+    seconds = np.full(
+        len(chains), (time.perf_counter() - t_call - fill_s.sum() - step_s) / len(chains)
+    )
+    for lo, hi, share in zip(bounds[:-1], bounds[1:], group_s):
+        seconds[lo:hi] += share / (hi - lo)
     return [replace(finished[k], seconds=float(seconds[k])) for k in np.argsort(order)]
 
 

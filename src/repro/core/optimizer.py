@@ -107,8 +107,10 @@ class OptimizationResult:
     #: the run-time model bench (paper Sec. VI-E).  A dimension's draws share
     #: one lockstep call: each record is an even split of its
     #: grid-independent time plus an even split of its word-length group's
-    #: grid-step time, so the records keep eq. (8)'s growth in wl and sum
-    #: to the calls' wall time.
+    #: share of the grid step, which is the group's measured uniform fill
+    #: plus the one windowed step's time split by the group's window
+    #: entries.  So the records keep eq. (8)'s growth in wl and sum to the
+    #: calls' wall time.
     sampling_times: list[tuple[int, int, float]] = field(default_factory=list)
     #: candidate (area, objective) per dimension, for inspection.
     candidate_history: list[list[tuple[float, float]]] = field(default_factory=list)
@@ -158,6 +160,8 @@ def optimize_designs(
         raise OptimizationError(
             f"training data must be ({s.p}, N), got {x.shape}"
         )
+    if not np.isfinite(x).all():
+        raise OptimizationError("training data must be finite")
     if np.abs(x).max() > 1.0 + 1e-9:
         raise OptimizationError(
             "training data must be scaled to [-1, 1] (see repro.datasets)"

@@ -159,6 +159,14 @@ class CoefficientPrior:
     def __post_init__(self) -> None:
         if self.values.shape != self.mass.shape:
             raise ModelError("prior grid/mass shape mismatch")
+        if not np.isfinite(self.values).all():
+            raise ModelError("coefficient grid must be finite")
+        # Zero-mass entries are legal (log mass -inf); the sampler's window
+        # bound needs a finite grid and a finite largest log mass.
+        if not (np.isfinite(self.mass).all() and (self.mass >= 0).all()):
+            raise ModelError("prior mass must be finite and non-negative")
+        if not (self.mass > 0).any():
+            raise ModelError("degenerate prior: no coefficient has positive mass")
         if abs(float(self.mass.sum()) - 1.0) > 1e-9:
             raise ModelError("prior mass must sum to 1")
         if np.any(np.diff(self.values) <= 0):

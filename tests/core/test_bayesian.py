@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import math
+from collections.abc import Callable
 
 import numpy as np
 import pytest
@@ -167,16 +168,18 @@ class TestPolish:
         assert polished.score <= rough.score + 1e-12
 
 
+def _lockstep_prior(wl: int) -> CoefficientPrior:
+    """The lockstep fixture's prior: mild (beta 0.5) at 300 MHz."""
+    return CoefficientPrior.from_error_model(make_synthetic_error_model(wl), 300.0, 0.5)
+
+
 def _lockstep_case():
     """Nine chains: word-lengths {3, 5, 9} on three residuals, two identical.
 
     At 300 MHz and beta 0.5 the prior is mild and the over-clocking
     penalty non-zero, so the chains land on non-zero, differing designs.
     """
-    priors = {
-        wl: CoefficientPrior.from_error_model(make_synthetic_error_model(wl), 300.0, 0.5)
-        for wl in (3, 5, 9)
-    }
+    priors = {wl: _lockstep_prior(wl) for wl in (3, 5, 9)}
     ocs = {wl: prior.variances * 2.0 ** (-2 * (9 + wl)) for wl, prior in priors.items()}
     a, _ = _rank1_data(n=20, seed=11, noise=0.05)
     b, _ = _rank1_data(n=20, seed=12, noise=0.2)
@@ -190,26 +193,27 @@ FIELDS = ("values", "magnitudes", "signs", "wordlength", "score", "mse", "oc_pen
 
 
 def _digest(logits: np.ndarray) -> tuple:
-    """Shape, dtype and a sha256 of the bytes of one chain's logits."""
+    """Shape, dtype and a sha256 of the bytes of some logits."""
     digest = hashlib.sha256(np.ascontiguousarray(logits).tobytes()).hexdigest()
     return logits.shape, logits.dtype.str, digest
 
 
 class _LogitsProbe(np.ndarray):
-    """The oracle's Gumbel draw, logging the logits it is added to.
+    """The oracle's Gumbel draw, handing the logits it is added to and the scores to ``seen``.
 
-    The oracle's ``logits + g`` dispatches here before adding, so ``log``
-    receives the chain's pre-Gumbel logits exactly.
+    The oracle's ``logits + g`` dispatches here before adding, so ``seen``
+    receives the chain's pre-Gumbel logits and its scores exactly.
     """
 
-    log: list
+    seen: Callable
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         assert (ufunc, method) == (np.add, "__call__")
         (logits,) = [x for x in inputs if x is not self]
-        self.log.append(_digest(logits))
         plain = [x.view(np.ndarray) if x is self else x for x in inputs]
-        return ufunc(*plain, **kwargs)
+        scores = ufunc(*plain, **kwargs)
+        self.seen(logits, scores)
+        return scores
 
 
 class _RecordingGenerator:
@@ -221,16 +225,23 @@ class _RecordingGenerator:
     last-bit difference.  The oracle draws ``gumbel(size=(P, G))``; the
     lockstep sampler fills a ``(P, G)`` block with ``random(out=...)`` and
     keeps it in ``uniforms``.  The coefficient logits reach results only
-    through the Gumbel argmax, so they are logged into ``logits``: by a
-    :class:`_LogitsProbe` in the oracle, by :func:`_probe_logits` in the
-    lockstep sampler.
+    through the Gumbel argmax, so they are checked too.  In the lockstep
+    sampler :func:`_probe_logits` logs each fill's windows into ``windows``
+    (``row -> (lo, hi, digest of the window's logits)``).  As the oracle's
+    generator, given that ``lockstep`` recorder, each Gumbel draw checks
+    the oracle's logits and scores against the windows of its iteration as
+    it goes (:meth:`_check`), and counts the draws in ``checked``.
     """
 
-    def __init__(self, seed: int | np.random.Generator) -> None:
+    def __init__(
+        self, seed: int | np.random.Generator, lockstep: "_RecordingGenerator | None" = None
+    ) -> None:
         self._rng = np.random.default_rng(seed)
         self.bit_generator = self._rng.bit_generator
         self.calls: list[tuple] = []
-        self.logits: list[tuple] = []
+        self.windows: list[dict] = []
+        self.lockstep = lockstep
+        self.checked = 0
         self.uniforms: np.ndarray | None = None
 
     def _draw(self, method: str, *args, **kwargs):
@@ -245,15 +256,30 @@ class _RecordingGenerator:
     def random(self, *, out):
         self._draw("random", out=out)
         self.uniforms = out.copy()
+        self.windows.append({})
         return out
 
     def gumbel(self, *args, **kwargs):
         draw = self._draw("gumbel", *args, **kwargs).view(_LogitsProbe)
-        draw.log = self.logits
+        draw.seen = self._check
         return draw
 
     def gamma(self, *args, **kwargs):
         return self._draw("gamma", *args, **kwargs)
+
+    def _check(self, logits: np.ndarray, scores: np.ndarray) -> None:
+        """Each lockstep window of this draw's iteration holds the oracle's
+        logits at its grid indices, bit for bit, and every oracle score
+        outside it lies more than 0.6 below the oracle's chosen score."""
+        if self.lockstep is None:
+            return
+        windows = self.lockstep.windows[self.checked]
+        self.checked += 1
+        assert sorted(windows) == list(range(logits.shape[0]))
+        for row, (lo, hi, digest) in windows.items():
+            assert digest == _digest(logits[row, lo:hi])
+            outside = np.concatenate([scores[row, :lo], scores[row, hi:]])
+            assert (outside < scores[row].max() - 0.6).all()
 
 
 def _as_uniform_fill(call: tuple) -> tuple:
@@ -267,22 +293,30 @@ def _as_uniform_fill(call: tuple) -> tuple:
 
 
 def _probe_logits(monkeypatch, recorders: list[_RecordingGenerator]) -> None:
-    """Log each chain's pre-Gumbel logits into its recorder.
+    """Log each row's window and its logits into its chain's recorder.
 
-    The certified Gumbel-max step receives a group's ``(C_g, P, G)``
-    logits and uniforms; each chain's block is found by its uniforms,
-    which only its own recorder drew.
+    The certified Gumbel-max step receives the windows' logits and
+    uniforms, one row's segment after another; each segment's chain, row
+    and first grid index are found by its uniforms, a slice of the block
+    that only its own recorder drew.
     """
     certified = bayesian._gumbel_argmax
 
-    def probe(logits, uniforms, noisy):
-        for chain_logits, block in zip(logits, uniforms):
-            [owner] = [
-                r for r in recorders
-                if r.uniforms is not None and np.array_equal(r.uniforms, block)
-            ]
-            owner.logits.append(_digest(chain_logits))
-        return certified(logits, uniforms, noisy)
+    def probe(logits, uniforms, scores, sizes):
+        owners = [r for r in recorders if r.uniforms is not None]
+        pool = np.concatenate([r.uniforms.ravel() for r in owners])
+        order = np.argsort(pool)
+        bases = np.cumsum([0] + [r.uniforms.size for r in owners])
+        cuts = np.cumsum(sizes)[:-1]
+        firsts = order[np.searchsorted(pool, uniforms[np.r_[0, cuts]], sorter=order)]
+        for window, u, at in zip(np.split(logits, cuts), np.split(uniforms, cuts), firsts):
+            k = np.searchsorted(bases, at, "right") - 1
+            owner = owners[k]
+            row, lo = divmod(int(at - bases[k]), owner.uniforms.shape[1])
+            assert np.array_equal(owner.uniforms[row, lo : lo + u.size], u)
+            assert row not in owner.windows[-1]
+            owner.windows[-1][row] = (lo, lo + u.size, _digest(window))
+        return certified(logits, uniforms, scores, sizes)
 
     monkeypatch.setattr(bayesian, "_gumbel_argmax", probe)
 
@@ -323,17 +357,21 @@ class TestLockstep:
         _probe_logits(monkeypatch, rngs)
         got = sample_projection_vectors(xs, priors, ocs, rngs, FAST)
         serial_rngs = _assert_equals_oracle(
-            xs, priors, ocs, rngs, lambda c: _RecordingGenerator(100 + c), got
+            xs, priors, ocs, rngs, lambda c: _RecordingGenerator(100 + c, rngs[c]), got
         )
         for prior, rng, serial_rng in zip(priors, rngs, serial_rngs):
             # The same stream: the same draws in the same order, with
             # bit-equal arguments, each Gumbel draw matched by a uniform
             # fill of its shape, and an equal generator state after each.
             assert rng.calls == [_as_uniform_fill(c) for c in serial_rng.calls], prior.wordlength
-            # Every Gumbel draw met bit-equal pre-Gumbel logits.
+            # Every Gumbel draw met the oracle's pre-Gumbel logits bit for bit
+            # in each row's window, and only entries that cannot win lay
+            # outside it (checked as the oracle drew).
             n_gumbel = sum(call[0] == "gumbel" for call in serial_rng.calls)
-            assert len(rng.logits) == n_gumbel > 0
-            assert rng.logits == serial_rng.logits, prior.wordlength
+            assert len(rng.windows) == serial_rng.checked == n_gumbel > 0
+            if prior.wordlength == 9:
+                assert any(hi - lo < prior.n_values for fill in rng.windows
+                           for lo, hi, _ in fill.values())
         assert [c[0] for c in rngs[0].calls[:3]] == ["normal", "random", "gamma"]
         # The fixture must exercise distinct results, not nine copies of one.
         assert len({s.score for s in got}) > 3
@@ -372,6 +410,126 @@ class TestLockstep:
             sample_projection_vectors(
                 xs, priors, ocs, [np.random.default_rng(s) for s in range(9)], FAST
             )
+
+
+def _windows_against_oracle(
+    monkeypatch, xs, priors, ocs, config=FAST, generator=_RecordingGenerator
+):
+    """Run the lockstep sampler under the window probe and check every chain
+    against the serial oracle: results, generator states, the draw stream,
+    the window logits and the scores outside the windows.  Returns each
+    chain's lockstep recorder."""
+    rngs = [generator(400 + c) for c in range(len(xs))]
+    _probe_logits(monkeypatch, rngs)
+    got = sample_projection_vectors(xs, priors, ocs, rngs, config)
+    serial_rngs = _assert_equals_oracle(
+        xs, priors, ocs, rngs, lambda c: generator(400 + c, rngs[c]), got, config
+    )
+    for rng, serial_rng in zip(rngs, serial_rngs):
+        assert rng.calls == [_as_uniform_fill(c) for c in serial_rng.calls]
+        assert serial_rng.checked == len(rng.windows) == config.burn_in + config.n_samples
+    return rngs
+
+
+def _spans(rng: _RecordingGenerator, row: int) -> list[tuple[int, int]]:
+    """One row's window ``[lo, hi)`` per iteration."""
+    return [fill[row][:2] for fill in rng.windows]
+
+
+class _SilencedFactors(_RecordingGenerator):
+    """Draws as seeded, but every factor noise draw reads as zeros."""
+
+    def normal(self, *args, **kwargs):
+        return 0.0 * super().normal(*args, **kwargs)
+
+
+class TestWindows:
+    """Rows at the limits of the windowed Gumbel-max, each against the oracle.
+
+    Each chain must equal the serial oracle in results, generator states and
+    draw stream; its window logits must equal the oracle's bit for bit, and
+    no oracle score outside a window may come within 0.6 of the winner.
+    """
+
+    def test_means_far_outside_the_grid_reach_in_from_each_end(self, monkeypatch):
+        """Five rows at 1.5 z saturate the grid, so row 0 at +3 z (or -3 z)
+        has its conditional mean near +1.7 (or -1.7), beyond the grid's
+        end; its window then holds only points next to that end."""
+        rng = np.random.default_rng(11)
+        z = rng.normal(size=100)
+        noise = 0.02 * rng.normal(size=(6, 100))
+        signs = (1.0, -1.0, 1.0, -1.0)
+        xs = [np.outer([3.0 * s, 1.5, 1.5, 1.5, 1.5, 1.5], z) + noise for s in signs]
+        priors = [_lockstep_prior(wl) for wl in (3, 3, 9, 9)]
+        ocs = [prior.variances * 2.0 ** (-2 * (9 + prior.wordlength)) for prior in priors]
+        runs = _windows_against_oracle(monkeypatch, xs, priors, ocs)
+        for rng, prior, sign in zip(runs, priors, signs):
+            g = prior.n_values
+            for lo, hi in _spans(rng, 0):
+                assert (0 < lo and hi == g) if sign > 0 else (lo == 0 and hi < g)
+
+    def test_zero_precision_runs_full_width(self, monkeypatch):
+        """A zero residual with silenced factor noise makes every factor 0,
+        so ``sff = 0``: ``hp = 0`` and ``mu = 0`` on every row."""
+        xs = [np.zeros((6, 20))] * 2
+        priors = [_lockstep_prior(wl) for wl in (3, 9)]
+        ocs = [np.zeros(prior.n_values) for prior in priors]
+        runs = _windows_against_oracle(monkeypatch, xs, priors, ocs, generator=_SilencedFactors)
+        for rng, prior in zip(runs, priors):
+            for row in range(6):
+                assert set(_spans(rng, row)) == {(0, prior.n_values)}
+
+    def test_huge_precision_leaves_one_to_three_entries(self, monkeypatch):
+        """A rank-one residual whose coefficients lie on the wl-3 grid, with
+        1e-6 noise and a tiny noise-prior scale, drives ``hp`` past 1e3 at
+        wl 3 and 6e6 at wl 9 after burn-in.  Every window then holds 1 to 3
+        grid points."""
+        rng = np.random.default_rng(11)
+        x = np.outer([0.875, -0.875, 0.5, 0.25, -0.25, 0.125], rng.normal(size=20))
+        x += 1e-6 * rng.normal(size=x.shape)
+        priors = [_lockstep_prior(wl) for wl in (3, 9)]
+        ocs = [prior.variances * 2.0 ** (-2 * (9 + prior.wordlength)) for prior in priors]
+        config = dataclasses.replace(FAST, b0_scale=1e-9)
+        runs = _windows_against_oracle(monkeypatch, [x, x], priors, ocs, config)
+        for rng in runs:
+            for row in range(6):
+                spans = _spans(rng, row)[config.burn_in :]
+                assert all(1 <= hi - lo <= 3 for lo, hi in spans)
+
+    def test_zero_mass_anchor_runs_full_width(self, monkeypatch):
+        """A row's first anchor is its starting coefficient.  With no prior
+        mass there its logit ``L`` is -inf, so the first sweep runs every row
+        full width; later anchors are drawn, hence of positive mass."""
+        xs, priors, ocs = _lockstep_case()
+        xs, priors, ocs = xs[:3], priors[:3], ocs[:3]
+        for c, (x, prior, oc) in enumerate(zip(xs, priors, ocs)):
+            start = bayesian._Chain(x, prior, oc, np.random.default_rng(0)).start(FAST)[0]
+            mass = prior.mass.copy()
+            mass[start] = 0.0
+            priors[c] = dataclasses.replace(prior, mass=mass / mass.sum())
+        runs = _windows_against_oracle(monkeypatch, xs, priors, ocs)
+        for rng, prior in zip(runs, priors):
+            for row in range(6):
+                assert _spans(rng, row)[0] == (0, prior.n_values)
+            if prior.wordlength == 9:
+                assert any(hi - lo < prior.n_values for lo, hi in _spans(rng, 0)[1:])
+
+    def test_wide_fixture_of_thirty_five_chains(self, monkeypatch):
+        """Word-lengths 3 to 9 on five residuals (35 chains, as in Algorithm
+        1's later dimensions) over 100 sweeps, under a harsh prior."""
+        priors = {
+            wl: CoefficientPrior.from_error_model(make_synthetic_error_model(wl), 350.0, 4.0)
+            for wl in range(3, 10)
+        }
+        residuals = [_rank1_data(n=20, seed=20 + s, noise=0.02 + 0.05 * s)[0] for s in range(5)]
+        chains = [(x, wl) for x in residuals for wl in priors]
+        xs = [x for x, _ in chains]
+        ocs = [priors[wl].variances * 2.0 ** (-2 * (9 + wl)) for _, wl in chains]
+        config = GibbsConfig(burn_in=20, n_samples=80, thin=5)
+        runs = _windows_against_oracle(
+            monkeypatch, xs, [priors[wl] for _, wl in chains], ocs, config
+        )
+        assert len(runs) == 35
 
 
 #: PCG64's 128-bit LCG multiplier: the state steps ``s <- s * MULT + inc``.

@@ -1,5 +1,7 @@
 """Tests for repro.models.prior — eq. (6) and Fig. 7 behaviour."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -91,6 +93,47 @@ class TestCoefficientPrior:
         # Mass must be the eq.-6 transform of the aligned variances.
         expected = (1.0 + p.variances) ** -1.0
         assert np.allclose(p.mass, expected / expected.sum())
+
+
+class TestPriorValidation:
+    """A prior's grid and mass must be finite; its mass non-negative with a
+    positive entry.  The Gibbs sampler's window bound needs a finite
+    ascending grid and a finite largest log mass."""
+
+    def _base(self):
+        return CoefficientPrior.from_error_model(make_synthetic_error_model(2), 350.0, 1.0)
+
+    def test_base_prior_is_valid(self):
+        assert self._base().n_values == 7
+
+    @pytest.mark.parametrize(
+        "mass",
+        [
+            [np.nan, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
+            [0.5, 0.5, -0.5, 0.5, 0.0, 0.0, 0.0],
+            [np.inf, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
+            [0.0] * 7,
+        ],
+        ids=["nan", "negative", "inf", "all-zero"],
+    )
+    def test_bad_mass_rejected(self, mass):
+        with pytest.raises(ModelError):
+            dataclasses.replace(self._base(), mass=np.array(mass))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_non_finite_grid_value_rejected(self, bad, where):
+        base = self._base()
+        values = base.values.copy()
+        values[where] = bad
+        with pytest.raises(ModelError):
+            dataclasses.replace(base, values=values)
+
+    def test_zero_mass_entries_stay_legal(self):
+        base = self._base()
+        mass = np.where(base.values < 0, 0.0, base.mass)
+        prior = dataclasses.replace(base, mass=mass / mass.sum())
+        assert np.isneginf(prior.log_mass()).sum() == 3
 
 
 class TestStaticProfilePrior:
