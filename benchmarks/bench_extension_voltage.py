@@ -8,9 +8,7 @@ moves the multiplier into (and deeper into) the error regime, exactly as
 over-clocking at fixed voltage does.
 """
 
-import numpy as np
-
-from repro.characterization.circuit import CharacterizationCircuit
+from repro.characterization import error_trace
 from repro.eval.report import render_table
 from repro.fabric import OperatingConditions
 
@@ -23,13 +21,11 @@ def test_undervolting_mirrors_overclocking(ctx, benchmark):
 
     def run():
         rows = []
-        stim = np.random.default_rng(0).integers(0, 256, 1200)
         for vdd in vdds:
             device = ctx.device.with_conditions(
                 OperatingConditions(temperature_c=14.0, vdd=vdd)
             )
-            circuit = CharacterizationCircuit(device, 8, 8, anchor=(0, 0), seed=0)
-            r = circuit.run(222, stim, freq, np.random.default_rng(1))
+            r = error_trace(device, 222, freq, 1199, location=(0, 0), seed=0)
             rows.append((vdd, r.error_rate, r.error_variance))
         return rows
 

@@ -3,9 +3,8 @@
 
 Demonstrates, on two different simulated dies:
 
-* the characterisation circuit architecture (BRAM streams, safe FSM clock
-  domain, PLL-synthesised DUT clock);
-* the frequency/location/multiplicand sweep and the E(m, f) structure
+* the frequency/location/multiplicand sweep of a placed multiplier at
+  PLL-synthesised clocks, and the E(m, f) structure
   (errors cumulative in frequency; sparse multiplicands benign; placement
   changes the pattern);
 * persistence of the results to an .npz archive;

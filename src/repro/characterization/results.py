@@ -18,20 +18,7 @@ from ..errors import CharacterizationError
 if TYPE_CHECKING:
     from ..parallel.retry import SweepOutcome
 
-__all__ = ["CharacterizationRecord", "CharacterizationResult"]
-
-
-@dataclass(frozen=True)
-class CharacterizationRecord:
-    """Error statistics of one (location, multiplicand, frequency) cell."""
-
-    location: tuple[int, int]
-    multiplicand: int
-    freq_mhz: float
-    variance: float
-    mean: float
-    error_rate: float
-    n_samples: int
+__all__ = ["CharacterizationResult"]
 
 
 @dataclass(frozen=True)
@@ -121,25 +108,6 @@ class CharacterizationResult:
         if location is None:
             return self.mean.mean(axis=0)
         return self.mean[self.location_index(location)]
-
-    def records(self) -> list[CharacterizationRecord]:
-        """Flatten the grids into per-cell records."""
-        out = []
-        for li, loc in enumerate(self.locations):
-            for mi, m in enumerate(self.multiplicands):
-                for fi, f in enumerate(self.freqs_mhz):
-                    out.append(
-                        CharacterizationRecord(
-                            location=loc,
-                            multiplicand=int(m),
-                            freq_mhz=float(f),
-                            variance=float(self.variance[li, mi, fi]),
-                            mean=float(self.mean[li, mi, fi]),
-                            error_rate=float(self.error_rate[li, mi, fi]),
-                            n_samples=self.n_samples,
-                        )
-                    )
-        return out
 
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:

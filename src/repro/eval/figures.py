@@ -177,7 +177,7 @@ def fig5(
 
     popcounts = np.array([bin(m).count("1") for m in result.multiplicands])
     mean_var_by_popcount = {
-        int(c): float(grid[popcounts == c].mean()) for c in np.unique(popcounts)
+        int(c): float(grid[popcounts == c].mean()) for c in sorted(set(popcounts.tolist()))
     }
     return {
         "multiplicands": result.multiplicands.tolist(),

@@ -12,9 +12,9 @@ The PLL also owns the jitter model for the clocks it generates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
 
 from ..errors import ConfigError
 from .jitter import JitterModel
@@ -80,28 +80,14 @@ class PLL:
         Raises
         ------
         ConfigError
-            If the request is non-positive or outside any achievable range.
+            If the request is not finite, non-positive or outside any
+            achievable range.
         """
-        if freq_mhz <= 0:
-            raise ConfigError(f"requested frequency must be positive: {freq_mhz}")
+        if not (math.isfinite(freq_mhz) and freq_mhz > 0):
+            raise ConfigError(
+                f"requested frequency must be finite and positive: {freq_mhz}"
+            )
         return _synthesize_search(self.config, float(freq_mhz))
-
-    def achieved_grid(self, freqs_mhz: Iterable[float]) -> tuple[float, ...]:
-        """Achieved frequencies for a batch of requests (memoised search)."""
-        return tuple(self.synthesize(f).achieved_mhz for f in freqs_mhz)
-
-    def frequency_grid(
-        self, lo_mhz: float, hi_mhz: float, step_mhz: float
-    ) -> list[SynthesizedClock]:
-        """Synthesise a sweep of clocks covering ``[lo, hi]`` by ``step``."""
-        if not (0 < lo_mhz <= hi_mhz) or step_mhz <= 0:
-            raise ConfigError("invalid frequency sweep parameters")
-        clocks = []
-        f = lo_mhz
-        while f <= hi_mhz + 1e-9:
-            clocks.append(self.synthesize(f))
-            f += step_mhz
-        return clocks
 
 
 @lru_cache(maxsize=4096)

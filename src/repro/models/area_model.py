@@ -174,7 +174,7 @@ def fit_area_model(samples: list[AreaSample], degree: int = 2) -> AreaModel:
         )
     wl = np.asarray([s.wordlength for s in samples], dtype=float)
     le = np.asarray([s.logic_elements for s in samples], dtype=float)
-    if np.unique(wl).size < degree + 1:
+    if len(set(wl.tolist())) < degree + 1:
         raise ModelError("not enough distinct word-lengths for the fit degree")
     coeffs = np.polyfit(wl, le, deg=degree)
     predicted = np.polyval(coeffs, wl)

@@ -74,7 +74,7 @@ class RuntimeModel:
             raise ModelError("need >= 2 (wordlength, time) pairs")
         if np.any(t <= 0):
             raise ModelError("measured times must be positive")
-        if np.unique(wl).size < 2:
+        if len(set(wl.tolist())) < 2:
             raise ModelError("need at least two distinct word-lengths")
         rate, log_scale = np.polyfit(wl, np.log(t), 1)
         return cls(scale=float(np.exp(log_scale)), rate=float(rate))

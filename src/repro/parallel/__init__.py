@@ -29,7 +29,6 @@ from .engine import (
     Shard,
     ShardResult,
     SweepPlan,
-    execute_shards,
     run_shard,
     run_sweep,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "SweepOutcome",
     "SweepPlan",
     "backoff_delay",
-    "execute_shards",
     "get_default_cache",
     "multiplier_netlist",
     "resolve_jobs",

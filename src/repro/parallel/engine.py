@@ -9,9 +9,9 @@ seed paths.  Shard results are therefore bit-identical whether a shard
 runs inline (``jobs=1``) or in any worker of a ``ProcessPoolExecutor`` —
 the worker count only changes wall-clock, never numbers.
 
-Workers re-place the (cheap) characterisation circuit through their
-own in-memory placed-design cache, so each worker synthesises a
-location at most once per sweep.
+Workers re-place the (cheap) multiplier under test through their own
+in-memory placed-design cache, so each worker synthesises a location at
+most once per sweep.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from ..obs import runtime as obs
 from ..faults import FaultInjector, FaultPlan
 from ..netlist.core import EvalScratch, bits_from_ints
 from ..rng import SeedTree
+from ..timing.capture import capture_stream_batch
 from ..timing.simulator import simulate_transitions
-from .cache import PlacedDesignCache
+from .cache import PlacedDesignCache, get_default_cache
 from .retry import (
     ATTEMPT_ERROR,
     ATTEMPT_INVALID,
@@ -49,7 +50,6 @@ __all__ = [
     "Shard",
     "ShardResult",
     "SweepPlan",
-    "execute_shards",
     "run_shard",
     "run_sweep",
 ]
@@ -75,7 +75,6 @@ class SweepPlan:
     freqs_mhz: tuple[float, ...]
     achieved_mhz: tuple[float, ...]
     n_samples: int
-    max_stream_depth: int
 
 
 @dataclass(frozen=True)
@@ -152,30 +151,22 @@ def run_shard(
     ``scratch`` reuses simulation temporaries across same-shape shards
     (one pool per worker / per inline loop) without affecting results.
     """
-    from ..characterization.circuit import CharacterizationCircuit
-
     if injector is not None:
         injector.fire_pre(shard, attempt)
     seg_len = plan.n_samples + 1
     chunk = shard.multiplicands
-    circuit = CharacterizationCircuit(
-        device,
-        plan.w_data,
-        plan.w_coeff,
-        anchor=shard.location,
-        seed=plan.seed + shard.li,
-        max_stream_depth=plan.max_stream_depth,
-        cache=cache,
+    placed = (cache or get_default_cache()).get_or_place(
+        device, plan.w_data, plan.w_coeff, shard.location, plan.seed + shard.li
     )
     inputs = {
         "a": bits_from_ints(shard.stimulus, plan.w_data),
         "b": bits_from_ints(np.repeat(chunk, seg_len), plan.w_coeff),
     }
     timing = simulate_transitions(
-        circuit.placed.netlist,
+        placed.netlist,
         inputs,
-        circuit.placed.node_delay,
-        circuit.placed.edge_delay,
+        placed.node_delay,
+        placed.edge_delay,
         scratch=scratch,
     )
     tree = SeedTree(plan.seed).child(
@@ -190,7 +181,14 @@ def run_shard(
         cycles=shard.stimulus.shape[0] - 1,
         frequencies=len(plan.achieved_mhz),
     ):
-        batch = circuit.capture_batch(timing, plan.achieved_mhz, rngs)
+        batch = capture_stream_batch(
+            timing,
+            "p",
+            plan.achieved_mhz,
+            setup_ns=placed.setup_ns,
+            jitter=device.family.pll.jitter,
+            rngs=rngs,
+        )
     variance, mean, rate = _segment_statistics(
         batch.errors(), chunk.shape[0], seg_len
     )
@@ -551,28 +549,3 @@ def _run_sweep_body(
         fallback_inline=state.fallback_inline,
         pool_broken=state.pool_broken,
     )
-
-
-def execute_shards(
-    device: FPGADevice,
-    plan: SweepPlan,
-    shards: list[Shard],
-    jobs: int = 1,
-    cache: PlacedDesignCache | None = None,
-    resilience: ResilienceSettings = ResilienceSettings(),
-    faults: FaultPlan | None = None,
-) -> list[ShardResult]:
-    """Run all shards, inline (``jobs=1``) or over a process pool.
-
-    The result list is ordered like ``shards`` regardless of completion
-    order, and every entry is bit-identical across worker counts.  This
-    is the strict wrapper over :func:`run_sweep`: any shard still
-    quarantined after retries raises
-    :class:`~repro.errors.SweepFailedError`.  Callers that can use
-    partial results should call :func:`run_sweep` directly.
-    """
-    outcome = run_sweep(
-        device, plan, shards, jobs=jobs, cache=cache,
-        resilience=resilience, faults=faults,
-    )
-    return outcome.completed_results()

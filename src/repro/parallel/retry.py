@@ -186,11 +186,6 @@ class SweepOutcome:
             outcome=self,
         )
 
-    def completed_results(self) -> list["ShardResult"]:
-        """All shard results, raising if any shard was quarantined."""
-        self.raise_for_status(allow_degraded=False)
-        return [r for r in self.results if r is not None]
-
     def as_dict(self) -> dict:
         """JSON-ready summary (persisted next to workspace artefacts)."""
         return {

@@ -33,8 +33,8 @@ def test_library_source_is_audit_clean():
 def test_every_suppression_is_justified():
     report = _report()
     assert report.suppressions, (
-        "expected the known pragma suppressions (pll.py DT004, fsm.py "
-        "DT005) to be recorded, not silently dropped"
+        "expected the known pragma suppression (pll.py DT004) to be "
+        "recorded, not silently dropped"
     )
     for supp in report.suppressions:
         assert supp.reason and len(supp.reason) > 10, (

@@ -10,10 +10,10 @@ from repro.analysis import (
     coefficient_timing_profile,
     sensitized_sta,
 )
-from repro.characterization.circuit import CharacterizationCircuit
 from repro.errors import AnalysisError
 from repro.models.error_model import build_error_model
 from repro.netlist import ccm_multiplier
+from repro.parallel import get_default_cache
 
 #: Multiplicands exercised by the tightness tests: boundary and mixed
 #: popcount values of the 8-bit coefficient bus.
@@ -138,10 +138,9 @@ class TestAgreement:
         """Static-clean cells never show measured errors (same placement)."""
         loc = char_result.locations[0]
         model = build_error_model(char_result, location=loc)
-        placed = CharacterizationCircuit(
-            device, char_result.w_data, char_result.w_coeff,
-            anchor=loc, seed=11,
-        ).placed
+        placed = get_default_cache().get_or_place(
+            device, char_result.w_data, char_result.w_coeff, loc, 11
+        )
         profile = coefficient_timing_profile(placed)
         report = agreement_report(profile, model)
         assert report["consistent"], report["violations"]

@@ -8,13 +8,13 @@ from repro.characterization import (
     characterize_multiplier,
     error_trace,
 )
-from repro.characterization.circuit import CharacterizationCircuit
-from repro.errors import CharacterizationError
+from repro.errors import CharacterizationError, ConfigError
 from repro.fabric import make_device
 from repro.netlist.core import bits_from_ints
-from repro.parallel import PlacedDesignCache, multiplier_netlist
+from repro.parallel import PlacedDesignCache, get_default_cache, multiplier_netlist
 from repro.rng import SeedTree
 from repro.synthesis import SynthesisFlow
+from repro.timing.capture import capture_stream
 from repro.timing.simulator import simulate_transitions
 
 
@@ -37,6 +37,30 @@ class TestConfigValidation:
     def test_zero_locations_rejected(self):
         with pytest.raises(CharacterizationError):
             CharacterizationConfig(n_locations=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_freq_rejected(self, bad):
+        with pytest.raises(CharacterizationError):
+            CharacterizationConfig(freqs_mhz=(300.0, bad))
+
+    @pytest.mark.parametrize(
+        "name, value", [("n_samples", 2.5), ("n_locations", 1.5), ("segment_chunk", 2.5)]
+    )
+    def test_non_integral_count_rejected(self, name, value):
+        with pytest.raises(CharacterizationError):
+            CharacterizationConfig(**{name: value})
+
+    def test_non_integral_multiplicand_rejected(self):
+        with pytest.raises(CharacterizationError):
+            CharacterizationConfig(multiplicands=(1.5,))
+
+    def test_numpy_integers_accepted(self):
+        CharacterizationConfig(
+            n_samples=np.int64(10),
+            n_locations=np.int32(1),
+            segment_chunk=np.int64(4),
+            multiplicands=tuple(np.arange(4)),
+        )
 
 
 class TestSweep:
@@ -119,13 +143,52 @@ class TestErrorTrace:
         b = error_trace(device, 222, 420.0, 200, seed=1)
         assert np.array_equal(a.captured, b.captured)
 
+    @pytest.mark.parametrize(
+        "multiplicand, n_samples", [(2.5, 50), (222, 2.5), (222, -5)]
+    )
+    def test_non_integral_or_negative_inputs_rejected(self, device, multiplicand, n_samples):
+        with pytest.raises(CharacterizationError):
+            error_trace(device, multiplicand, 300.0, n_samples)
+
+    def test_nan_clock_rejected(self, device):
+        with pytest.raises(ConfigError):
+            error_trace(device, 222, float("nan"), 50)
+
+    @pytest.mark.parametrize("location", [(0, 0), (24, 16)])
+    @pytest.mark.parametrize("freq_mhz", [300.0, 420.0])
+    def test_matches_direct_replica(self, device, location, freq_mhz):
+        """Pinned to placement, settle simulation and capture called directly."""
+        run = error_trace(device, 222, freq_mhz, 300, location=location, seed=3)
+
+        placed = get_default_cache().get_or_place(device, 8, 8, location, 3)
+        tree = SeedTree(3).child("trace", str(location))
+        stim = tree.rng("stimulus").integers(0, 256, size=301, dtype=np.int64)
+        timing = simulate_transitions(
+            placed.netlist,
+            {"a": bits_from_ints(stim, 8), "b": bits_from_ints(np.full(301, 222), 8)},
+            placed.node_delay,
+            placed.edge_delay,
+        )
+        pll = device.family.pll
+        achieved = pll.synthesize(freq_mhz).achieved_mhz
+        ref = capture_stream(
+            timing, "p", achieved, setup_ns=placed.setup_ns, jitter=pll.jitter,
+            rng=tree.rng("capture", f"{freq_mhz}"),
+        )
+        assert run.multiplicand == 222
+        assert run.freq_mhz == achieved
+        assert run.captured.dtype == run.expected.dtype == np.int64
+        assert run.captured.tobytes() == ref.captured_ints().tobytes()
+        assert run.expected.tobytes() == ref.ideal_ints().tobytes()
+
 
 def _legacy_sweep(device, w_data, w_coeff, config, seed):
     """Replica of the harness loop as it was before the sharded engine.
 
     Same seed paths and draw order as the engine, but the old
     structure: a probe placement, a fresh synthesis per location, one
-    ``capture`` per frequency and per-segment statistics in Python.
+    reference ``capture_stream`` per frequency and per-segment statistics
+    in Python.
     """
     tree = SeedTree(seed).child("characterization", f"{w_data}x{w_coeff}")
     multiplicands = np.asarray(config.multiplicands, dtype=np.int64)
@@ -150,15 +213,8 @@ def _legacy_sweep(device, w_data, w_coeff, config, seed):
     achieved = [pll.synthesize(f).achieved_mhz for f in freq_requests]
 
     for li, loc in enumerate(locations):
-        circuit = CharacterizationCircuit(
-            device,
-            w_data,
-            w_coeff,
-            anchor=loc,
-            seed=seed + li,
-            max_stream_depth=max(32768, seg_len * config.segment_chunk),
-            cache=PlacedDesignCache(),  # empty: every location is synthesised
-        )
+        # An empty cache: every location is synthesised.
+        placed = PlacedDesignCache().get_or_place(device, w_data, w_coeff, loc, seed + li)
         stim_rng = tree.rng("stimulus", str(loc))
         for start in range(0, n_m, config.segment_chunk):
             chunk = multiplicands[start : start + config.segment_chunk]
@@ -170,10 +226,10 @@ def _legacy_sweep(device, w_data, w_coeff, config, seed):
                 "b": bits_from_ints(np.repeat(chunk, seg_len), w_coeff),
             }
             timing = simulate_transitions(
-                circuit.placed.netlist,
+                placed.netlist,
                 inputs,
-                circuit.placed.node_delay,
-                circuit.placed.edge_delay,
+                placed.node_delay,
+                placed.edge_delay,
             )
             n_tr = seg_len * chunk.shape[0] - 1
             valid = np.ones(n_tr, dtype=bool)
@@ -181,8 +237,15 @@ def _legacy_sweep(device, w_data, w_coeff, config, seed):
             seg_of_transition = np.arange(n_tr) // seg_len
             for fi, f in enumerate(freq_requests):
                 cap_rng = tree.rng("capture", str(loc), f"{f}", str(start))
-                run_all = circuit.capture(timing, int(chunk[0]), f, cap_rng)
-                errors = run_all.captured - run_all.expected
+                run_all = capture_stream(
+                    timing,
+                    "p",
+                    pll.synthesize(f).achieved_mhz,
+                    setup_ns=placed.setup_ns,
+                    jitter=pll.jitter,
+                    rng=cap_rng,
+                )
+                errors = run_all.errors()
                 for ci in range(chunk.shape[0]):
                     e = errors[valid & (seg_of_transition == ci)]
                     mi = start + ci

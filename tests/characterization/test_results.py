@@ -52,12 +52,6 @@ class TestContainer:
         with pytest.raises(CharacterizationError):
             _small_result().variance_grid((5, 5))
 
-    def test_records_flatten(self):
-        recs = _small_result().records()
-        assert len(recs) == 2 * 4 * 2
-        assert recs[0].location == (0, 0)
-        assert recs[-1].multiplicand == 3
-
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):

@@ -30,24 +30,14 @@ class TestSynthesize:
         with pytest.raises(ConfigError):
             PLL().synthesize(0.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ConfigError):
+            PLL().synthesize(float("nan"))
+
     def test_deterministic(self):
         a = PLL().synthesize(333.0)
         b = PLL().synthesize(333.0)
         assert (a.m, a.n, a.c) == (b.m, b.n, b.c)
-
-
-class TestFrequencyGrid:
-    def test_grid_covers_span(self):
-        clocks = PLL().frequency_grid(200.0, 300.0, 25.0)
-        assert len(clocks) == 5
-        assert clocks[0].requested_mhz == 200.0
-        assert clocks[-1].requested_mhz == 300.0
-
-    def test_invalid_sweep_rejected(self):
-        with pytest.raises(ConfigError):
-            PLL().frequency_grid(300.0, 200.0, 10.0)
-        with pytest.raises(ConfigError):
-            PLL().frequency_grid(200.0, 300.0, 0.0)
 
 
 class TestConfigValidation:

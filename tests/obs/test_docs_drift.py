@@ -28,7 +28,10 @@ END = "<!-- telemetry-reference:end -->"
 #: compared against integer products.  The determinism audit judges
 #: every function, so its entry points, call-graph index, reachability
 #: wording and ``--disable`` went; lint severities and the backoff
-#: schedule are constants.
+#: schedule are constants.  The sweep drives its placed multiplier
+#: directly, so the modelled test bench (controller FSM, stream BRAMs and
+#: the circuit that held them) went, with the per-cell record flattener
+#: and the strict shard wrapper.
 RETIRED = (
     "REPRO_TRACE",
     "REPRO_METRICS",
@@ -57,6 +60,14 @@ RETIRED = (
     "severity_overrides",
     "backoff_factor",
     "backoff_max_s",
+    "CharacterizationCircuit",
+    "CharacterizationFSM",
+    "InputStreamBRAM",
+    "OutputStreamBRAM",
+    "M9K_BITS",
+    "max_stream_depth",
+    "execute_shards",
+    "CharacterizationRecord",
 )
 
 

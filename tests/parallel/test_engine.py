@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.characterization import characterize_multiplier
 from repro.config import ResilienceSettings
 from repro.faults import FaultPlan, FaultSpec
-from repro.parallel import PlacedDesignCache, execute_shards
+from repro.parallel import PlacedDesignCache, run_sweep
 from repro.parallel.engine import _segment_statistics
 
 
@@ -94,9 +94,10 @@ class TestWorkerCountInvariance:
             freqs_mhz=(300.0,),
             achieved_mhz=(300.0,),
             n_samples=10,
-            max_stream_depth=32768,
         )
-        assert execute_shards(device, plan, [], jobs=4) == []
+        outcome = run_sweep(device, plan, [], jobs=4)
+        assert outcome.results == () and outcome.reports == ()
+        assert outcome.status == "complete"
 
 
 class TestPooledLatency:

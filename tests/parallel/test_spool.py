@@ -50,7 +50,6 @@ class TestDescriptorRoundTrips:
             freqs_mhz=(280.0, 320.0),
             achieved_mhz=(279.999999, 1 / 3),
             n_samples=40,
-            max_stream_depth=32768,
         )
         assert _round_trip(plan) == plan
 

@@ -3,7 +3,8 @@
 Importing SciPy used to be most of every process's cold start, so these
 tests keep it from creeping back into the import closure or the two
 calls that once needed it (the die's smoothed variation field and the
-area model's Student-t quantile).
+area model's Student-t quantile).  ``numpy.ma`` stays out of the model
+fits too: ``np.unique`` imports it on first use, about 12 ms and 1 MB.
 """
 
 import os
@@ -56,3 +57,23 @@ def test_import_loads_no_scipy_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_model_fits_load_no_numpy_ma():
+    proc = _run(
+        """
+        import sys
+        from repro.models.area_model import AreaSample, fit_area_model
+        from repro.models.runtime import RuntimeModel
+
+        samples = [
+            AreaSample(wl, 40 * wl + 3 * wl * wl + run, run, (0, 0))
+            for wl in (3, 5, 7, 9) for run in range(3)
+        ]
+        fit_area_model(samples)
+        RuntimeModel.fit([3, 5, 7], [1e-3, 2e-3, 4e-3])
+        print("numpy.ma" in sys.modules)
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
