@@ -54,7 +54,15 @@ def main() -> None:
     if trace_path or metrics_path:
         obs.enable_observability(trace=bool(trace_path),
                                  metrics=bool(metrics_path))
+    try:
+        _run(args, jobs)
+    finally:
+        # Export even when a stage fails: that trace is the one wanted.
+        if trace_path or metrics_path:
+            export_telemetry(trace_path, metrics_path)
 
+
+def _run(args: argparse.Namespace, jobs: int) -> None:
     # 1. Fabricate the device.
     device = make_device(args.serial)
     report = device.report()
@@ -101,9 +109,6 @@ def main() -> None:
     ))
     print("\nNote how the KLT curve degrades at large word-lengths (over-"
           "clocking errors) while the OF designs stay on model.")
-
-    if trace_path or metrics_path:
-        export_telemetry(trace_path, metrics_path)
 
 
 if __name__ == "__main__":

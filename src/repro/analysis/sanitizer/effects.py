@@ -1,7 +1,7 @@
 """The determinism effect catalogue: every ambient effect the audit polices.
 
 The sanitizer is **closed-world** in the same sense as the telemetry
-catalogue (:mod:`repro.obs.spec`): the set of effects it recognises and
+entry table (:mod:`repro.obs.table`): the set of effects it recognises and
 the places allowed to perform each effect are both declared *here*, in
 one reviewable table.  Every audited function is held to every rule, so
 code anywhere else that performs a catalogued effect is a finding — the
@@ -257,17 +257,14 @@ ALLOWANCES: tuple[Allowance, ...] = (
     ),
     Allowance(
         EFFECT_MODULE_STATE,
-        "repro.obs.spec",
-        "_SPANS_BY_NAME",
-        "Telemetry-catalogue index built from the frozen SPAN_CATALOG "
-        "tuple at import time; never mutated.",
-    ),
-    Allowance(
-        EFFECT_MODULE_STATE,
-        "repro.obs.spec",
-        "_METRICS_BY_NAME",
-        "Telemetry-catalogue index built from the frozen METRIC_CATALOG "
-        "tuple at import time; never mutated.",
+        "repro.obs.runtime",
+        "_RESTORE",
+        "The tracer's undo log: the (owner, name, original, wrapper) of each "
+        "binding install() replaced with an entry-point wrapper, emptied by "
+        "uninstall() to restore the library's own functions.  It only says "
+        "whether telemetry wrappers are in place, which no number reads; a "
+        "forked pool worker inherits it with the wrappers it describes, so "
+        "install() there wraps nothing twice.",
     ),
 )
 

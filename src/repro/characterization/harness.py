@@ -29,6 +29,7 @@ determinism argument — bit-identical to undisturbed ones.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 
@@ -39,7 +40,6 @@ from ..errors import CharacterizationError
 from ..fabric.device import FPGADevice
 from ..faults import FaultPlan
 from ..netlist.core import bits_from_ints
-from ..obs import runtime as obs
 from ..parallel.cache import PlacedDesignCache, get_default_cache, multiplier_netlist
 from ..parallel.engine import Shard, SweepPlan, run_sweep
 from ..parallel.jobs import resolve_jobs
@@ -70,7 +70,9 @@ class CharacterizationConfig:
     Attributes
     ----------
     freqs_mhz:
-        Clock frequencies to request from the PLL.
+        Clock frequencies to request from the PLL, any sequence of real
+        numbers; stored as a tuple of the values given, each keeping its
+        type, because the capture seed paths are formatted from them.
     n_samples:
         Capture cycles per (multiplicand, location) cell.  The paper used
         29 400; benches scale this down.
@@ -90,9 +92,19 @@ class CharacterizationConfig:
     segment_chunk: int = 8
 
     def __post_init__(self) -> None:
-        if not self.freqs_mhz:
+        try:
+            freqs = tuple(self.freqs_mhz)
+        except TypeError:
+            raise CharacterizationError(
+                f"freqs_mhz must be a sequence of clocks, got {self.freqs_mhz!r}"
+            ) from None
+        object.__setattr__(self, "freqs_mhz", freqs)
+        if not freqs:
             raise CharacterizationError("at least one frequency required")
-        if not all(math.isfinite(f) and f > 0 for f in self.freqs_mhz):
+        for f in freqs:
+            if not isinstance(f, numbers.Real):
+                raise CharacterizationError(f"frequencies must be numbers, got {f!r}")
+        if not all(math.isfinite(f) and f > 0 for f in freqs):
             raise CharacterizationError("frequencies must be finite and positive")
         if _integral(self.n_samples, "n_samples") < 2:
             raise CharacterizationError("n_samples must be >= 2")
@@ -154,33 +166,6 @@ def characterize_multiplier(
         Chaos plan to inject into the sweep (tests/drills); ``None``
         consults ``REPRO_FAULTS``.
     """
-    with obs.span(
-        "characterize.sweep", w_data=w_data, w_coeff=w_coeff, seed=seed
-    ) as span:
-        result = _characterize_multiplier_impl(
-            device, w_data, w_coeff, config=config, seed=seed, jobs=jobs,
-            cache=cache, resilience=resilience, faults=faults,
-        )
-        span.set(
-            locations=len(result.locations),
-            frequencies=int(result.freqs_mhz.shape[0]),
-            status=result.outcome.status if result.outcome is not None else "",
-        )
-    obs.counter_add("characterize.sweeps")
-    return result
-
-
-def _characterize_multiplier_impl(
-    device: FPGADevice,
-    w_data: int,
-    w_coeff: int,
-    config: CharacterizationConfig | None = None,
-    seed: int = 0,
-    jobs: int | None = None,
-    cache: PlacedDesignCache | None = None,
-    resilience: ResilienceSettings = ResilienceSettings(),
-    faults: FaultPlan | None = None,
-) -> CharacterizationResult:
     if config is None:
         config = CharacterizationConfig()
     n_jobs = resolve_jobs(jobs)

@@ -400,7 +400,7 @@ def _faults_main(argv: list[str]) -> int:
 
 def _audit_main(argv: list[str]) -> int:
     """``audit`` subcommand: determinism/concurrency audit of repro source."""
-    from .analysis.sanitizer import audit_paths, dt_rule_table_markdown
+    from .analysis import sanitizer
     from .cli_flow import export_telemetry, resolve_telemetry_paths
     from .errors import AnalysisError
     from .obs import runtime as obs
@@ -441,7 +441,7 @@ def _audit_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     if args.rules:
-        print(dt_rule_table_markdown())
+        print(sanitizer.dt_rule_table_markdown())
         return 0
 
     trace_path, metrics_path = resolve_telemetry_paths(args.trace, None)
@@ -450,8 +450,8 @@ def _audit_main(argv: list[str]) -> int:
             trace=bool(trace_path), metrics=bool(metrics_path)
         )
     try:
-        with obs.span("audit.run"):
-            report = audit_paths(args.paths or ["src/repro"])
+        # Called through the package binding, which --trace wraps.
+        report = sanitizer.audit_paths(args.paths or ["src/repro"])
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -470,23 +470,24 @@ def _obs_main(argv: list[str]) -> int:
     """``obs`` subcommand: telemetry reference and artefact inspection."""
     from .errors import ObservabilityError
     from .obs import (
+        layer_summary,
         load_metrics_snapshot,
         load_trace_jsonl,
-        summarize_spans,
         telemetry_reference_markdown,
     )
 
     parser = argparse.ArgumentParser(
         prog="repro-experiment obs",
-        description="Inspect repro.obs telemetry: print the span/metric "
-        "reference (generated from the catalogue) or summarise exported "
-        "trace/metrics artefacts (see docs/observability.md).",
+        description="Inspect repro.obs telemetry: print the entry-point and "
+        "counter reference (generated from the entry table) or summarise "
+        "exported trace/metrics artefacts (see docs/observability.md).",
     )
     parser.add_argument(
         "action",
         choices=["reference", "trace", "metrics"],
-        help="reference: print the telemetry catalogue; trace: summarise "
-        "a JSONL trace sidecar; metrics: print the counters of a metrics snapshot",
+        help="reference: print the telemetry entry table; trace: each layer's "
+        "self time, calls and work counts in a JSONL trace sidecar; metrics: "
+        "print the counters of a metrics snapshot",
     )
     parser.add_argument(
         "path",
@@ -510,15 +511,16 @@ def _obs_main(argv: list[str]) -> int:
         return 2
     try:
         if args.action == "trace":
-            rows = summarize_spans(load_trace_jsonl(args.path))
+            rows = layer_summary(load_trace_jsonl(args.path))
             if args.format == "json":
                 print(json.dumps(rows, indent=2))
             else:
                 print(render_table(
-                    ["span", "count", "total s", "mean s", "max s"],
-                    [(r["name"], r["count"], r["total_s"], r["mean_s"], r["max_s"])
+                    ["layer", "calls", "self s", "work"],
+                    [(r["layer"], r["calls"], r["self_s"],
+                      " ".join(f"{k}={v}" for k, v in r["work"].items()))
                      for r in rows],
-                    title=f"trace summary: {args.path}",
+                    title=f"self time by layer: {args.path}",
                 ))
             return 0
         snapshot = load_metrics_snapshot(args.path)

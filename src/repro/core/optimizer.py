@@ -25,7 +25,6 @@ from ..errors import OptimizationError
 from ..models.area_model import AreaModel
 from ..models.error_model import ErrorModelSet
 from ..models.prior import CoefficientPrior
-from ..obs import runtime as obs
 from ..rng import SeedTree
 from .bayesian import GibbsConfig, sample_projection_vectors
 from .design import LinearProjectionDesign
@@ -187,65 +186,58 @@ def optimize_designs(
     ]
     result = OptimizationResult(designs=[], beta=config.beta, freq_mhz=freq)
 
-    with obs.span("optimize.run", beta=config.beta, k=s.k, q=s.q):
-        for d in range(1, s.k + 1):
-            with obs.span("optimize.dimension", dimension=d) as dim_span:
-                # One chain per (survivor, word-length), in that order: the
-                # Pareto front and the Q bins depend on the candidate order.
-                chains = [
-                    (qi, partial, wl)
-                    for qi, partial in enumerate(survivors)
-                    for wl in s.coeff_wordlengths
-                ]
-                resids = [_residual(x, partial) for partial in survivors]
-                with obs.span("gibbs.sample", dimension=d, chains=len(chains)):
-                    samples = sample_projection_vectors(
-                        [resids[qi] for qi, _, _ in chains],
-                        [priors[wl] for _, _, wl in chains],
-                        [oc_tables[wl] for _, _, wl in chains],
-                        [tree.rng("gibbs", f"d{d}", f"q{qi}", f"wl{wl}")
-                         for qi, _, wl in chains],
-                        gibbs,
-                    )
-                obs.counter_add("gibbs.draws", len(samples))
-                candidates: list[_Partial] = []
-                for (_, partial, wl), samp in zip(chains, samples):
-                    result.sampling_times.append((d, wl, samp.seconds))
-                    column = {
-                        "values": samp.values,
-                        "magnitudes": samp.magnitudes,
-                        "signs": samp.signs,
-                        "wordlength": wl,
-                    }
-                    columns = partial.columns + (column,)
-                    lam = np.stack([c["values"] for c in columns], axis=1)
-                    mse = reconstruction_mse(lam, x)
-                    oc = partial.oc_term + samp.oc_penalty
-                    area = partial.area + col_areas[wl]
-                    candidates.append(
-                        _Partial(columns=columns, area=area, mse=mse, oc_term=oc)
-                    )
-                front = pareto_front(
-                    candidates, area_of=lambda c: c.area, mse_of=lambda c: c.objective
-                )
-                survivors = select_q_bins(front, s.q, mse_of=lambda c: c.objective)
-                if not survivors:
-                    raise OptimizationError(f"dimension {d}: no surviving candidates")
-                # Alg. 1: "Create Q candidate projections from the Q extracted" —
-                # when the front yields fewer than Q, cycle the survivors so every
-                # dimension explores exactly Q branches (the eq.-7 cost structure);
-                # duplicated branches diverge through their distinct Gibbs seeds.
-                base = list(survivors)
-                i = 0
-                while len(survivors) < s.q:
-                    survivors.append(base[i % len(base)])
-                    i += 1
-                result.candidate_history.append(
-                    [(c.area, c.objective) for c in candidates]
-                )
-                dim_span.set(candidates=len(candidates))
-                obs.counter_add("optimize.dimensions")
-                obs.counter_add("optimize.candidates", len(candidates))
+    for d in range(1, s.k + 1):
+        # One chain per (survivor, word-length), in that order: the
+        # Pareto front and the Q bins depend on the candidate order.
+        chains = [
+            (qi, partial, wl)
+            for qi, partial in enumerate(survivors)
+            for wl in s.coeff_wordlengths
+        ]
+        resids = [_residual(x, partial) for partial in survivors]
+        samples = sample_projection_vectors(
+            [resids[qi] for qi, _, _ in chains],
+            [priors[wl] for _, _, wl in chains],
+            [oc_tables[wl] for _, _, wl in chains],
+            [tree.rng("gibbs", f"d{d}", f"q{qi}", f"wl{wl}")
+             for qi, _, wl in chains],
+            gibbs,
+        )
+        candidates: list[_Partial] = []
+        for (_, partial, wl), samp in zip(chains, samples):
+            result.sampling_times.append((d, wl, samp.seconds))
+            column = {
+                "values": samp.values,
+                "magnitudes": samp.magnitudes,
+                "signs": samp.signs,
+                "wordlength": wl,
+            }
+            columns = partial.columns + (column,)
+            lam = np.stack([c["values"] for c in columns], axis=1)
+            mse = reconstruction_mse(lam, x)
+            oc = partial.oc_term + samp.oc_penalty
+            area = partial.area + col_areas[wl]
+            candidates.append(
+                _Partial(columns=columns, area=area, mse=mse, oc_term=oc)
+            )
+        front = pareto_front(
+            candidates, area_of=lambda c: c.area, mse_of=lambda c: c.objective
+        )
+        survivors = select_q_bins(front, s.q, mse_of=lambda c: c.objective)
+        if not survivors:
+            raise OptimizationError(f"dimension {d}: no surviving candidates")
+        # Alg. 1: "Create Q candidate projections from the Q extracted" —
+        # when the front yields fewer than Q, cycle the survivors so every
+        # dimension explores exactly Q branches (the eq.-7 cost structure);
+        # duplicated branches diverge through their distinct Gibbs seeds.
+        base = list(survivors)
+        i = 0
+        while len(survivors) < s.q:
+            survivors.append(base[i % len(base)])
+            i += 1
+        result.candidate_history.append(
+            [(c.area, c.objective) for c in candidates]
+        )
 
     for partial in survivors:
         values = partial.lambda_matrix(s.p)

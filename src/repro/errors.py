@@ -92,13 +92,13 @@ class SweepFailedError(CharacterizationError):
 
 
 class ObservabilityError(ReproError):
-    """The observability subsystem was misused: an uncatalogued span or
-    metric name, a kind mismatch against the telemetry catalogue, or an
-    unreadable trace/metrics artefact.
+    """The observability subsystem was misused: a counter the telemetry
+    entry table does not declare, a decreasing counter, or an unreadable
+    trace/metrics artefact.
 
-    Telemetry names are closed-world on purpose — every span and metric the
-    library can emit is declared in :mod:`repro.obs.spec`, which is what
-    lets ``docs/observability.md`` be generated and drift-tested."""
+    Every span and counter comes from the entry table in
+    :mod:`repro.obs.table`, which is what lets ``docs/observability.md`` be
+    generated and drift-tested."""
 
 
 class ModelError(ReproError):

@@ -20,7 +20,7 @@ from ..netlist.core import bits_from_ints
 from ..netlist.multipliers import unsigned_array_multiplier
 from ..rng import SeedTree
 from ..synthesis.flow import SynthesisFlow
-from ..timing.capture import capture_stream
+from ..timing.capture import capture_stream_batch
 from ..timing.simulator import simulate_transitions
 from .context import ExperimentContext
 
@@ -69,18 +69,15 @@ def fig1(
     timing = simulate_transitions(placed.netlist, inputs, placed.node_delay, placed.edge_delay)
 
     freqs = np.arange(freq_lo, freq_hi + 1e-9, freq_step)
-    rates = []
-    for f in freqs:
-        cap = capture_stream(
-            timing,
-            "p",
-            float(f),
-            setup_ns=placed.setup_ns,
-            jitter=JitterModel(),
-            rng=tree.rng("jitter", f"{f}"),
-        )
-        rates.append(cap.error_rate())
-    rates_arr = np.asarray(rates)
+    batch = capture_stream_batch(
+        timing,
+        "p",
+        freqs,
+        setup_ns=placed.setup_ns,
+        jitter=JitterModel(),
+        rngs=[tree.rng("jitter", f"{f}") for f in freqs],
+    )
+    rates_arr = (batch.captured != batch.ideal).mean(axis=1)
 
     fa = placed.tool_report.fmax_mhz
     error_free = freqs[rates_arr == 0]
@@ -272,19 +269,15 @@ def fig8(
             placed.netlist, inputs, placed.node_delay, placed.edge_delay
         )
         freqs = np.arange(freq_lo, freq_hi + 1e-9, freq_step)
-        rates = np.array(
-            [
-                capture_stream(
-                    timing,
-                    "p",
-                    float(f),
-                    setup_ns=placed.setup_ns,
-                    jitter=JitterModel(),
-                    rng=tree.rng("jit", str(wl), f"{f}"),
-                ).error_rate()
-                for f in freqs
-            ]
+        batch = capture_stream_batch(
+            timing,
+            "p",
+            freqs,
+            setup_ns=placed.setup_ns,
+            jitter=JitterModel(),
+            rngs=[tree.rng("jit", str(wl), f"{f}") for f in freqs],
         )
+        rates = (batch.captured != batch.ideal).mean(axis=1)
         error_free = freqs[rates == 0]
         onset = float(error_free.max()) if error_free.size else float(freqs[0])
         meaningless = freqs[rates >= 0.5]

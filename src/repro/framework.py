@@ -35,7 +35,6 @@ from .errors import OptimizationError
 from .fabric.device import FPGADevice
 from .models.area_model import AreaModel, collect_area_samples, fit_area_model
 from .models.error_model import ErrorModel, ErrorModelSet, build_error_model
-from .obs import runtime as obs
 from .parallel.cache import PlacedDesignCache
 from .parallel.jobs import resolve_jobs
 
@@ -171,33 +170,30 @@ class OptimizationFramework:
         wordlengths = list(self.settings.coeff_wordlengths)
         n_jobs = resolve_jobs(self.jobs)
         w_data = self.settings.input_wordlength
-        with obs.span(
-            "flow.characterize", wordlengths=len(wordlengths), jobs=n_jobs
-        ):
-            results = []
-            for wl in wordlengths:
-                if verbose:
-                    print(f"[characterize] {w_data}x{wl} ...")
-                results.append(
-                    characterize_multiplier(
-                        self.device,
-                        w_data,
-                        wl,
-                        cfg,
-                        seed=self.seed,
-                        jobs=n_jobs,
-                        cache=self.cache,
-                        resilience=self.resilience,
-                    )
+        results = []
+        for wl in wordlengths:
+            if verbose:
+                print(f"[characterize] {w_data}x{wl} ...")
+            results.append(
+                characterize_multiplier(
+                    self.device,
+                    w_data,
+                    wl,
+                    cfg,
+                    seed=self.seed,
+                    jobs=n_jobs,
+                    cache=self.cache,
+                    resilience=self.resilience,
                 )
-            self._sweep_outcomes = {
-                wl: result.outcome for wl, result in zip(wordlengths, results)
-            }
-            models: dict[int, ErrorModel] = {
-                wl: build_error_model(result)
-                for wl, result in zip(wordlengths, results)
-            }
-            self._error_models = ErrorModelSet(models)
+            )
+        self._sweep_outcomes = {
+            wl: result.outcome for wl, result in zip(wordlengths, results)
+        }
+        models: dict[int, ErrorModel] = {
+            wl: build_error_model(result)
+            for wl, result in zip(wordlengths, results)
+        }
+        self._error_models = ErrorModelSet(models)
         return self._error_models
 
     def sweep_health(self) -> dict[int, str]:
@@ -217,17 +213,16 @@ class OptimizationFramework:
         """Fit the LE-cost model from synthesis runs (cached)."""
         if self._area_model is not None:
             return self._area_model
-        with obs.span("flow.fit_area_model", n_runs=n_runs):
-            samples = collect_area_samples(
-                self.device,
-                self.settings.coeff_wordlengths,
-                w_data=self.settings.input_wordlength,
-                n_runs=n_runs,
-                seed=self.seed,
-            )
-            self._area_model = fit_area_model(
-                samples, degree=area_model_degree(self.settings.coeff_wordlengths)
-            )
+        samples = collect_area_samples(
+            self.device,
+            self.settings.coeff_wordlengths,
+            w_data=self.settings.input_wordlength,
+            n_runs=n_runs,
+            seed=self.seed,
+        )
+        self._area_model = fit_area_model(
+            samples, degree=area_model_degree(self.settings.coeff_wordlengths)
+        )
         return self._area_model
 
     # ------------------------------------------------------------------
@@ -272,17 +267,16 @@ class OptimizationFramework:
         anchor: tuple[int, int] = (0, 0),
     ) -> DomainEvaluation:
         """Evaluate one design in one domain on this framework's device."""
-        with obs.span("flow.evaluate", domain=domain.value):
-            return evaluate_design(
-                design,
-                x_test,
-                domain,
-                error_models=self.characterize(),
-                device=self.device,
-                anchor=anchor,
-                seed=self.seed,
-                cache=self.cache,
-            )
+        return evaluate_design(
+            design,
+            x_test,
+            domain,
+            error_models=self.characterize(),
+            device=self.device,
+            anchor=anchor,
+            seed=self.seed,
+            cache=self.cache,
+        )
 
     def evaluate_all_domains(
         self,

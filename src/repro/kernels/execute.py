@@ -32,7 +32,6 @@ import numpy as np
 
 from ..errors import NetlistError
 from ..netlist.core import CompiledNetlist, EvalScratch
-from ..obs import runtime as obs
 from .plan import ExecutionPlan, OpGroup, plan_for
 
 __all__ = [
@@ -153,20 +152,19 @@ def evaluate_packed(
     contract.
     """
     plan = plan_for(cn)
-    with obs.span("kernel.eval", netlist=cn.name, consumer="evaluate"):
-        vals, batch = _packed_plane(cn, plan, inputs, scratch)
-        out: dict[str, np.ndarray] = {}
-        for name, ids in cn.output_buses.items():
-            bits = unpack_plane(vals[ids], batch)  # (width, batch)
-            if scratch is None:
-                out[name] = np.ascontiguousarray(bits.T)
-            else:
-                buf = scratch.array(
-                    f"kernel.out.{name}", (batch, ids.shape[0]), np.uint8
-                )
-                np.copyto(buf, bits.T)
-                out[name] = buf
-        return out
+    vals, batch = _packed_plane(cn, plan, inputs, scratch)
+    out: dict[str, np.ndarray] = {}
+    for name, ids in cn.output_buses.items():
+        bits = unpack_plane(vals[ids], batch)  # (width, batch)
+        if scratch is None:
+            out[name] = np.ascontiguousarray(bits.T)
+        else:
+            buf = scratch.array(
+                f"kernel.out.{name}", (batch, ids.shape[0]), np.uint8
+            )
+            np.copyto(buf, bits.T)
+            out[name] = buf
+    return out
 
 
 def stream_values(
@@ -181,6 +179,5 @@ def stream_values(
     just the output rows.
     """
     plan = plan_for(cn)
-    with obs.span("kernel.eval", netlist=cn.name, consumer="stream"):
-        vals, batch = _packed_plane(cn, plan, inputs, scratch)
-        return unpack_plane(vals, batch)
+    vals, batch = _packed_plane(cn, plan, inputs, scratch)
+    return unpack_plane(vals, batch)

@@ -40,7 +40,6 @@ import numpy as np
 
 from ..errors import KernelError
 from ..netlist.core import _KIND_CONST, _KIND_LUT, CompiledNetlist
-from ..obs import runtime as obs
 from .lower import OP_CONST, OP_LITERAL, OP_XOR, Term, lower_tt
 
 __all__ = [
@@ -249,11 +248,8 @@ def plan_for(cn: CompiledNetlist) -> ExecutionPlan:
     with _PLAN_CACHE_LOCK:
         plan = _PLAN_CACHE.get(fingerprint)
     if plan is not None:
-        obs.counter_add("kernel.plan.cache_hits")
         return plan
-    obs.counter_add("kernel.plan.cache_misses")
-    with obs.span("kernel.compile", netlist=cn.name, n_nodes=cn.n_nodes):
-        plan = _compile_plan(cn, fingerprint)
+    plan = _compile_plan(cn, fingerprint)
     with _PLAN_CACHE_LOCK:
         return _PLAN_CACHE.setdefault(fingerprint, plan)
 

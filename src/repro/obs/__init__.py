@@ -1,22 +1,24 @@
 """Observability for the characterisation → optimisation pipeline.
 
-``repro.obs`` is a zero-dependency telemetry layer with two record
-kinds:
+``repro.obs`` is a zero-dependency telemetry layer that watches the
+library from outside.  One entry-point table (:mod:`repro.obs.table`)
+names every traced function and its layer; enabling telemetry wraps
+each of them (:mod:`repro.obs.runtime`), and each wrapped call records
 
-* **trace spans** (:mod:`repro.obs.trace`) — hierarchical, monotonic
-  timings with structured attributes, exportable as a JSONL sidecar and
-  as Chrome ``trace_event`` JSON: where the time went;
-* **counters** (:mod:`repro.obs.metrics`) — catalogued event counts
-  with deterministic snapshot/export: what work was done.
+* a **trace span** (:mod:`repro.obs.trace`) — its timing, parent and
+  work counts, exportable as a JSONL sidecar and as Chrome
+  ``trace_event`` JSON: where the time went;
+* **counters** (:mod:`repro.obs.metrics`) — its layer's calls and work
+  counts with deterministic snapshot/export: what work was done.
 
-Every name the library can emit is declared in the closed-world
-catalogue (:mod:`repro.obs.spec`), from which the reference tables in
-``docs/observability.md`` are generated and drift-tested.
+Sweep shards that run in pool workers are traced there and returned
+with their results.  The reference tables in ``docs/observability.md``
+are generated from the table and drift-tested.
 
-Telemetry is **off by default** and the disabled path is a shared no-op
-(:mod:`repro.obs.runtime`), so instrumented pipelines remain
-bit-identical and effectively free when nobody is watching.  Enable via
-``repro-flow --trace/--metrics`` or programmatically::
+Telemetry is **off by default**: no library module carries a telemetry
+call, and disabling restores the original functions, so the library
+runs its own code when nobody is watching.  Enable via ``repro-flow
+--trace/--metrics`` or programmatically::
 
     from repro import obs
 
@@ -35,73 +37,55 @@ from .metrics import (
 )
 from .runtime import (
     Observer,
-    counter_add,
     default_metrics_path,
     disable_observability,
     enable_observability,
     export_trace_files,
     get_observer,
-    metrics_enabled,
     observability,
     set_observer,
     snapshot_metrics,
-    span,
-    trace_enabled,
 )
-from .spec import (
-    METRIC_CATALOG,
-    SPAN_CATALOG,
-    MetricSpec,
-    SpanSpec,
-    metric_spec,
-    metrics_table_markdown,
-    span_spec,
-    spans_table_markdown,
+from .table import (
+    COUNTERS,
+    DETERMINISTIC_COUNTERS,
+    ENTRIES,
+    Entry,
     telemetry_reference_markdown,
 )
 from .trace import (
     TRACE_SCHEMA_VERSION,
-    Span,
     SpanRecord,
     Tracer,
     chrome_trace_from_records,
+    layer_summary,
     load_trace_jsonl,
-    summarize_spans,
 )
 
 __all__ = [
+    "COUNTERS",
+    "DETERMINISTIC_COUNTERS",
+    "ENTRIES",
     "METRICS_SCHEMA_VERSION",
-    "METRIC_CATALOG",
-    "SPAN_CATALOG",
     "TRACE_SCHEMA_VERSION",
     "Counter",
-    "MetricSpec",
+    "Entry",
     "MetricsRegistry",
     "MetricsSnapshot",
     "Observer",
-    "Span",
     "SpanRecord",
-    "SpanSpec",
     "Tracer",
     "chrome_trace_from_records",
-    "counter_add",
     "default_metrics_path",
     "disable_observability",
     "enable_observability",
     "export_trace_files",
     "get_observer",
+    "layer_summary",
     "load_metrics_snapshot",
     "load_trace_jsonl",
-    "metric_spec",
-    "metrics_enabled",
-    "metrics_table_markdown",
     "observability",
     "set_observer",
     "snapshot_metrics",
-    "span",
-    "span_spec",
-    "spans_table_markdown",
-    "summarize_spans",
     "telemetry_reference_markdown",
-    "trace_enabled",
 ]

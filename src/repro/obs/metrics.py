@@ -1,16 +1,15 @@
-"""Metrics registry: catalogued counters with deterministic export.
+"""Metrics registry: the entry table's counters with deterministic export.
 
 Counters are created lazily by name through a :class:`MetricsRegistry`;
-names are validated against the telemetry catalogue
-(:mod:`repro.obs.spec`), so an undeclared metric cannot be recorded —
-the guarantee behind the generated reference in ``docs/observability.md``.
+a name must be one the entry-point table (:mod:`repro.obs.table`)
+declares, so a count function cannot record a counter the generated
+reference in ``docs/observability.md`` does not list.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain data with sorted
 keys: two snapshots of the same registry state serialise byte-identically,
-and the catalogue's ``deterministic`` flag carves out the subset whose
-*values* are invariant across worker counts on fault-free runs
-(:meth:`MetricsSnapshot.deterministic_counters` — pinned by
-``tests/obs/test_determinism.py``).
+and :meth:`MetricsSnapshot.deterministic_counters` carves out the subset
+whose *values* are invariant across worker counts on fault-free runs
+(pinned by ``tests/obs/test_determinism.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from ..errors import ObservabilityError
-from .spec import MetricSpec, metric_spec
+from .table import COUNTERS, DETERMINISTIC_COUNTERS
 
 __all__ = [
     "Counter",
@@ -37,17 +36,17 @@ METRICS_SCHEMA_VERSION = 2
 class Counter:
     """Monotonically increasing value."""
 
-    __slots__ = ("spec", "value", "_lock")
+    __slots__ = ("name", "value", "_lock")
 
-    def __init__(self, spec: MetricSpec) -> None:
-        self.spec = spec
+    def __init__(self, name: str) -> None:
+        self.name = name
         self.value = 0
         self._lock = threading.Lock()
 
     def add(self, n: int = 1) -> None:
         if n < 0:
             raise ObservabilityError(
-                f"counter {self.spec.name!r} cannot decrease (add {n})"
+                f"counter {self.name!r} cannot decrease (add {n})"
             )
         with self._lock:
             self.value += n
@@ -60,7 +59,7 @@ class MetricsSnapshot:
     counters: dict[str, int]
 
     def deterministic_counters(self) -> dict[str, int]:
-        """Counters whose catalogue entry is marked deterministic.
+        """The counters the entry table marks deterministic.
 
         On fault-free runs these values are invariant across ``jobs``
         worker counts and cache temperature — the subset the parallel
@@ -69,7 +68,7 @@ class MetricsSnapshot:
         return {
             name: value
             for name, value in self.counters.items()
-            if metric_spec(name).deterministic
+            if name in DETERMINISTIC_COUNTERS
         }
 
     def as_dict(self) -> dict[str, Any]:
@@ -89,7 +88,7 @@ class MetricsSnapshot:
 
 
 class MetricsRegistry:
-    """Creates and holds counters; every name must be catalogued."""
+    """Creates and holds counters; every name must be in the entry table."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
@@ -98,9 +97,14 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
         if counter is None:
-            spec = metric_spec(name)
+            if name not in COUNTERS:
+                raise ObservabilityError(
+                    f"counter {name!r} is not in the telemetry entry table "
+                    f"(repro.obs.table.ENTRIES); declare it there so "
+                    f"docs/observability.md stays complete"
+                )
             with self._lock:
-                counter = self._counters.setdefault(name, Counter(spec))
+                counter = self._counters.setdefault(name, Counter(name))
         return counter
 
     def reset(self) -> None:
@@ -112,6 +116,11 @@ class MetricsRegistry:
         with self._lock:
             items = sorted(self._counters.items())
         return MetricsSnapshot(counters={name: c.value for name, c in items})
+
+    def merge(self, counters: dict[str, int]) -> None:
+        """Add another registry's counter values to this one."""
+        for name, value in sorted(counters.items()):
+            self.counter(name).add(value)
 
 
 def load_metrics_snapshot(path: str | Path) -> dict[str, Any]:

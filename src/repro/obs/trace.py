@@ -1,16 +1,12 @@
-"""Hierarchical trace spans with JSONL and Chrome ``trace_event`` export.
+"""Trace spans with JSONL and Chrome ``trace_event`` export.
 
-A :class:`Tracer` records :class:`SpanRecord` entries — name, monotonic
-start offset, duration, structured attributes, and the parent span —
-through a context-manager API::
-
-    with tracer.span("characterize.sweep", w_data=9, w_coeff=3) as sp:
-        ...
-        sp.set(n_shards=len(shards))
-
-Span names are validated against the telemetry catalogue
-(:mod:`repro.obs.spec`) so every span that can appear in a trace is
-documented in ``docs/observability.md``.
+A :class:`Tracer` records one :class:`SpanRecord` per traced call — its
+entry's qualname and layer, monotonic start offset, duration, work
+counts and parent span — through :meth:`Tracer.start` and
+:meth:`Tracer.finish`, which the entry-point wrappers of
+:mod:`repro.obs.runtime` call.  Spans a pool worker recorded join the
+parent's trace through :meth:`Tracer.adopt`, nested under the span open
+at the time (the sweep's).
 
 Two export formats:
 
@@ -18,17 +14,20 @@ Two export formats:
   finished span, in completion order — greppable, streamable, diffable;
 * **Chrome trace JSON** (:meth:`Tracer.export_chrome`): complete
   (``"ph": "X"``) events loadable by ``chrome://tracing`` / Perfetto for
-  flamegraph viewing.
+  flamegraph viewing, one lane per process.
 
 The formats round-trip: :func:`chrome_trace_from_records` rebuilds the
 Chrome document from loaded JSONL records, byte-identical to the direct
 export (``tests/obs/test_trace.py`` pins this).
+:func:`layer_summary` gives each layer's self time, calls and work
+counts from the records (``repro obs trace``).
 
-Timing uses ``time.perf_counter`` (monotonic); recorded offsets are
-relative to the tracer's construction so traces are machine-relocatable.
-All of this is wall-clock *observation only* — no RNG is consumed and no
-numeric path is touched, which is what keeps traced runs bit-identical
-to untraced ones.
+Timing uses ``time.perf_counter`` (monotonic, and on the platforms the
+pool runs on the same clock in every process); recorded offsets are
+relative to the tracer's origin, which a pool worker's tracer shares
+with its parent's.  All of this is observation only — no RNG is
+consumed and no numeric path is touched, which is what keeps traced runs
+bit-identical to untraced ones.
 """
 
 from __future__ import annotations
@@ -37,24 +36,23 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from ..errors import ObservabilityError
-from .spec import span_spec
 
 __all__ = [
-    "SpanRecord",
     "Span",
+    "SpanRecord",
     "Tracer",
     "chrome_trace_from_records",
+    "layer_summary",
     "load_trace_jsonl",
-    "summarize_spans",
 ]
 
 #: Schema version stamped into every JSONL record.
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -62,21 +60,24 @@ class SpanRecord:
     """One finished span.
 
     ``start_s`` is the offset from the tracer's origin in seconds;
-    ``attrs`` holds the structured attributes (JSON-scalar values).
+    ``attrs`` holds the call's work counts; ``pid`` is the process that
+    made the call.
     """
 
     name: str
+    layer: str
     span_id: int
     parent_id: int | None
     start_s: float
     duration_s: float
-    attrs: dict[str, Any]
+    attrs: dict[str, int]
     pid: int
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "schema_version": TRACE_SCHEMA_VERSION,
             "name": self.name,
+            "layer": self.layer,
             "span_id": self.span_id,
             "parent_id": self.parent_id,
             "start_s": self.start_s,
@@ -86,87 +87,93 @@ class SpanRecord:
         }
 
 
+@dataclass(frozen=True)
 class Span:
-    """A live span; use as a context manager, set attributes via :meth:`set`."""
+    """An open span: :meth:`Tracer.start`'s token for :meth:`Tracer.finish`."""
 
-    __slots__ = ("_tracer", "name", "span_id", "parent_id", "attrs", "_t0")
-
-    def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        span_id: int,
-        parent_id: int | None,
-        attrs: dict[str, Any],
-    ) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.attrs = attrs
-        self._t0 = 0.0
-
-    def set(self, **attrs: Any) -> "Span":
-        """Attach structured attributes to the span (JSON scalars)."""
-        self.attrs.update(attrs)
-        return self
-
-    def __enter__(self) -> "Span":
-        self._tracer._stack_of_thread().append(self.span_id)
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        duration = time.perf_counter() - self._t0
-        stack = self._tracer._stack_of_thread()
-        if stack and stack[-1] == self.span_id:
-            stack.pop()
-        self._tracer._finish(self, duration)
+    name: str
+    layer: str
+    span_id: int
+    parent_id: int | None
+    t0: float
 
 
 class Tracer:
-    """Collects spans for one process; thread-safe, catalogue-validated."""
+    """Collects one process's spans; thread-safe."""
 
-    def __init__(self) -> None:
-        self._origin = time.perf_counter()
+    def __init__(self, origin: float | None = None) -> None:
+        self.origin = time.perf_counter() if origin is None else origin
         self._records: list[SpanRecord] = []
         self._lock = threading.Lock()
         self._next_id = 1
         self._local = threading.local()
         self._pid = os.getpid()
 
-    # ------------------------------------------------------------------
-    def _stack_of_thread(self) -> list[int]:
-        stack = getattr(self._local, "stack", None)
+    def _stack(self) -> list[int]:
+        stack: list[int] | None = getattr(self._local, "stack", None)
         if stack is None:
             stack = []
             self._local.stack = stack
         return stack
 
-    def span(self, name: str, **attrs: Any) -> Span:
-        """Open a span named ``name``; the name must be catalogued."""
-        span_spec(name)  # closed-world: uncatalogued spans raise
+    def start(self, name: str, layer: str) -> Span:
+        """Open a span nested in this thread's innermost open span."""
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
-        stack = self._stack_of_thread()
+        stack = self._stack()
         parent_id = stack[-1] if stack else None
-        return Span(self, name, span_id, parent_id, dict(attrs))
+        stack.append(span_id)
+        return Span(name, layer, span_id, parent_id, time.perf_counter())
 
-    def _finish(self, span: Span, duration_s: float) -> None:
+    def finish(self, span: Span, attrs: dict[str, int]) -> None:
+        """Close ``span``, recording ``attrs`` as its work counts."""
+        duration = time.perf_counter() - span.t0
+        stack = self._stack()
+        if stack and stack[-1] == span.span_id:
+            stack.pop()
         record = SpanRecord(
             name=span.name,
+            layer=span.layer,
             span_id=span.span_id,
             parent_id=span.parent_id,
-            start_s=span._t0 - self._origin,
-            duration_s=duration_s,
-            attrs=span.attrs,
+            start_s=span.t0 - self.origin,
+            duration_s=duration,
+            attrs=attrs,
             pid=self._pid,
         )
         with self._lock:
             self._records.append(record)
 
-    # ------------------------------------------------------------------
+    def drain(self) -> tuple[SpanRecord, ...]:
+        """The finished spans, removed from this tracer."""
+        with self._lock:
+            records = tuple(self._records)
+            self._records.clear()
+        return records
+
+    def adopt(self, records: Sequence[SpanRecord]) -> None:
+        """Add another process's spans under this thread's innermost open span.
+
+        The spans get fresh ids; their start offsets must already be
+        relative to this tracer's origin.
+        """
+        stack = self._stack()
+        outer = stack[-1] if stack else None
+        with self._lock:
+            ids: dict[int, int] = {}
+            for record in records:
+                ids[record.span_id] = self._next_id
+                self._next_id += 1
+            for record in records:
+                self._records.append(
+                    replace(
+                        record,
+                        span_id=ids[record.span_id],
+                        parent_id=ids.get(record.parent_id or 0, outer),
+                    )
+                )
+
     @property
     def records(self) -> tuple[SpanRecord, ...]:
         """Finished spans, in completion order."""
@@ -177,9 +184,8 @@ class Tracer:
         with self._lock:
             self._records.clear()
             self._next_id = 1
-        self._origin = time.perf_counter()
+        self.origin = time.perf_counter()
 
-    # ------------------------------------------------------------------
     def export_jsonl(self, path: str | Path) -> Path:
         """Write the JSONL sidecar: one record per line, completion order."""
         path = Path(path)
@@ -197,7 +203,6 @@ class Tracer:
         return path
 
 
-# ----------------------------------------------------------------------
 def load_trace_jsonl(path: str | Path) -> list[dict[str, Any]]:
     """Load a JSONL trace sidecar back into record dicts."""
     path = Path(path)
@@ -225,15 +230,16 @@ def chrome_trace_from_records(records: Iterable[dict[str, Any]]) -> dict[str, An
     """Chrome ``trace_event`` document from JSONL-shaped records.
 
     Complete events (``"ph": "X"``), microsecond timestamps relative to
-    the trace origin; span attributes ride in ``args`` (with the span
-    identity, so the hierarchy survives the conversion).
+    the trace origin, the layer as category and the process as lane;
+    work counts ride in ``args`` with the span identity, so the hierarchy
+    survives the conversion.
     """
     events = []
     for rec in records:
         events.append(
             {
                 "name": rec["name"],
-                "cat": rec["name"].split(".", 1)[0],
+                "cat": rec.get("layer", ""),
                 "ph": "X",
                 "ts": round(float(rec["start_s"]) * 1e6, 3),
                 "dur": round(float(rec["duration_s"]) * 1e6, 3),
@@ -254,24 +260,32 @@ def chrome_trace_from_records(records: Iterable[dict[str, Any]]) -> dict[str, An
     }
 
 
-def summarize_spans(records: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Per-name aggregate rows for trace inspection (``repro obs trace``).
+def layer_summary(records: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
+    """Each layer's self time, calls and work counts (``repro obs trace``).
 
-    Returns rows sorted by total time descending:
-    ``{"name", "count", "total_s", "mean_s", "max_s"}``.
+    A span's self time is its duration minus the durations of its
+    children in the same process, so nested time counts once; a pool
+    worker's spans are children of the parent's sweep span but run in
+    parallel with it, and count as their own layers' time.  Returns rows
+    ``{"layer", "calls", "self_s", "work"}`` sorted by self time,
+    largest first; ``work`` sums the spans' work counts by key.
     """
-    agg: dict[str, list[float]] = {}
-    for rec in records:
-        agg.setdefault(str(rec["name"]), []).append(float(rec["duration_s"]))
-    rows = [
-        {
-            "name": name,
-            "count": len(durs),
-            "total_s": round(sum(durs), 6),
-            "mean_s": round(sum(durs) / len(durs), 6),
-            "max_s": round(max(durs), 6),
-        }
-        for name, durs in agg.items()
-    ]
-    rows.sort(key=lambda r: (-r["total_s"], r["name"]))
-    return rows
+    recs = list(records)
+    pid_of = {rec.get("span_id"): rec.get("pid") for rec in recs}
+    child_s: dict[Any, float] = {}
+    for rec in recs:
+        parent = rec.get("parent_id")
+        if parent is not None and pid_of.get(parent) == rec.get("pid"):
+            child_s[parent] = child_s.get(parent, 0.0) + float(rec["duration_s"])
+    rows: dict[str, dict[str, Any]] = {}
+    for rec in recs:
+        layer = str(rec.get("layer", rec["name"]))
+        row = rows.setdefault(layer, {"layer": layer, "calls": 0, "self_s": 0.0, "work": {}})
+        row["calls"] += 1
+        row["self_s"] += float(rec["duration_s"]) - child_s.get(rec.get("span_id"), 0.0)
+        for key, n in sorted(dict(rec.get("attrs", {})).items()):
+            row["work"][key] = row["work"].get(key, 0) + n
+    out = sorted(rows.values(), key=lambda r: (-r["self_s"], r["layer"]))
+    for row in out:
+        row["self_s"] = round(row["self_s"], 6)
+    return out

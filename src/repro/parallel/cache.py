@@ -23,7 +23,6 @@ from functools import lru_cache
 
 from ..analysis import check_netlist
 from ..fabric.device import FPGADevice
-from ..obs import runtime as obs
 from ..netlist.core import CompiledNetlist
 from ..netlist.multipliers import unsigned_array_multiplier
 from ..synthesis.flow import PlacedDesign, SynthesisFlow
@@ -146,27 +145,18 @@ class PlacedDesignCache:
             else:
                 self._misses += 1
         if hit is not None:
-            obs.counter_add("cache.placed.hits")
             return hit
-        obs.counter_add("cache.placed.misses")
-        with obs.span(
-            "cache.synthesize",
-            w_data=w_data,
-            w_coeff=w_coeff,
-            anchor=f"{anchor[0]},{anchor[1]}",
-        ):
-            netlist = multiplier_netlist(w_data, w_coeff)
-            # The netlist was linted when built; skip the per-placement gate.
-            placed = SynthesisFlow(device).run(
-                netlist, anchor=anchor, seed=seed, lint=False
-            )
+        netlist = multiplier_netlist(w_data, w_coeff)
+        # The netlist was linted when built; skip the per-placement gate.
+        placed = SynthesisFlow(device).run(
+            netlist, anchor=anchor, seed=seed, lint=False
+        )
         # Racing same-key threads both reach here; the build is pure in
         # the key, so both built bit-identical designs and either install
         # order is fine.
         with self._mutex:
             self._memory[key] = placed
             self._stores += 1
-        obs.counter_add("cache.placed.stores")
         return placed
 
     def stats(self) -> CacheStats:

@@ -176,19 +176,14 @@ def run_shard(
         tree.rng("capture", str(shard.location), f"{f}", str(shard.start))
         for f in plan.freqs_mhz
     ]
-    with obs.span(
-        "capture.batch",
-        cycles=shard.stimulus.shape[0] - 1,
-        frequencies=len(plan.achieved_mhz),
-    ):
-        batch = capture_stream_batch(
-            timing,
-            "p",
-            plan.achieved_mhz,
-            setup_ns=placed.setup_ns,
-            jitter=device.family.pll.jitter,
-            rngs=rngs,
-        )
+    batch = capture_stream_batch(
+        timing,
+        "p",
+        plan.achieved_mhz,
+        setup_ns=placed.setup_ns,
+        jitter=device.family.pll.jitter,
+        rngs=rngs,
+    )
     variance, mean, rate = _segment_statistics(
         batch.errors(), chunk.shape[0], seg_len
     )
@@ -203,7 +198,9 @@ def run_shard(
 # ----------------------------------------------------------------------
 # Pool plumbing.  Workers hold the sweep-invariant state in module globals
 # (set once by the pool initializer) so each dispatched shard only ships
-# its own stimulus and multiplicands.
+# its own stimulus and multiplicands.  When the parent records telemetry,
+# so does each worker, and every attempt returns its spans and counts
+# with its result (repro.obs.runtime's pool-worker hooks).
 _worker_device: FPGADevice | None = None
 _worker_plan: SweepPlan | None = None
 _worker_cache: PlacedDesignCache | None = None
@@ -215,9 +212,11 @@ def _init_worker(
     device: FPGADevice,
     plan: SweepPlan,
     faults: FaultPlan | None = None,
+    telemetry: obs.WorkerSettings | None = None,
 ) -> None:
     global _worker_device, _worker_plan, _worker_cache, _worker_injector
     global _worker_scratch
+    obs.start_worker(telemetry)
     _worker_device = device
     _worker_plan = plan
     _worker_cache = PlacedDesignCache()
@@ -231,8 +230,10 @@ def _init_worker(
     _worker_scratch = EvalScratch()
 
 
-def _run_shard_in_worker(shard: Shard, attempt: int = 0) -> tuple[ShardResult, float]:
-    """Run one shard in a pool worker; returns its result and run time.
+def _run_shard_in_worker(
+    shard: Shard, attempt: int = 0
+) -> tuple[ShardResult, float, obs.WorkerTelemetry | None]:
+    """Run one shard in a pool worker; returns its result, run time and telemetry.
 
     The run time is taken here, around :func:`run_shard`, because the
     parent harvests futures in shard order: its wait for a future is not
@@ -249,7 +250,7 @@ def _run_shard_in_worker(shard: Shard, attempt: int = 0) -> tuple[ShardResult, f
         attempt=attempt,
         scratch=_worker_scratch,
     )
-    return result, time.perf_counter() - t0
+    return result, time.perf_counter() - t0, obs.drain()
 
 
 def _validate_result(plan: SweepPlan, shard: Shard, result: object) -> str | None:
@@ -317,7 +318,7 @@ def _harvest_future(state: _SweepState, plan: SweepPlan, shards: list[Shard],
     """
     t0 = time.perf_counter()
     try:
-        result, latency_s = future.result(timeout=timeout)
+        result, latency_s, telemetry = future.result(timeout=timeout)
     except FuturesTimeoutError:
         state.record(
             i, ATTEMPT_TIMEOUT, time.perf_counter() - t0,
@@ -334,6 +335,7 @@ def _harvest_future(state: _SweepState, plan: SweepPlan, shards: list[Shard],
             i, ATTEMPT_ERROR, time.perf_counter() - t0, f"{type(exc).__name__}: {exc}"
         )
         return None
+    obs.adopt(telemetry)
     state.accept(plan, shards, i, result, latency_s)
     return None
 
@@ -356,37 +358,35 @@ def _pool_pass(
     execution rather than aborting.
     """
     n = len(shards)
-    with obs.span("sweep.pool", jobs=min(jobs, n), shards=n) as pool_span:
-        pool = ProcessPoolExecutor(
-            max_workers=min(jobs, n),
-            initializer=_init_worker,
-            initargs=(device, plan, faults),
-        )
-        abandon = None
-        try:
-            futures = [
-                pool.submit(_run_shard_in_worker, shard, 0) for shard in shards
-            ]
-            for i, future in enumerate(futures):
-                abandon = _harvest_future(
-                    state, plan, shards, i, future, settings.shard_timeout_s
-                )
-                if abandon is not None:
-                    break
+    pool = ProcessPoolExecutor(
+        max_workers=min(jobs, n),
+        initializer=_init_worker,
+        initargs=(device, plan, faults, obs.worker_settings()),
+    )
+    abandon = None
+    try:
+        futures = [
+            pool.submit(_run_shard_in_worker, shard, 0) for shard in shards
+        ]
+        for i, future in enumerate(futures):
+            abandon = _harvest_future(
+                state, plan, shards, i, future, settings.shard_timeout_s
+            )
             if abandon is not None:
-                state.fallback_inline = True
-                state.pool_broken = abandon == "broken"
-                # Harvest whatever already finished without waiting on the
-                # sick pool; everything else retries inline.
-                for j, future in enumerate(futures):
-                    if not state.attempts[j] and future.done():
-                        _harvest_future(state, plan, shards, j, future, 0)
-        finally:
-            # wait=True would block forever on a hung worker; leaked
-            # workers either finish their (finite) injected hang or die
-            # with the parent.
-            pool.shutdown(wait=not state.fallback_inline, cancel_futures=True)
-        pool_span.set(abandoned=abandon or "")
+                break
+        if abandon is not None:
+            state.fallback_inline = True
+            state.pool_broken = abandon == "broken"
+            # Harvest whatever already finished without waiting on the
+            # sick pool; everything else retries inline.
+            for j, future in enumerate(futures):
+                if not state.attempts[j] and future.done():
+                    _harvest_future(state, plan, shards, j, future, 0)
+    finally:
+        # wait=True would block forever on a hung worker; leaked
+        # workers either finish their (finite) injected hang or die
+        # with the parent.
+        pool.shutdown(wait=not state.fallback_inline, cancel_futures=True)
 
 
 def run_sweep(
@@ -423,65 +423,6 @@ def run_sweep(
         Chaos plan to inject; ``None`` consults ``REPRO_FAULTS`` (an
         unset variable injects nothing).
     """
-    with obs.span(
-        "sweep.run",
-        shards=len(shards),
-        jobs=jobs,
-        w_data=plan.w_data,
-        w_coeff=plan.w_coeff,
-    ) as sweep_span:
-        outcome = _run_sweep_body(
-            device, plan, shards, jobs=jobs, cache=cache,
-            resilience=resilience, faults=faults,
-        )
-        sweep_span.set(
-            status=outcome.status,
-            attempts=outcome.total_attempts,
-            fallback_inline=outcome.fallback_inline,
-        )
-    _record_sweep_metrics(outcome)
-    return outcome
-
-
-def _record_sweep_metrics(outcome: SweepOutcome) -> None:
-    """Derive the sweep counters from the finished outcome.
-
-    Counted in the parent from the shard reports — not inside workers —
-    so the deterministic ``sweep.shards.*`` values are identical at any
-    ``jobs`` worker count on fault-free runs.
-    """
-    if not obs.metrics_enabled():
-        return
-    by_disposition = {
-        DISPOSITION_COMPLETED: 0,
-        DISPOSITION_RECOVERED: 0,
-        DISPOSITION_QUARANTINED: 0,
-    }
-    for report in outcome.reports:
-        by_disposition[report.disposition] += 1
-    obs.counter_add("sweep.shards.total", len(outcome.reports))
-    obs.counter_add("sweep.shards.completed", by_disposition[DISPOSITION_COMPLETED])
-    obs.counter_add("sweep.shards.recovered", by_disposition[DISPOSITION_RECOVERED])
-    obs.counter_add(
-        "sweep.shards.quarantined", by_disposition[DISPOSITION_QUARANTINED]
-    )
-    obs.counter_add("sweep.shards.retried", len(outcome.retried))
-    obs.counter_add("sweep.attempts.total", outcome.total_attempts)
-    if outcome.fallback_inline:
-        obs.counter_add("sweep.pool.fallbacks")
-    if outcome.pool_broken:
-        obs.counter_add("sweep.pool.broken")
-
-
-def _run_sweep_body(
-    device: FPGADevice,
-    plan: SweepPlan,
-    shards: list[Shard],
-    jobs: int = 1,
-    cache: PlacedDesignCache | None = None,
-    resilience: ResilienceSettings = ResilienceSettings(),
-    faults: FaultPlan | None = None,
-) -> SweepOutcome:
     if faults is None:
         faults = FaultPlan.from_env()
     injector = (
@@ -509,21 +450,18 @@ def _run_sweep_body(
                     )
                 )
             t0 = time.perf_counter()
-            with obs.span(
-                "sweep.shard", li=shard.li, start=shard.start, attempt=attempt
-            ):
-                try:
-                    result = run_shard(
-                        device, plan, shard, cache, injector=injector,
-                        attempt=attempt, scratch=inline_scratch,
-                    )
-                except Exception as exc:
-                    state.record(
-                        i, ATTEMPT_ERROR, time.perf_counter() - t0,
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                    continue
-                state.accept(plan, shards, i, result, time.perf_counter() - t0)
+            try:
+                result = run_shard(
+                    device, plan, shard, cache, injector=injector,
+                    attempt=attempt, scratch=inline_scratch,
+                )
+            except Exception as exc:
+                state.record(
+                    i, ATTEMPT_ERROR, time.perf_counter() - t0,
+                    f"{type(exc).__name__}: {exc}",
+                )
+                continue
+            state.accept(plan, shards, i, result, time.perf_counter() - t0)
 
     # ---- dispositions ----------------------------------------------
     reports = []

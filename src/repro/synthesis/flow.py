@@ -17,7 +17,6 @@ import numpy as np
 
 from ..analysis import check_netlist
 from ..errors import PlacementError
-from ..obs import runtime as obs
 from ..fabric.device import FPGADevice
 from ..netlist.core import CompiledNetlist, Netlist
 from ..timing.sta import StaticTimingResult, static_timing
@@ -102,44 +101,39 @@ class SynthesisFlow:
             runs it between "design entry" and placement).  Callers that
             place one netlist many times lint it once and pass ``False``.
         """
-        obs.counter_add("synthesis.runs")
-        with obs.span(
-            "synthesis.run", anchor=f"{anchor[0]},{anchor[1]}", seed=seed
-        ) as span:
-            if lint:
-                check_netlist(netlist, context="synthesis flow")
-            compiled = netlist.compile() if isinstance(netlist, Netlist) else netlist
-            span.set(nodes=compiled.n_nodes, linted=bool(lint))
-            placement = place_netlist(
-                compiled, self.device, anchor=anchor, seed=seed, utilization=utilization
-            )
+        if lint:
+            check_netlist(netlist, context="synthesis flow")
+        compiled = netlist.compile() if isinstance(netlist, Netlist) else netlist
+        placement = place_netlist(
+            compiled, self.device, anchor=anchor, seed=seed, utilization=utilization
+        )
 
-            lut_mask = compiled.lut_mask
-            node_delay = np.zeros(compiled.n_nodes)
-            node_delay[lut_mask] = self.device.lut_delay_at(
-                placement.xs[lut_mask], placement.ys[lut_mask]
-            )
+        lut_mask = compiled.lut_mask
+        node_delay = np.zeros(compiled.n_nodes)
+        node_delay[lut_mask] = self.device.lut_delay_at(
+            placement.xs[lut_mask], placement.ys[lut_mask]
+        )
 
-            dist = placement.manhattan_edge_distances()
-            fanout = placement.fanout_counts()
-            fidx = compiled.fanin_idx
-            routing_rng = self.device.routing_rng(seed)
-            edge_delay = self.device.family.routing.routed_delay(
-                dist, fanout[fidx], routing_rng
-            )
-            # Condition scaling applies to interconnect as well as logic.
-            edge_delay = edge_delay * self.device.conditions.delay_scale()
-            edge_delay = np.where(lut_mask[:, None], edge_delay, 0.0)
+        dist = placement.manhattan_edge_distances()
+        fanout = placement.fanout_counts()
+        fidx = compiled.fanin_idx
+        routing_rng = self.device.routing_rng(seed)
+        edge_delay = self.device.family.routing.routed_delay(
+            dist, fanout[fidx], routing_rng
+        )
+        # Condition scaling applies to interconnect as well as logic.
+        edge_delay = edge_delay * self.device.conditions.delay_scale()
+        edge_delay = np.where(lut_mask[:, None], edge_delay, 0.0)
 
-            return PlacedDesign(
-                netlist=compiled,
-                device=self.device,
-                placement=placement,
-                node_delay=node_delay,
-                edge_delay=edge_delay,
-                tool_report=tool_timing_report(placement),
-                area=area_report(compiled, seed=seed),
-            )
+        return PlacedDesign(
+            netlist=compiled,
+            device=self.device,
+            placement=placement,
+            node_delay=node_delay,
+            edge_delay=edge_delay,
+            tool_report=tool_timing_report(placement),
+            area=area_report(compiled, seed=seed),
+        )
 
     def available_anchors(
         self,

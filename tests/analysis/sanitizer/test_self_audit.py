@@ -110,7 +110,7 @@ def test_cli_trace_records_the_audit_span_without_changing_the_report(
     assert _run_cli(["--trace", str(base), str(SRC)]) == 0
     assert capsys.readouterr().out == plain
     lines = (base.parent / f"{base.name}.jsonl").read_text().splitlines()
-    assert "audit.run" in {json.loads(line)["name"] for line in lines}
+    assert "audit_paths" in {json.loads(line)["name"] for line in lines}
 
 
 @pytest.mark.parametrize(

@@ -62,6 +62,27 @@ class TestConfigValidation:
             multiplicands=tuple(np.arange(4)),
         )
 
+    @pytest.mark.parametrize(
+        "clocks",
+        [np.array([300.0, 350.0]), [300.0, 350], (np.float32(300.5), 350)],
+        ids=["array", "list", "mixed-types"],
+    )
+    def test_clock_sequence_stored_as_tuple_of_given_values(self, clocks):
+        # The capture seed paths are formatted from these values, so each
+        # keeps its value and its type.
+        cfg = CharacterizationConfig(freqs_mhz=clocks)
+        assert isinstance(cfg.freqs_mhz, tuple)
+        assert [(type(f), f) for f in cfg.freqs_mhz] == [(type(f), f) for f in clocks]
+
+    @pytest.mark.parametrize(
+        "clocks",
+        [(300.0, "350"), "350", 300.0, (300.0, None), (300.0, float("nan"))],
+        ids=["string-entry", "string", "scalar", "none-entry", "nan"],
+    )
+    def test_bad_clocks_rejected_with_typed_error(self, clocks):
+        with pytest.raises(CharacterizationError):
+            CharacterizationConfig(freqs_mhz=clocks)
+
 
 class TestSweep:
     def test_grid_shapes(self, char_result):

@@ -25,8 +25,8 @@ class TestPlanCache:
             p2 = plan_for(mult5)
             counters = observer.metrics.snapshot().counters
         assert p1 is p2
-        assert counters["kernel.plan.cache_misses"] == 1
-        assert counters["kernel.plan.cache_hits"] == 1
+        assert counters["kernels.plan.calls"] == 2
+        assert counters["kernels.plan.hits"] == 1
         assert plan_cache_size() >= 1
 
     def test_structural_identity_shares_plans(self):

@@ -3,28 +3,47 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
+from repro.characterization import characterize_multiplier
 from repro.cli import main as experiment_main
 from repro.cli_flow import main as flow_main, resolve_telemetry_paths
 from repro.obs import (
-    METRIC_CATALOG,
-    SPAN_CATALOG,
+    COUNTERS,
+    ENTRIES,
     Tracer,
     load_metrics_snapshot,
     load_trace_jsonl,
+    runtime,
     telemetry_reference_markdown,
 )
+from repro.parallel import PlacedDesignCache
 
 
 @pytest.fixture()
 def trace_file(tmp_path):
     tracer = Tracer()
-    with tracer.span("sweep.run", shards=1):
-        with tracer.span("sweep.shard", li=0, start=0, attempt=1):
-            pass
+    run = tracer.start("run_sweep", "sweep")
+    tracer.finish(tracer.start("run_shard", "parallel.engine"), {"retries": 1})
+    tracer.finish(run, {"shards.total": 1})
     return tracer.export_jsonl(tmp_path / "run.jsonl")
+
+
+@pytest.fixture(scope="module")
+def recorded_sweep(tmp_path_factory, device, small_char_config):
+    """A traced inline sweep: its JSONL sidecar, wall time and counters."""
+    base = tmp_path_factory.mktemp("recorded") / "sweep"
+    with runtime.observability() as observer:
+        t0 = time.perf_counter()
+        characterize_multiplier(
+            device, 8, 8, small_char_config(), seed=4, jobs=1,
+            cache=PlacedDesignCache(),
+        )
+        wall_s = time.perf_counter() - t0
+        jsonl, _ = runtime.export_trace_files(base)
+    return jsonl, wall_s, observer.metrics.snapshot().counters
 
 
 class TestObsSubcommand:
@@ -32,31 +51,66 @@ class TestObsSubcommand:
         assert experiment_main(["obs", "reference"]) == 0
         out = capsys.readouterr().out
         assert telemetry_reference_markdown() in out
-        for spec in SPAN_CATALOG + METRIC_CATALOG:
-            assert f"`{spec.name}`" in out
+        for name in sorted({e.qualname for e in ENTRIES} | COUNTERS):
+            assert f"`{name}`" in out
 
     def test_trace_summary_text(self, trace_file, capsys):
         assert experiment_main(["obs", "trace", str(trace_file)]) == 0
         out = capsys.readouterr().out
-        assert "sweep.run" in out and "sweep.shard" in out
+        assert "self s" in out
+        assert "sweep" in out and "parallel.engine" in out and "retries=1" in out
 
     def test_trace_summary_json(self, trace_file, capsys):
         assert experiment_main(
             ["obs", "trace", str(trace_file), "--format", "json"]
         ) == 0
         rows = json.loads(capsys.readouterr().out)
-        assert {r["name"] for r in rows} == {"sweep.run", "sweep.shard"}
-        assert all(r["count"] == 1 for r in rows)
+        assert {r["layer"] for r in rows} == {"sweep", "parallel.engine"}
+        assert all(r["calls"] == 1 for r in rows)
+        assert {r["layer"]: r["work"] for r in rows} == {
+            "sweep": {"shards.total": 1},
+            "parallel.engine": {"retries": 1},
+        }
+
+    def test_trace_self_times_fit_in_the_traced_wall_time(
+        self, recorded_sweep, capsys
+    ):
+        jsonl, wall_s, _ = recorded_sweep
+        assert experiment_main(["obs", "trace", str(jsonl), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert {"characterization.harness", "timing.simulator"} <= {
+            r["layer"] for r in rows
+        }
+        assert all(r["self_s"] >= 0 for r in rows)
+        assert sum(r["self_s"] for r in rows) <= wall_s
+
+    def test_trace_work_counts_sum_over_the_layer_spans(self, recorded_sweep, capsys):
+        jsonl, _, counters = recorded_sweep
+        assert experiment_main(["obs", "trace", str(jsonl), "--format", "json"]) == 0
+        (sim,) = [
+            r for r in json.loads(capsys.readouterr().out)
+            if r["layer"] == "timing.simulator"
+        ]
+        spans = [r for r in load_trace_jsonl(jsonl) if r["name"] == "simulate_transitions"]
+        assert sim["calls"] == len(spans) == counters["timing.simulator.calls"]
+        assert (
+            sim["work"]["node_transitions"]
+            == sum(r["attrs"]["node_transitions"] for r in spans)
+            == counters["timing.simulator.node_transitions"]
+            > 0
+        )
 
     def test_metrics_pretty_print(self, tmp_path, capsys):
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
         registry.counter("sweep.shards.total").add(2)
-        registry.counter("gibbs.draws").add(6)
+        registry.counter("core.bayesian.draws").add(6)
         path = registry.snapshot().write(tmp_path / "m.json")
         assert experiment_main(["obs", "metrics", str(path)]) == 0
-        assert capsys.readouterr().out == "gibbs.draws = 6\nsweep.shards.total = 2\n"
+        assert capsys.readouterr().out == (
+            "core.bayesian.draws = 6\nsweep.shards.total = 2\n"
+        )
 
         # Counters only, also from a snapshot that carries other sections.
         legacy = tmp_path / "legacy.json"
@@ -102,7 +156,12 @@ class TestFlowTracing:
 
         records = load_trace_jsonl(base.with_suffix(".jsonl"))
         names = {r["name"] for r in records}
-        assert {"characterize.sweep", "sweep.run", "sweep.shard", "capture.batch"} <= names
+        assert {
+            "characterize_multiplier",
+            "run_sweep",
+            "run_shard",
+            "capture_stream_batch",
+        } <= names
 
         chrome = json.loads(base.with_suffix(".json").read_text())
         assert chrome["otherData"]["producer"] == "repro.obs"
@@ -110,6 +169,6 @@ class TestFlowTracing:
 
         snapshot = load_metrics_snapshot(tmp_path / "out" / "run.metrics.json")
         assert set(snapshot) == {"schema_version", "counters"}
-        assert snapshot["counters"]["characterize.sweeps"] >= 1
+        assert snapshot["counters"]["characterization.harness.calls"] >= 1
         assert snapshot["counters"]["sweep.shards.total"] > 0
-        assert "cache.placed.misses" in snapshot["counters"]
+        assert "parallel.cache.hits" in snapshot["counters"]

@@ -1,4 +1,4 @@
-"""Tracer semantics: hierarchy, catalogue strictness, export round-trip."""
+"""Tracer semantics: hierarchy, adoption of worker spans, export round-trip."""
 
 from __future__ import annotations
 
@@ -8,22 +8,25 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs import (
+    TRACE_SCHEMA_VERSION,
     Tracer,
     chrome_trace_from_records,
+    layer_summary,
     load_trace_jsonl,
-    summarize_spans,
 )
 from repro.obs import runtime
 
 
+def _record(tracer: Tracer, name: str, layer: str, **attrs: int) -> None:
+    tracer.finish(tracer.start(name, layer), attrs)
+
+
 def _tiny_trace() -> Tracer:
     tracer = Tracer()
-    with tracer.span("sweep.run", shards=2) as run:
-        with tracer.span("sweep.shard", li=0, start=0, attempt=1):
-            pass
-        with tracer.span("sweep.shard", li=1, start=0, attempt=1):
-            pass
-        run.set(status="complete")
+    run = tracer.start("run_sweep", "sweep")
+    _record(tracer, "run_shard", "parallel.engine", retries=0)
+    _record(tracer, "run_shard", "parallel.engine", retries=1)
+    tracer.finish(run, {"shards.total": 2})
     return tracer
 
 
@@ -31,34 +34,26 @@ class TestSpans:
     def test_parenting_follows_nesting(self):
         records = _tiny_trace().records
         # Completion order: the two shards finish before the run.
-        assert [r.name for r in records] == [
-            "sweep.shard", "sweep.shard", "sweep.run",
-        ]
+        assert [r.name for r in records] == ["run_shard", "run_shard", "run_sweep"]
         run = records[2]
         assert run.parent_id is None
         assert all(r.parent_id == run.span_id for r in records[:2])
-        assert run.attrs == {"shards": 2, "status": "complete"}
+        assert run.attrs == {"shards.total": 2}
+        assert [r.layer for r in records] == ["parallel.engine"] * 2 + ["sweep"]
 
     def test_sibling_spans_do_not_nest(self):
         tracer = Tracer()
-        with tracer.span("sweep.run"):
-            pass
-        with tracer.span("optimize.run"):
-            pass
+        _record(tracer, "run_sweep", "sweep")
+        _record(tracer, "optimize_designs", "core.optimizer")
         first, second = tracer.records
         assert second.parent_id is None
         assert first.span_id != second.span_id
-
-    def test_uncatalogued_span_raises(self):
-        with pytest.raises(ObservabilityError, match="not in the telemetry catalogue"):
-            Tracer().span("bogus.name")
 
     def test_reset_clears_records_and_ids(self):
         tracer = _tiny_trace()
         tracer.reset()
         assert tracer.records == ()
-        with tracer.span("sweep.run"):
-            pass
+        _record(tracer, "run_sweep", "sweep")
         assert tracer.records[0].span_id == 1
 
     def test_timings_are_monotone(self):
@@ -88,18 +83,21 @@ class TestExport:
         events = doc["traceEvents"]
         assert len(events) == 3
         assert all(e["ph"] == "X" for e in events)
-        # Category is the name prefix; timestamps are sorted microseconds.
-        assert all(e["cat"] == e["name"].split(".", 1)[0] for e in events)
+        # Category is the layer; timestamps are sorted microseconds.
+        assert [e["cat"] for e in events if e["name"] == "run_shard"] == [
+            "parallel.engine"
+        ] * 2
         assert [e["ts"] for e in events] == sorted(e["ts"] for e in events)
-        # Hierarchy survives via args.
-        run = next(e for e in events if e["name"] == "sweep.run")
-        shard = next(e for e in events if e["name"] == "sweep.shard")
+        # Hierarchy and work counts survive via args.
+        run = next(e for e in events if e["name"] == "run_sweep")
+        shard = next(e for e in events if e["name"] == "run_shard")
+        assert run["args"]["shards.total"] == 2
         assert shard["args"]["parent_id"] == run["args"]["span_id"]
 
     def test_jsonl_records_carry_schema_version(self, tmp_path):
         path = _tiny_trace().export_jsonl(tmp_path / "run.jsonl")
         for record in load_trace_jsonl(path):
-            assert record["schema_version"] == 1
+            assert record["schema_version"] == TRACE_SCHEMA_VERSION
 
     def test_empty_tracer_exports_empty_files(self, tmp_path):
         tracer = Tracer()
@@ -113,7 +111,7 @@ class TestExport:
 
     def test_load_invalid_json_raises_with_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"name": "sweep.run"}\nnot json\n')
+        path.write_text('{"name": "run_sweep"}\nnot json\n')
         with pytest.raises(ObservabilityError, match="bad.jsonl:2"):
             load_trace_jsonl(path)
 
@@ -124,25 +122,52 @@ class TestExport:
             load_trace_jsonl(path)
 
 
+class TestAdopt:
+    def test_worker_spans_nest_under_the_open_span_with_fresh_ids(self):
+        worker = Tracer(origin=0.0)
+        shard = worker.start("run_shard", "parallel.engine")
+        _record(worker, "simulate_transitions", "timing.simulator", node_transitions=6)
+        worker.finish(shard, {"retries": 0})
+        drained = worker.drain()
+        assert worker.records == ()
+
+        parent = Tracer(origin=0.0)
+        sweep = parent.start("run_sweep", "sweep")
+        parent.adopt(drained)
+        parent.finish(sweep, {})
+        sim, adopted, run = parent.records
+        assert adopted.parent_id == run.span_id and sim.parent_id == adopted.span_id
+        assert len({sim.span_id, adopted.span_id, run.span_id}) == 3
+        assert (sim.start_s, sim.pid) == (drained[0].start_s, drained[0].pid)
+
+
 class TestSummarize:
-    def test_aggregates_by_name_sorted_by_total(self):
+    def test_self_time_by_layer_sorted_largest_first(self):
         records = [
-            {"name": "a.x", "duration_s": 1.0},
-            {"name": "a.x", "duration_s": 3.0},
-            {"name": "b.y", "duration_s": 0.5},
+            {"name": "run_sweep", "layer": "sweep", "span_id": 1, "parent_id": None,
+             "duration_s": 4.0, "pid": 1, "attrs": {"shards.total": 2}},
+            {"name": "run_shard", "layer": "parallel.engine", "span_id": 2,
+             "parent_id": 1, "duration_s": 1.0, "pid": 1, "attrs": {"retries": 0}},
+            {"name": "run_shard", "layer": "parallel.engine", "span_id": 3,
+             "parent_id": 1, "duration_s": 2.0, "pid": 1, "attrs": {"retries": 1}},
+            # A pool worker's span runs beside its parent sweep span, so it
+            # takes nothing from the sweep's self time.
+            {"name": "run_shard", "layer": "parallel.engine", "span_id": 4,
+             "parent_id": 1, "duration_s": 0.5, "pid": 2, "attrs": {"retries": 0}},
         ]
-        rows = summarize_spans(records)
-        assert [r["name"] for r in rows] == ["a.x", "b.y"]
-        assert rows[0] == {
-            "name": "a.x", "count": 2, "total_s": 4.0, "mean_s": 2.0, "max_s": 3.0,
-        }
+        rows = layer_summary(records)
+        assert rows == [
+            {"layer": "parallel.engine", "calls": 3, "self_s": 3.5,
+             "work": {"retries": 1}},
+            {"layer": "sweep", "calls": 1, "self_s": 1.0,
+             "work": {"shards.total": 2}},
+        ]
 
 
 class TestPathConventions:
     def test_trace_suffix_stripped(self, tmp_path):
         runtime.enable_observability(trace=True, metrics=False)
-        with runtime.span("sweep.run"):
-            pass
+        _record(runtime.get_observer().tracer, "run_sweep", "sweep")
         jsonl, chrome = runtime.export_trace_files(tmp_path / "run.json")
         assert jsonl == tmp_path / "run.jsonl"
         assert chrome == tmp_path / "run.json"

@@ -93,12 +93,8 @@ class TestPooledCharacterize:
         return results, observer
 
     @staticmethod
-    def _sweep_spans(observer, name):
-        return [
-            {k: v for k, v in r.attrs.items() if k != "jobs"}
-            for r in observer.tracer.records
-            if r.name == name
-        ]
+    def _spans(observer, name):
+        return [r for r in observer.tracer.records if r.name == name]
 
     @pytest.mark.slow
     def test_pooled_run_matches_serial_with_its_telemetry(self, monkeypatch):
@@ -106,16 +102,20 @@ class TestPooledCharacterize:
         pooled, pooled_obs = self._run(monkeypatch, jobs=2)
 
         det = serial_obs.metrics.snapshot().deterministic_counters()
-        assert det["characterize.sweeps"] == 2
+        assert det["sweep.calls"] == 2
+        assert det["framework.calls"] == 1
         assert pooled_obs.metrics.snapshot().deterministic_counters() == det
-        for name in ("characterize.sweep", "sweep.run"):
-            assert len(self._sweep_spans(serial_obs, name)) == 2
-            assert self._sweep_spans(pooled_obs, name) == self._sweep_spans(
-                serial_obs, name
-            )
-        pool_spans = [r for r in pooled_obs.tracer.records if r.name == "sweep.pool"]
-        assert [r.attrs["jobs"] for r in pool_spans] == [2, 2]
-        assert not any(r.name == "sweep.pool" for r in serial_obs.tracer.records)
+        # The pool workers' spans come back to the parent: the same spans
+        # with the same work counts, recorded in other processes.
+        for name in ("run_sweep", "run_shard", "simulate_transitions"):
+            spans = self._spans(serial_obs, name)
+            assert [r.attrs for r in self._spans(pooled_obs, name)] == [
+                r.attrs for r in spans
+            ]
+        assert len(self._spans(serial_obs, "run_sweep")) == 2
+        parent = {r.pid for r in self._spans(serial_obs, "run_sweep")}
+        assert {r.pid for r in self._spans(serial_obs, "run_shard")} == parent
+        assert not parent & {r.pid for r in self._spans(pooled_obs, "run_shard")}
 
         # The sweeps ran in this process, and their grids are equal bytes.
         assert [r.w_coeff for r in pooled] == [3, 4]

@@ -148,8 +148,8 @@ class TestStageContract:
         assert list((ws / "designs").iterdir()) == []
         assert list((ws / "characterization").iterdir()) == []
         counters = json.loads(metrics.read_text())["counters"]
-        assert "characterize.sweeps" not in counters
-        assert "synthesis.runs" not in counters
+        assert "characterization.harness.calls" not in counters
+        assert "synthesis.flow.calls" not in counters
 
     def test_missing_inputs_are_named(self, ws, device):
         cfg = CharacterizationConfig(
