@@ -9,14 +9,8 @@ can be computed once per netlist instead of once per evaluation:
   fanin columns are pre-gathered into index arrays.  Executing a bucket
   is then a handful of whole-array bitwise ops over ``(g, W)`` uint64
   planes — no per-sample gathers, no ``astype(np.intp)`` temporaries.
-* **Timing gathers** — the settle-propagation loop of
-  :func:`repro.timing.simulator.simulate_transitions` reads each level's
-  nodes in descending arity, so the nodes with a fanin in slot ``k``
-  are a prefix and one precomputed source array per slot selects
-  exactly the populated fanins, instead of re-deriving ``arity > k``
-  masks and fanin columns per call, while preserving the float32
-  operation order (bit-identity with the test suite's interpreted
-  oracle).
+
+Timing reads no plan: its gathers are ``CompiledNetlist.timing_levels``.
 
 Plans are memoised in a module-level cache keyed by a **content hash**
 of the compiled arrays (:func:`netlist_fingerprint`), not by object
@@ -45,7 +39,6 @@ from .lower import OP_CONST, OP_LITERAL, OP_XOR, Term, lower_tt
 __all__ = [
     "ExecutionPlan",
     "OpGroup",
-    "TimingLevel",
     "clear_plan_cache",
     "netlist_fingerprint",
     "plan_cache_size",
@@ -86,24 +79,6 @@ class OpGroup:
 
 
 @dataclass(frozen=True)
-class TimingLevel:
-    """Precomputed index arrays for one level of settle propagation.
-
-    ``ids`` lists the level's nodes by descending arity (stable in node
-    id), so the nodes with a fanin in slot ``k`` are the prefix
-    ``ids[:len(srcs[k])]``, and ``srcs[k]`` holds those nodes' slot-``k``
-    fanins.  Slot 0 covers the whole level, since every LUT has 1 to 4
-    fanins.  The simulator gathers each slot's rows with
-    ``np.take(..., out=)`` into the leading rows of its two pooled
-    ``EvalScratch`` blocks, ``timing.best`` and ``timing.rows``, which
-    are as tall as the widest level.
-    """
-
-    ids: np.ndarray
-    srcs: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
 class ExecutionPlan:
     """One netlist's compiled bit-sliced execution recipe."""
 
@@ -112,7 +87,6 @@ class ExecutionPlan:
     const_zero_ids: np.ndarray  # _KIND_CONST nodes with value 0, (c0,) intp
     const_one_ids: np.ndarray  # _KIND_CONST nodes with value 1, (c1,) intp
     levels: tuple[tuple[OpGroup, ...], ...]
-    timing_levels: tuple[TimingLevel, ...]
 
     @property
     def n_groups(self) -> int:
@@ -203,7 +177,6 @@ def _compile_plan(cn: CompiledNetlist, fingerprint: str) -> ExecutionPlan:
     const_one = np.nonzero(const_mask & (cn.const_values != 0))[0]
 
     levels: list[tuple[OpGroup, ...]] = []
-    timing_levels: list[TimingLevel] = []
     for ids in cn.level_groups:
         # Functional groups: bucket by lowered structure, preserving the
         # first-seen order within the level (dicts iterate in insertion
@@ -216,15 +189,6 @@ def _compile_plan(cn: CompiledNetlist, fingerprint: str) -> ExecutionPlan:
         levels.append(
             tuple(_build_group(cn, key, nids) for key, nids in buckets.items())
         )
-        # Timing gathers: descending arity makes each fanin slot's
-        # nodes a prefix of the level.
-        by_arity = ids[np.argsort(-cn.arity[ids], kind="stable")].astype(np.intp)
-        a = cn.arity[by_arity]
-        srcs = tuple(
-            cn.fanin_idx[by_arity[: np.count_nonzero(a > k)], k].astype(np.intp)
-            for k in range(int(a[0]))
-        )
-        timing_levels.append(TimingLevel(ids=by_arity, srcs=srcs))
 
     return ExecutionPlan(
         fingerprint=fingerprint,
@@ -232,7 +196,6 @@ def _compile_plan(cn: CompiledNetlist, fingerprint: str) -> ExecutionPlan:
         const_zero_ids=const_zero.astype(np.intp),
         const_one_ids=const_one.astype(np.intp),
         levels=tuple(levels),
-        timing_levels=tuple(timing_levels),
     )
 
 

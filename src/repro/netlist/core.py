@@ -26,6 +26,7 @@ __all__ = [
     "CompiledNetlist",
     "EvalScratch",
     "NetlistStats",
+    "TimingLevel",
     "bits_from_ints",
     "ints_from_bits",
 ]
@@ -121,7 +122,7 @@ class EvalScratch:
       the settle plane's -inf entries;
     * ``timing.best`` and ``timing.rows`` — its two float32 level blocks,
       as tall as the widest level, into which each fanin slot's rows are
-      gathered (:class:`~repro.kernels.plan.TimingLevel`).
+      gathered (:class:`TimingLevel`).
 
     Contract: arrays handed out for a given key are **overwritten by the
     next call** that uses the same scratch — the output buses
@@ -147,6 +148,22 @@ class EvalScratch:
 
     def __len__(self) -> int:
         return len(self._buffers)
+
+
+@dataclass(frozen=True)
+class TimingLevel:
+    """One LUT level laid out for settle propagation and STA.
+
+    ``ids`` lists the level's nodes by descending arity (stable in node
+    id), so the nodes with a fanin in slot ``k`` are the prefix
+    ``ids[:len(srcs[k])]``, and ``srcs[k]`` holds those nodes' slot-``k``
+    fanins.  Slot 0 covers the whole level, since every LUT has 1 to 4
+    fanins.  Both timing loops gather slot 0 into the level's best, take
+    the max of slot ``k`` over its prefix, then add the node delay.
+    """
+
+    ids: np.ndarray
+    srcs: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -485,10 +502,19 @@ class Netlist:
         # Group nodes by level for level-parallel evaluation.
         max_level = int(levels.max()) if n else 0
         level_groups: list[np.ndarray] = []
+        timing_levels: list[TimingLevel] = []
         for lv in range(1, max_level + 1):
             ids = np.nonzero(levels == lv)[0].astype(np.int32)
             if ids.size:
                 level_groups.append(ids)
+                # Descending arity makes each fanin slot's nodes a prefix.
+                by_arity = ids[np.argsort(-arity[ids], kind="stable")].astype(np.intp)
+                a = arity[by_arity]
+                srcs = tuple(
+                    fanin_idx[by_arity[: np.count_nonzero(a > k)], k].astype(np.intp)
+                    for k in range(int(a[0]))
+                )
+                timing_levels.append(TimingLevel(ids=by_arity, srcs=srcs))
         return CompiledNetlist(
             name=self.name,
             kinds=kinds,
@@ -499,6 +525,7 @@ class Netlist:
             levels=levels,
             topo_order=order,
             level_groups=tuple(level_groups),
+            timing_levels=tuple(timing_levels),
             input_buses={k: np.asarray(v, dtype=np.int32) for k, v in self.input_buses.items()},
             output_buses={k: np.asarray(v, dtype=np.int32) for k, v in self.output_buses.items()},
             input_bus_signed=dict(self.input_bus_signed),
@@ -524,6 +551,7 @@ class CompiledNetlist:
     levels: np.ndarray  # (n,) int32
     topo_order: np.ndarray  # (n,) int32
     level_groups: tuple[np.ndarray, ...]
+    timing_levels: tuple[TimingLevel, ...]
     input_buses: dict[str, np.ndarray]
     output_buses: dict[str, np.ndarray]
     # Word-level metadata (defaults keep pickled/legacy constructors working).

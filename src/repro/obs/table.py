@@ -198,6 +198,11 @@ ENTRIES: tuple[Entry, ...] = (
     Entry("timing.capture", "repro.timing.capture", "capture_stream_batch",
           "One simulated stream captured at every clock of a sweep in one pass.",
           counts=("captured_cycles",), count=_captured_cycles_batch),
+    Entry("timing.sta", "repro.timing.sta", "arrival_times",
+          "Static timing: every node's worst-case arrival time on one placed "
+          "netlist (tool reports, device STA, a lane's settle bound, "
+          "sensitised STA).",
+          varying=("calls",)),
     Entry("parallel.engine", "repro.parallel.engine", "run_shard",
           "One shard attempt: cached placement, transition simulation, batched "
           "capture and segment statistics; `retries` counts attempts after "
@@ -233,7 +238,8 @@ ENTRIES: tuple[Entry, ...] = (
     Entry("models.error_model", "repro.models.error_model", "build_error_model",
           "One word-length's error model fitted to its sweep."),
     Entry("models.area_model", "repro.models.area_model", "collect_area_samples",
-          "Area samples from synthesis runs of the MAC netlists."),
+          "Area reports of each word-length's MAC synthesis runs; nothing is "
+          "placed."),
     Entry("models.area_model", "repro.models.area_model", "fit_area_model",
           "The polynomial area-model fit."),
     Entry("circuits.executor", "repro.circuits.executor", "evaluate_design",

@@ -68,6 +68,7 @@ def characterize_workspace(
     """
     device = ws.device()
     settings = ws.settings()
+    _require_output_dir(ws.char_dir, "characterize")
     n_jobs = resolve_jobs(jobs)
     cfg = characterization_config(settings)
     paths: list[Path] = []
@@ -141,6 +142,19 @@ def _require_archives(ws: Workspace, stage: str, area_model: bool) -> None:
         )
 
 
+def _require_output_dir(directory: Path, stage: str) -> None:
+    """Raise :class:`ConfigError` unless ``stage``'s output directory exists.
+
+    Checked before the stage's work, so a workspace missing the directory
+    is refused before a sweep or Gibbs run rather than after it.
+    """
+    if not directory.is_dir():
+        raise ConfigError(
+            f"{stage} archives into {directory}, which is missing; "
+            "recreate the directory"
+        )
+
+
 def optimize_workspace(
     ws: Workspace, name: str, beta: float
 ) -> tuple[OptimizationResult, Path]:
@@ -151,6 +165,7 @@ def optimize_workspace(
     if not beta > 0:
         raise ConfigError(f"beta must be > 0, got {beta}")
     _require_archives(ws, "optimize", area_model=True)
+    _require_output_dir(ws.designs_dir, "optimize")
     x_train, _ = train_test_split(ws.settings(), ws.seed())
     result = ws.framework().optimize(x_train, beta=beta)
     path = ws.save_design_set(name, result.designs)

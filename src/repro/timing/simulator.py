@@ -79,8 +79,8 @@ def simulate_transitions(
 
     The functional value plane comes from the bit-sliced kernel, and
     the float32 settle propagation reads each level's populated fanin
-    slots from the plan's precomputed gather indices
-    (:class:`~repro.kernels.plan.TimingLevel`).
+    slots from the netlist's timing layout
+    (:class:`~repro.netlist.core.TimingLevel`).
 
     Parameters
     ----------
@@ -113,12 +113,10 @@ def simulate_transitions(
         raise TimingError("need at least 2 stimulus vectors to form a transition")
 
     from ..kernels.execute import stream_values
-    from ..kernels.plan import plan_for
 
     if scratch is None:
         scratch = EvalScratch()
     values = stream_values(netlist, inputs, scratch=scratch)
-    plan = plan_for(netlist)
 
     n_tr = stream_len - 1
     unchanged = scratch.array("timing.unchanged", (n, n_tr), np.bool_)
@@ -135,15 +133,15 @@ def simulate_transitions(
     pattern[...] = unchanged
     pattern *= _NEG_INF_BITS
 
-    widest = max((lv.ids.shape[0] for lv in plan.timing_levels), default=0)
+    widest = max((lv.ids.shape[0] for lv in netlist.timing_levels), default=0)
     best_buf = scratch.array("timing.best", (widest, n_tr), np.float32)
     rows_buf = scratch.array("timing.rows", (widest, n_tr), np.float32)
-    for level in plan.timing_levels:
+    for level in netlist.timing_levels:
         ids = level.ids
         best = best_buf[: ids.shape[0]]
         # Slot 0 covers every node of the level and lands in ``best``
         # directly (max(-inf, x) = x); slot k's nodes are a prefix.  The
-        # plan's indices are in range, and mode="clip" lets np.take write
+        # layout's indices are in range, and mode="clip" lets np.take write
         # straight into ``out``, where mode="raise" would buffer.
         for k, srcs in enumerate(level.srcs):
             m = srcs.shape[0]

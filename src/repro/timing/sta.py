@@ -70,6 +70,8 @@ def arrival_times(
 ) -> np.ndarray:
     """Compute worst-case arrival times for every node.
 
+    Walks ``netlist.timing_levels`` as settle propagation does.
+
     Parameters
     ----------
     netlist:
@@ -110,26 +112,24 @@ def arrival_times(
         raise TimingError(f"node_static shape {node_static.shape} != ({n},)")
     node_delay = np.asarray(node_delay, dtype=dtype)
     edge_delay = np.asarray(edge_delay, dtype=dtype)
+    # A pruned edge, and every in-edge of a static node, drops out of the
+    # max at -inf (x + -inf = -inf).
+    if edge_active is not None:
+        edge_delay = np.where(edge_active, edge_delay, -np.inf)
+    if node_static is not None:
+        edge_delay = np.where(node_static[:, None], -np.inf, edge_delay)
     arrival = np.zeros(n, dtype=dtype)
-    arity = netlist.arity
-    fidx = netlist.fanin_idx
-    for ids in netlist.level_groups:
-        a = arity[ids]
-        best = np.full(ids.shape[0], -np.inf, dtype=dtype)
-        for k in range(4):
-            mask = a > k
-            if not mask.any():
-                break
-            if edge_active is not None:
-                mask = mask & edge_active[ids, k]
-            cand = arrival[fidx[ids, k]] + edge_delay[ids, k]
-            best = np.where(mask, np.maximum(best, cand), best)
+    for level in netlist.timing_levels:
+        ids = level.ids
+        edge = edge_delay[ids]
+        # Slot 0 covers the whole level; slot k's nodes are a prefix.
+        best = arrival[level.srcs[0]] + edge[:, 0]
+        for k, srcs in enumerate(level.srcs[1:], 1):
+            head = best[: srcs.shape[0]]
+            np.maximum(head, arrival[srcs] + edge[: srcs.shape[0], k], out=head)
         # A node with no active in-edge cannot be toggled: it settles at
         # t=0 (its value is constant, so no transition ever launches).
-        best = np.where(np.isfinite(best), best, -node_delay[ids])
-        arrival[ids] = node_delay[ids] + best
-        if node_static is not None:
-            arrival[ids] = np.where(node_static[ids], 0.0, arrival[ids])
+        arrival[ids] = np.where(np.isfinite(best), best + node_delay[ids], 0.0)
     return arrival
 
 

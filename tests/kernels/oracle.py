@@ -7,7 +7,7 @@ kernel can be proven bit-identical to it.  The settle loop of
 :func:`simulate_transitions` performs the library simulator's float32
 operations on changed node-transitions in the same order; it re-derives
 each level's ``arity > k`` masks and fanin columns per call where the
-library reads them from the execution plan, and it masks unchanged
+library reads them from the netlist's timing layout, and it masks unchanged
 fanins where the library carries them at -inf.
 
 :func:`evaluate` and :func:`simulate_transitions` take the same

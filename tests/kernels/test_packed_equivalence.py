@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import evaluate_packed, pack_bits, plan_for, stream_values, unpack_plane
+from repro.kernels import evaluate_packed, pack_bits, stream_values, unpack_plane
 from repro.netlist.core import _KIND_CONST, EvalScratch, Netlist
 from repro.netlist.generators import generate
 from repro.timing.simulator import simulate_transitions
@@ -207,5 +207,5 @@ class TestTimingEquivalence:
         assert any(
             {1, 2, 3} <= set(cn.arity[lv.ids].tolist())
             and any(reads_const(nid) for nid in lv.ids)
-            for lv in plan_for(cn).timing_levels
+            for lv in cn.timing_levels
         )

@@ -54,4 +54,4 @@ class TestPlanCache:
         assert plan.n_nodes == mult5.n_nodes
         assert plan.n_groups >= 1
         assert len(plan.levels) == len(mult5.level_groups)
-        assert len(plan.timing_levels) == len(mult5.level_groups)
+        assert len(mult5.timing_levels) == len(mult5.level_groups)

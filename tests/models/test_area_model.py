@@ -53,10 +53,11 @@ class TestCollection:
 
 
 class TestLintOnce:
-    """Each MAC netlist passes the synthesis lint gate on its first placement."""
+    """Each MAC netlist passes the synthesis lint gate before its first
+    area report, and no sample is placed."""
 
-    # Recorded with every placement linted; linting once per netlist
-    # must not change a sample.
+    # Recorded with every sample placed and linted; reporting the areas
+    # without placement must not change a sample.
     PINNED = [
         (3, 91, 3000, (0, 0)), (3, 92, 3001, (49, 0)),
         (3, 91, 3002, (0, 49)), (3, 87, 3003, (49, 49)),
@@ -68,26 +69,31 @@ class TestLintOnce:
 
     @pytest.fixture
     def spies(self, monkeypatch):
-        """Record the flow's lint-gate calls and placements, in order."""
+        """Record lint-gate calls, area reports, flow runs and placements,
+        in order."""
         events = []
-        lint, place = flow_module.check_netlist, flow_module.place_netlist
 
-        def lint_spy(netlist, *args, **kwargs):
-            events.append("lint")
-            return lint(netlist, *args, **kwargs)
+        def spy(module, name, event):
+            real = getattr(module, name)
 
-        def place_spy(*args, **kwargs):
-            events.append("place")
-            return place(*args, **kwargs)
+            def record(*args, **kwargs):
+                events.append(event)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(flow_module, "check_netlist", lint_spy)
-        monkeypatch.setattr(flow_module, "place_netlist", place_spy)
+            monkeypatch.setattr(module, name, record)
+
+        spy(area_module, "check_netlist", "lint")
+        spy(area_module, "area_report", "report")
+        spy(flow_module, "check_netlist", "lint")
+        spy(flow_module, "place_netlist", "place")
+        spy(flow_module.SynthesisFlow, "run", "run")
         return events
 
     def test_one_lint_per_netlist_same_samples(self, device, spies):
         samples = collect_area_samples(device, (3, 4, 5), n_runs=4)
         assert spies.count("lint") == 3
-        assert spies.count("place") == 12
+        assert spies.count("place") == spies.count("run") == 0
+        assert spies == (["lint"] + ["report"] * 4) * 3
         assert [
             (s.wordlength, s.logic_elements, s.seed, s.location) for s in samples
         ] == self.PINNED

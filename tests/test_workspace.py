@@ -244,6 +244,36 @@ class TestStageContract:
         assert captured.out == ""
         assert list((ws / "characterization").iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "stage, directory, flags, work",
+        [
+            ("characterize", "characterization", [], "characterization.harness.calls"),
+            ("optimize", "designs", ["--name", "b"], "core.optimizer.calls"),
+        ],
+        ids=["characterize", "optimize"],
+    )
+    def test_missing_output_directory_exits_2_before_the_work(
+        self, archived_ws, tmp_path, capsys, stage, directory, flags, work
+    ):
+        from repro.cli_flow import main
+
+        path = archived_ws.root / directory
+        for child in path.iterdir():
+            child.unlink()
+        path.rmdir()
+        metrics = tmp_path / "metrics.json"
+        argv = ["--metrics", str(metrics), stage, str(archived_ws.root), *flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        # The one line after the error is the --metrics export notice.
+        assert captured.err == (
+            f"error: {stage} archives into {path}, which is missing; "
+            f"recreate the directory\nmetrics written: {metrics}\n"
+        )
+        assert captured.out == ""
+        assert not path.exists()
+        assert work not in json.loads(metrics.read_text())["counters"]
+
     def test_stray_archive_name_is_ignored(self, archived_ws, capsys):
         from repro.cli_flow import main
 

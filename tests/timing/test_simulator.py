@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import TimingError
 from repro.kernels import execute as kernels_execute
-from repro.kernels.plan import plan_for
 from repro.netlist.core import EvalScratch, Netlist, bits_from_ints
 from repro.netlist.multipliers import unsigned_array_multiplier
 from repro.timing.simulator import simulate_transitions
@@ -201,7 +200,7 @@ class TestInternalError:
     @pytest.mark.parametrize("placement", ["first", "last", "narrow"])
     def test_toggle_without_changed_fanin_raises(self, monkeypatch, placement):
         c, nodes = self._netlist()
-        levels = plan_for(c).timing_levels
+        levels = c.timing_levels
         assert nodes["first"] in levels[0].ids and nodes["narrow"] in levels[0].ids
         assert nodes["last"] in levels[-1].ids and len(levels) == 2
         assert c.arity[nodes["narrow"]] < c.arity[levels[0].ids].max()

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.analysis.dataflow import analyze_dataflow
 from repro.errors import TimingError
+from repro.fabric import make_device
 from repro.netlist.core import Netlist
+from repro.netlist.mac import mac_block
 from repro.netlist.multipliers import unsigned_array_multiplier
+from repro.obs import runtime as obs
+from repro.parallel.cache import multiplier_netlist
+from repro.synthesis import SynthesisFlow
 from repro.timing.sta import arrival_times, static_timing
+from tests.timing import sta_oracle
 
 
 def _chain(n_gates: int):
@@ -102,3 +109,53 @@ class TestStaticTiming:
         assert res.output_arrival["x"][0] == pytest.approx(1.0)
         assert res.output_arrival["y"][0] == pytest.approx(2.0)
         assert res.critical_path_ns == pytest.approx(2.0)
+
+
+class TestMatchesMaskedLoop:
+    """``arrival_times`` walks the netlist's timing layout; the masked
+    per-level loop it replaced (``tests/timing/sta_oracle.py``) is its
+    reference, bit for bit."""
+
+    @pytest.mark.parametrize("serial", [0, 7, 42])
+    @pytest.mark.parametrize("wl", [3, 6, 9])
+    @pytest.mark.parametrize("kind", ["multiplier", "mac"])
+    def test_bit_identical_to_masked_loop(self, kind, wl, serial):
+        if kind == "multiplier":
+            netlist = multiplier_netlist(9, wl)
+        else:
+            netlist = mac_block(9, wl).compile()
+        n = netlist.n_nodes
+        rng = np.random.default_rng([serial, wl, n])
+        # The masks sensitised STA passes with the multiplicand pinned.
+        pinned = analyze_dataflow(netlist, {"b": (1 << wl) // 3})
+        mask_sets = [
+            (None, None),
+            (rng.random((n, 4)) < 0.7, None),
+            (None, rng.random(n) < 0.2),
+            (rng.random((n, 4)) < 0.7, rng.random(n) < 0.2),
+            (pinned.edge_active, pinned.node_static),
+        ]
+        assert not pinned.edge_active.all() and pinned.node_static.any()
+        flow = SynthesisFlow(make_device(serial))
+        compared = 0
+        for run, anchor in enumerate(flow.available_anchors(netlist, 2)):
+            placed = flow.run(netlist, anchor=anchor, seed=run, lint=False)
+            for dtype in (np.float64, np.float32):
+                for edge_active, node_static in mask_sets:
+                    args = (netlist, placed.node_delay, placed.edge_delay,
+                            edge_active, node_static, dtype)
+                    got = arrival_times(*args)
+                    want = sta_oracle.arrival_times(*args)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+                    compared += 1
+        assert compared == 20
+
+    def test_traced_as_timing_sta_without_a_plan_lookup(self):
+        c = unsigned_array_multiplier(4, 4).compile()
+        nd, ed = _uniform_delays(c, lut=0.1, edge=0.05)
+        with obs.observability(trace=False, metrics=True) as observer:
+            static_timing(c, nd, ed)
+            counters = observer.metrics.snapshot().counters
+        assert counters["timing.sta.calls"] == 1
+        assert "kernels.plan.calls" not in counters
